@@ -272,8 +272,24 @@ class CycleCosts:
         "smp.tlb_shootdown.entries": "entry_update",
     }
 
+    def __post_init__(self) -> None:
+        # Counter name -> weight, filled by weight_for.  Not a field, so
+        # equality and hashing still see the weights alone.
+        object.__setattr__(self, "_weight_cache", {})
+
     def weight_for(self, counter: str) -> int:
-        """The cycle weight for one counter name (0 when unpriced)."""
+        """The cycle weight for one counter name (0 when unpriced).
+
+        The suffix scan runs once per name; later calls are one dict
+        probe.
+        """
+        weight = self._weight_cache.get(counter)
+        if weight is None:
+            weight = self._weight_cache[counter] = self.scan_weight(counter)
+        return weight
+
+    def scan_weight(self, counter: str) -> int:
+        """:meth:`weight_for` without the cache: the suffix scan itself."""
         for suffix, attr in self.WEIGHTS.items():
             if counter == suffix or counter.endswith("." + suffix):
                 return getattr(self, attr)
@@ -286,7 +302,10 @@ DEFAULT_COSTS = CycleCosts()
 
 def cycles_for(stats: Stats, costs: CycleCosts = DEFAULT_COSTS) -> int:
     """Total weighted cycles for every priced event in ``stats``."""
-    return sum(count * costs.weight_for(name) for name, count in stats.items())
+    weight_for = costs.weight_for
+    return sum(
+        count * weight_for(name) for name, count in stats.counts_view().items()
+    )
 
 
 def cycles_breakdown(stats: Stats, costs: CycleCosts = DEFAULT_COSTS) -> dict[str, int]:

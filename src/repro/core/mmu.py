@@ -446,6 +446,10 @@ class MemorySystem:
         # at all (and skips the per-call bound-method creation besides).
         # attach_tracer swaps in the traced wrapper.
         self.access_fast = self._access_fast
+        #: True while ``access_fast`` is the traced wrapper: every
+        #: reference must then walk (and open its span), so the replay
+        #: memo (``Machine.touch``) records no recipes.
+        self.traces_references = False
 
     @property
     def current_domain(self) -> int:
@@ -454,12 +458,16 @@ class MemorySystem:
     def attach_tracer(self, tracer) -> None:
         """Route the reference path through ``tracer`` (or back off it).
 
-        With an active tracer every reference runs inside a sampled
-        ``mem.access`` span; with :data:`~repro.obs.tracer.NULL_TRACER`
-        the wrapper is removed entirely rather than checked per call.
+        With an active, sampling tracer every reference runs inside a
+        sampled ``mem.access`` span.  With
+        :data:`~repro.obs.tracer.NULL_TRACER`, or a verb-level tracer
+        (``sample_every=0``), the path stays unwrapped: nothing is
+        checked per call, and per-reference work folds into the
+        enclosing span.
         """
         self.tracer = tracer
-        if not tracer.active:
+        self.traces_references = tracer.active and tracer.sample_every != 0
+        if not self.traces_references:
             self.access_fast = self._access_fast
             return
         impl = self._access_fast

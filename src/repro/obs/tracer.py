@@ -23,7 +23,10 @@ Hot-path spans (the per-reference ``mem.access`` span) pass
 ``sample=True`` and are recorded 1-in-N (``sample_every``); sampled-out
 occurrences cost one RNG draw and fold into the enclosing span's
 exclusive delta, so totals stay conserved.  Sampling is deterministic
-under a fixed ``seed``.
+under a fixed ``seed``.  ``sample_every=0`` records no sampled span at
+all: the memory systems then leave the reference path unwrapped (see
+``MemorySystem.attach_tracer``), and per-reference work folds into the
+enclosing verb or request span exactly as sampled-out spans do.
 
 A *disabled* tracer is the shared :data:`NULL_TRACER` singleton whose
 ``span()`` returns one reusable no-op context manager; instrumented code
@@ -182,7 +185,7 @@ class Tracer:
             table every report uses, so profiler totals line up with
             :func:`~repro.core.costs.cycles_for` exactly).
         sample_every: Record 1-in-N of the spans opened with
-            ``sample=True`` (1 = record all).
+            ``sample=True`` (1 = record all, 0 = record none).
         seed: Seed for the sampling RNG — fixed seed, fixed decisions.
         metrics: Optional :class:`~repro.obs.metrics.Metrics` fed one
             observation per recorded span.
@@ -201,8 +204,8 @@ class Tracer:
         metrics: "Any | None" = None,
         debug: bool = False,
     ) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        if sample_every < 0:
+            raise ValueError("sample_every must be >= 0")
         self.stats = stats
         self.costs = costs
         self.sample_every = sample_every
@@ -213,7 +216,6 @@ class Tracer:
         self.sampled_out = 0
         self._rng = random.Random(seed)
         self._stack: list[Span] = []
-        self._weights: dict[str, int] = {}
         self._last_counts: dict[str, int] = stats.as_dict()
         self._clock = 0
 
@@ -224,13 +226,11 @@ class Tracer:
         counts = self.stats.as_dict()
         last = self._last_counts
         clock = self._clock
-        weights = self._weights
+        weight_for = self.costs.weight_for
         for name, value in counts.items():
             previous = last.get(name, 0)
             if value != previous:
-                weight = weights.get(name)
-                if weight is None:
-                    weight = weights[name] = self.costs.weight_for(name)
+                weight = weight_for(name)
                 if weight:
                     clock += (value - previous) * weight
         self._clock = clock
@@ -251,8 +251,8 @@ class Tracer:
         may return the shared no-op handle instead; its events then fold
         into the enclosing span.
         """
-        if sample and self.sample_every > 1:
-            if self._rng.randrange(self.sample_every):
+        if sample and self.sample_every != 1:
+            if not self.sample_every or self._rng.randrange(self.sample_every):
                 self.sampled_out += 1
                 return _NULL_SPAN
         return _SpanHandle(self, name, attrs)

@@ -187,13 +187,20 @@ class Kernel:
                 ctx.system.attach_tracer(self.tracer)
 
     def attach_tracer(self, tracer) -> None:
-        """Start (or stop) tracing this kernel and its memory systems."""
+        """Start (or stop) tracing this kernel and its memory systems.
+
+        A sampling tracer wraps every CPU's reference path in a
+        ``mem.access`` span and so turns the replay memo off.  A
+        verb-level tracer (``sample_every=0``, as ``repro serve`` uses)
+        records kernel verbs only: references stay unwrapped and the
+        memo stays on.
+        """
         self.tracer = tracer
+        # Recipes were recorded against the previous reference path
+        # (wrapped or not): drop them on every CPU.
         for ctx in self.cpus:
             ctx.system.attach_tracer(tracer)
-        # Tracing changes what a reference does (span per access): drop
-        # memoized hits recorded against the untraced path.
-        self.bump_epoch()
+            self.bump_epoch_for_cpu(ctx.cpu_id)
 
     def _build_system(self, model: str, options: dict, stats: Stats) -> MemorySystem:
         if model == "plb":

@@ -16,10 +16,14 @@ hardware fault is retried once after an immediate scrub; a second death
 is an *unrecovered divergence*, reported per class and reflected in the
 process exit status.
 
-Observability rides on the PR-1 tracer: each model's kernel gets a
-:class:`~repro.obs.tracer.Tracer` whose ``metrics`` sink is the model's
-:class:`~repro.obs.live.LiveCollector`, so every traced verb feeds the
-per-verb latency sketches at span exit.  Request-level cost is measured
+Observability rides on the span tracer: each model's kernel gets a
+verb-level :class:`~repro.obs.tracer.Tracer` (``sample_every=0``: spans
+per request and per kernel verb, none per reference) whose ``metrics``
+sink is the model's :class:`~repro.obs.live.LiveCollector`, so every
+traced verb feeds the per-verb latency sketches at span exit.  The
+reference path stays unwrapped, so the replay memo stays on under live
+telemetry; per-reference spans are opt-in through ``repro trace
+--sample N``.  Request-level cost is measured
 as the ``merged_stats()`` delta across the request (all CPUs, including
 remote shootdown work), weighted by the standard cycle model.  Span
 forests are dropped after every request — the collector has already
@@ -104,7 +108,10 @@ class ModelServer:
         self.config = config
         self.kernel = Kernel(model, n_cpus=config.cpus)
         self.collector = LiveCollector(model)
-        self.tracer = Tracer(self.kernel.stats, metrics=self.collector)
+        # Verb-level tracing (see the module docstring).
+        self.tracer = Tracer(
+            self.kernel.stats, metrics=self.collector, sample_every=0
+        )
         self.kernel.attach_tracer(self.tracer)
         self.sources = make_sources(
             self.kernel, sorted(config.rates), config.seed

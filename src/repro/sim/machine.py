@@ -279,7 +279,7 @@ class Machine:
                     and result.cache_hit
                     and not protection_faults
                     and not page_faults
-                    and not kernel.tracer.active
+                    and not system.traces_references
                 ):
                     # A pure hit: memoize it under the *current* epoch (a
                     # handler or switch above may have advanced it

@@ -121,6 +121,36 @@ class TestCycleModel:
         stats = Stats({"kernel.trap": 1})
         assert cycles_for(stats, costs) == 1000
 
+    def test_cached_weight_equals_suffix_scan_on_real_runs(self):
+        """Every counter a Table 1 run and a serve run produce is priced
+        the same by the cache as by the suffix scan, on the first call
+        and on the cached one."""
+        from repro.analysis.table1 import run_attach_detach, run_rpc
+        from repro.serve.driver import ServeConfig, run_serve
+
+        names: set[str] = set()
+        for run in (run_attach_detach, run_rpc):
+            for stats in run().stats_by_model.values():
+                names.update(stats.as_dict())
+        served = run_serve(
+            ServeConfig(duration_ms=60, models=("plb", "conventional"),
+                        cpus=2, plan="mixed")
+        )
+        for stats in served.stats.values():
+            names.update(stats.as_dict())
+        assert any(DEFAULT_COSTS.scan_weight(name) for name in names)
+        for costs in (CycleCosts(), CycleCosts(kernel_trap=1000)):
+            for name in sorted(names):
+                expected = costs.scan_weight(name)
+                assert costs.weight_for(name) == expected, name
+                assert costs.weight_for(name) == expected, name
+
+    def test_weight_cache_is_not_part_of_equality(self):
+        warmed = CycleCosts()
+        warmed.weight_for("dcache.hit")
+        assert warmed == CycleCosts()
+        assert hash(warmed) == hash(CycleCosts())
+
     @given(st.dictionaries(
         st.sampled_from(["dcache.hit", "dcache.miss", "plb.fill", "kernel.trap"]),
         st.integers(0, 500),

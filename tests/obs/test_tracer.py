@@ -182,6 +182,68 @@ class TestSampling:
         assert len(set(totals)) == 1
 
 
+class TestVerbLevelTracing:
+    """``sample_every=0`` records kernel verbs, never references."""
+
+    def test_sample_every_zero_records_no_sampled_span(self):
+        stats = Stats()
+        tracer = Tracer(stats, sample_every=0)
+        with tracer.span("outer"):
+            for _ in range(5):
+                with tracer.span("hot", sample=True):
+                    stats.inc("kernel.trap")
+        (outer,) = tracer.finish()
+        assert outer.children == []
+        assert tracer.sampled_out == 5
+        assert outer.exclusive_delta() == {"kernel.trap": 5}
+
+    def test_negative_sample_rate_rejected(self):
+        with pytest.raises(ValueError):
+            Tracer(Stats(), sample_every=-1)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_reference_path_stays_unwrapped_and_totals_exact(self, model):
+        kernel = Kernel(model)
+        tracer = Tracer(kernel.stats, sample_every=0)
+        kernel.attach_tracer(tracer)
+        assert kernel.system.access_fast == kernel.system._access_fast
+        assert not kernel.system.traces_references
+        machine = Machine(kernel)
+        domain = kernel.create_domain("app")
+        segment = kernel.create_segment("data", 16)
+        gen = TraceGenerator(7, kernel.params)
+        before = kernel.stats.snapshot()
+        with tracer.span("run"):
+            kernel.attach(domain, segment, Rights.RW)
+            for ref in gen.refs(domain.pd_id, segment, 300, RefPattern()):
+                machine.touch(domain, ref.vaddr, ref.access)
+        (root,) = tracer.finish()
+        names = {span.name for span in root.walk()}
+        assert "kernel.attach" in names
+        assert "mem.access" not in names
+        assert root.cycles == cycles_for(kernel.stats.delta(before))
+
+
+class TestSampledTraceRun:
+    """``repro trace --sample 4`` still records per-reference spans."""
+
+    def test_sampled_run_records_mem_access_with_exact_totals(self):
+        from repro.cli import _run_traced
+        from repro.obs.metrics import attributed_cycles
+
+        kernel, _, tracer, _, spans, delta = _run_traced(
+            "rpc", "plb", sample_every=4
+        )
+        assert kernel.system.traces_references
+        accesses = [
+            span for root in spans for span in root.walk()
+            if span.name == "mem.access"
+        ]
+        assert accesses
+        assert tracer.sampled_out > 0
+        assert attributed_cycles(spans) == cycles_for(delta)
+
+
 class TestDisabledFastPath:
     def test_null_tracer_span_is_reusable_noop(self):
         first = NULL_TRACER.span("anything", pd=1)

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.serve.driver import DEFAULT_RATES, ServeConfig, run_serve
+from repro.serve.driver import DEFAULT_RATES, ModelServer, ServeConfig, run_serve
 from repro.serve.exporters import render_prometheus
 from repro.workloads.openloop import ArrivalProcess, arrival_schedule
 
@@ -87,6 +87,28 @@ class TestSnapshotSchema:
         assert {"injected", "recovered", "request_failures"} <= set(
             summary["faults"]
         )
+
+
+class TestTelemetrySurface:
+    """Serve traces per request and per kernel verb, never per reference."""
+
+    def test_per_verb_sketches_are_kernel_verbs_without_mem_access(self):
+        _, result = _run(cpus=2)
+        verbs = result.summaries["plb"]["latency_cycles_per_verb"]
+        assert any(name.startswith("kernel.") for name in verbs)
+        assert "mem.access" not in verbs
+
+    @pytest.mark.parametrize("model", ("plb", "pagegroup", "conventional"))
+    def test_every_cpu_keeps_an_unwrapped_reference_path(self, model):
+        server = ModelServer(model, ServeConfig(cpus=2, plan="mixed"))
+        assert server.kernel.tracer is server.tracer
+        assert server.tracer.active
+        assert len(server.kernel.cpus) == 2
+        for ctx in server.kernel.cpus:
+            system = ctx.system
+            assert system.tracer is server.tracer
+            assert system.access_fast == system._access_fast
+            assert not system.traces_references
 
 
 class TestChaos:

@@ -220,6 +220,21 @@ class TestFusedRunSplits:
         machine.run(trace)
         assert machine.fused_refs == before
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sampling_tracer_splits_remote_fused_run(self, model):
+        """Attaching a sampling tracer on CPU 0 drops CPU 1's recipes:
+        from then on every reference on every CPU opens its span."""
+        from repro.obs.tracer import Tracer
+
+        env = self._smp_env(model)
+        machine, trace = self._hot_machine(env, cpu=env.kernel.cpus[1])
+        before = machine.fused_refs
+        env.kernel.set_current_cpu(0)
+        tracer = Tracer(env.kernel.stats)
+        env.kernel.attach_tracer(tracer)
+        machine.run(trace)
+        assert machine.fused_refs == before
+
 
 class TestFaultSites:
     def test_injector_record_bumps_epoch(self):

@@ -24,6 +24,7 @@ from repro.core.rights import AccessType, Rights
 from repro.faults.errors import HardwareFault
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.scrub import Scrubber
+from repro.obs.tracer import Tracer
 from repro.os.kernel import MODELS, Kernel, KernelError, SegmentationViolation
 from repro.sim.machine import Machine
 from repro.sim.trace import Ref
@@ -75,9 +76,14 @@ def _apply_verb(kernel, domains, segments, op) -> None:
         raise TypeError(f"unknown op {op!r}")
 
 
+def _forest(spans) -> list:
+    """A span forest as nested ``(name, cycles, children)`` tuples."""
+    return [(span.name, span.cycles, _forest(span.children)) for span in spans]
+
+
 def replay(model: str, scenario: str, seed: int, *, mode: str,
            chaos: bool = False, n_cpus: int = 1,
-           reps: int = 1) -> dict[str, int]:
+           reps: int = 1, verb_tracer: bool = False) -> dict[str, int]:
     """Replay one seeded scenario stream; returns the final merged counters.
 
     Consecutive touches are batched into ``Ref`` lists and flushed
@@ -100,6 +106,10 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
     early reps and replay fused (through the run cache's id+value
     revalidation) on the later ones, while the executed schedule stays
     mode-independent.
+
+    ``verb_tracer`` attaches a verb-level tracer (``sample_every=0``, the
+    one ``repro serve`` runs under) before the stream starts; its span
+    forest is left in ``replay.last_forest``.
     """
     spec = SCENARIOS[scenario]
     fast, fuse = MODES[mode]
@@ -107,6 +117,10 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
         model, n_frames=256, n_cpus=n_cpus,
         system_options=spec.system_options(model),
     )
+    tracer = None
+    if verb_tracer:
+        tracer = Tracer(kernel.stats, sample_every=0)
+        kernel.attach_tracer(tracer)
     machines = [
         Machine(kernel, fast_path=fast, fuse_runs=fuse, cpu=ctx)
         for ctx in kernel.cpus
@@ -168,6 +182,7 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
     # Telemetry for the vacuity guard (not a counter: modes must stay
     # byte-identical, so fused engagement is tracked out of band).
     replay.last_fused_refs = sum(m.fused_refs for m in machines)
+    replay.last_forest = _forest(tracer.finish()) if tracer is not None else None
     return kernel.merged_stats().as_dict()
 
 
@@ -249,6 +264,45 @@ class TestMemoEngages:
         for _ in range(5):
             machine.read(domain, vaddr)
         assert not machine._memo
+
+
+class TestVerbLevelTracer:
+    """A live verb-level tracer (``sample_every=0``, as in serve) keeps
+    the memo on and observes the same thing on either replay path."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_memo_records_recipes(self, model):
+        kernel = Kernel(model)
+        tracer = Tracer(kernel.stats, sample_every=0)
+        kernel.attach_tracer(tracer)
+        machine = Machine(kernel)
+        domain = kernel.create_domain("app")
+        segment = kernel.create_segment("data", 1)
+        kernel.attach(domain, segment, Rights.RW)
+        vaddr = kernel.params.vaddr(segment.base_vpn)
+        for _ in range(3):
+            machine.read(domain, vaddr)
+        assert machine._memo, "a verb-level tracer switched the memo off"
+        names = {span.name for span in tracer.finish()}
+        assert "kernel.attach" in names
+        assert "mem.access" not in names
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_twins_agree_on_counters_and_span_forests(self, model):
+        fused_total = 0
+        for scenario in sorted(SCENARIOS):
+            untraced = replay(model, scenario, 0, mode="full", reps=5)
+            full = replay(model, scenario, 0, mode="full", reps=5,
+                          verb_tracer=True)
+            full_forest = replay.last_forest
+            fast = replay(model, scenario, 0, mode="fused", reps=5,
+                          verb_tracer=True)
+            fused_total += replay.last_fused_refs
+            assert full == untraced, f"{scenario}: tracing moved a counter"
+            assert fast == full, f"{scenario}: counters diverged"
+            assert full_forest, f"{scenario}: no spans recorded"
+            assert replay.last_forest == full_forest, f"{scenario}: spans diverged"
+        assert fused_total > 0, "the fast twin never replayed from the memo"
 
 
 class TestFusedEngages:
