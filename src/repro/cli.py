@@ -9,10 +9,6 @@
 * ``workload <name>`` — run one application class on one model and dump
   its stats (names: attach, gc, dsm, txn, checkpoint, compression, rpc).
   ``--jobs N`` fans the models across worker processes.
-* ``bench`` — replay-throughput benchmark: full path vs the epoch-guarded
-  fast path, with ``--jobs`` sharding the trace across processes via
-  ``Machine.run_sharded``; also verifies the two modes' counters are
-  byte-identical.
 * ``trace <name>`` — run one application class on one model with the
   span tracer on and export the trace (Chrome ``trace_event`` by
   default; also JSONL and RunReport JSON).
@@ -169,6 +165,10 @@ def _workload_factories():
 
 def _parse_models(text: str) -> tuple[str, ...]:
     models = tuple(model.strip() for model in text.split(",") if model.strip())
+    if not models:
+        raise argparse.ArgumentTypeError(
+            f"no model named; choose from {', '.join(MODELS)}"
+        )
     for model in models:
         if model not in MODELS:
             raise argparse.ArgumentTypeError(
@@ -222,37 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run each model's workload in its own process (N workers); "
         "results are merged in model order, so output is identical to "
         "--jobs 1",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="replay-throughput benchmark (fast path vs full path)"
-    )
-    bench.add_argument(
-        "--models", type=_parse_models, default=MODELS,
-        help="comma-separated subset of: " + ",".join(MODELS),
-    )
-    bench.add_argument(
-        "--refs", type=int, default=50_000,
-        help="references in the generated trace (default 50000)",
-    )
-    bench.add_argument(
-        "--pages", type=int, default=4,
-        help="segment pages: small keeps the working set cache-resident "
-        "(the replay hot path); large thrashes it (default 4)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=99, help="trace generator seed"
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="split the trace into N shards replayed on fresh kernels "
-        "across N processes (Machine.run_sharded); stats are merged "
-        "deterministically",
-    )
-    bench.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="write per-model throughput RunReports (refs/sec full and "
-        "fast path) as JSON",
     )
 
     trace = sub.add_parser(
@@ -625,136 +594,6 @@ def cmd_workload(name: str, models: Sequence[str], jobs: int = 1) -> str:
     return "\n".join(lines)
 
 
-def _bench_setup(model: str, pages: int, fast: bool, fuse: bool = True):
-    """One bench kernel: a single domain with one RW segment."""
-    from repro.core.rights import Rights
-
-    kernel = Kernel(model)
-    machine = Machine(kernel, fast_path=fast, fuse_runs=fuse)
-    domain = kernel.create_domain("bench")
-    segment = kernel.create_segment("bench-data", pages)
-    kernel.attach(domain, segment, Rights.RW)
-    return machine, domain, segment
-
-
-def _bench_machine(model: str, pages: int, fast: bool, fuse: bool = True) -> Machine:
-    """Shard-worker factory (module-level: picklable via
-    ``functools.partial`` for :meth:`Machine.run_sharded` workers).
-
-    Rebuilds exactly the :func:`_bench_setup` kernel, so the deterministic
-    pd_id in a recorded trace resolves to the same domain in any worker.
-    """
-    return _bench_setup(model, pages, fast, fuse)[0]
-
-
-def cmd_bench(
-    models: Sequence[str],
-    refs: int,
-    pages: int,
-    seed: int,
-    jobs: int,
-    report_out: str | None = None,
-) -> str:
-    """Replay throughput at all three rungs, optionally sharded.
-
-    Full walk, per-hit recipe (``fuse_runs=False``, the PR-4 fast path)
-    and fused-run replay all process the *same* shards through
-    identically built kernels, so their merged counters must be
-    byte-identical — the bench doubles as a live equivalence check.
-    Each model's wall-clock throughput also lands in a structured
-    RunReport (registered with :mod:`repro.analysis.benchout`, and
-    written to ``--report-out`` when given), so bench runs leave a
-    machine-readable trajectory.
-    """
-    import functools
-    import time
-
-    from repro.analysis import benchout
-    from repro.obs.export import build_run_report
-    from repro.sim.stats import Stats
-    from repro.workloads.tracegen import TraceGenerator
-
-    _validate_parallelism(jobs=jobs)
-    if refs < 1 or pages < 1:
-        raise CLIError("--refs and --pages must be >= 1")
-    rows = []
-    reports = []
-    for model in models:
-        probe, domain, segment = _bench_setup(model, pages, True)
-        kernel = probe.kernel
-        trace = list(
-            TraceGenerator(seed, kernel.params).refs(domain.pd_id, segment, refs)
-        )
-        chunk = (len(trace) + jobs - 1) // jobs
-        shards = [trace[i : i + chunk] for i in range(0, len(trace), chunk)]
-        timing = {}
-        stats = {}
-        for mode, fast, fuse in (
-            ("full", False, False),
-            ("recipe", True, False),
-            ("fused", True, True),
-        ):
-            factory = functools.partial(_bench_machine, model, pages, fast, fuse)
-            start = time.perf_counter()
-            merged = probe.run_sharded(shards, jobs=jobs, factory=factory)
-            timing[mode] = time.perf_counter() - start
-            stats[mode] = merged.as_dict()
-        identical = stats["full"] == stats["recipe"] == stats["fused"]
-        rows.append([
-            model,
-            f"{refs / timing['full'] / 1000:.0f}k/s",
-            f"{refs / timing['recipe'] / 1000:.0f}k/s",
-            f"{refs / timing['fused'] / 1000:.0f}k/s",
-            f"{timing['full'] / timing['fused']:.2f}x",
-            "yes" if identical else "NO",
-        ])
-        reports.append(
-            build_run_report(
-                f"bench-replay-{model}",
-                model,
-                Stats(stats["full"]),
-                summary={
-                    "refs": refs,
-                    "pages": pages,
-                    "seed": seed,
-                    "jobs": jobs,
-                    "refs_per_sec_full": round(refs / timing["full"], 1),
-                    "refs_per_sec_recipe": round(refs / timing["recipe"], 1),
-                    "refs_per_sec_fused": round(refs / timing["fused"], 1),
-                    "wall_seconds_full": round(timing["full"], 4),
-                    "wall_seconds_recipe": round(timing["recipe"], 4),
-                    "wall_seconds_fused": round(timing["fused"], 4),
-                    "speedup_recipe": round(timing["full"] / timing["recipe"], 3),
-                    "speedup_fused": round(timing["full"] / timing["fused"], 3),
-                    "fused_vs_recipe": round(timing["recipe"] / timing["fused"], 3),
-                    "stats_identical": identical,
-                },
-            )
-        )
-    from repro.analysis.report import format_table
-
-    table = format_table(
-        ["model", "full path", "recipe path", "fused path", "speedup",
-         "stats identical"],
-        rows,
-        title=f"Replay throughput: {refs} refs, {pages} pages, "
-        f"seed {seed}, jobs {jobs}",
-    )
-    benchout.record(f"bench-replay ({len(models)} models)", table, reports=reports)
-    if report_out:
-        import json
-
-        with open(report_out, "w") as fp:
-            json.dump(
-                {"reports": [report.to_dict() for report in reports]},
-                fp, indent=1, sort_keys=True,
-            )
-            fp.write("\n")
-    if any(row[-1] == "NO" for row in rows):
-        raise CLIError("replay paths diverged from full path\n" + table)
-    return table
-
-
 def _parse_rates(
     text: str | None, *, cluster: bool = False
 ) -> dict[str, float]:
@@ -994,8 +833,11 @@ def cmd_replay(path: str, model: str, pages: int) -> str:
     machine = Machine(kernel)
     from repro.core.rights import Rights
 
-    with open(path) as fp:
-        ops = list(read_trace(fp))
+    try:
+        with open(path) as fp:
+            ops = list(read_trace(fp))
+    except (OSError, ValueError) as error:
+        raise CLIError(f"cannot replay {path}: {error}")
     pd_ids = sorted(
         {op.pd_id for op in ops}
     )
@@ -1495,13 +1337,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(render_summary(run_summary(models=args.models)))
     elif args.command == "workload":
         print(cmd_workload(args.name, args.models, args.jobs))
-    elif args.command == "bench":
-        print(
-            cmd_bench(
-                args.models, args.refs, args.pages, args.seed, args.jobs,
-                args.report_out,
-            )
-        )
     elif args.command == "trace":
         print(cmd_trace(args.name, args.model, args.out, args.format, args.sample))
     elif args.command == "profile":

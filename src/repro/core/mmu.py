@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from repro.core.pagegroup import (
-    GLOBAL_PAGE_GROUP,
     PageGroupCache,
     PIDEntry,
     PIDRegisterFile,
@@ -201,214 +200,6 @@ class AccessResult:
 
 
 # --------------------------------------------------------------------- #
-# Hot-path replay recipes
-
-
-class HotRecipe:
-    """A replayable summary of one repeat-hit reference.
-
-    Built by a model's :meth:`MemorySystem.hot_recipe` right after a
-    reference completed as a pure hit (every structure resident, no
-    refill, no fault).  A recipe pins the exact ``(set-dict, key, entry)``
-    locations the hit resolved to; :meth:`apply` revalidates them with
-    identity checks and then replays the hit's side effects directly:
-    the LRU ``move_to_end`` touches, referenced/dirty bits, and a fixed
-    counter batch (merged by the caller via ``Stats.inc_many``).
-
-    Identity checks — not mere residency — are required: a refill after
-    an eviction creates a *new* entry object with reset dirty/referenced
-    bits, and an in-place value swap (``AssocCache.update``) likewise
-    replaces the object.  Mutations that keep the object identity (rights
-    rewritten on a live TLB entry, injected corruption) are covered by
-    the kernel's mutation epoch, which clears the whole memo (see
-    :mod:`repro.sim.machine`).
-
-    ``result`` is one reused :class:`AccessResult`; when ``paddr_page``
-    is set, :meth:`apply` rewrites ``result.paddr`` in place for the
-    referenced address.  Callers must treat the returned object as
-    borrowed until the next apply.
-    """
-
-    __slots__ = (
-        "guards",
-        "touch_guards",
-        "guard_steps",
-        "extra_guard",
-        "ref_entries",
-        "dirty_entries",
-        "counts",
-        "counts_items",
-        "result",
-        "paddr_page",
-        "offset_mask",
-    )
-
-    def __init__(
-        self,
-        guards,
-        counts,
-        result,
-        *,
-        touch_guards=None,
-        ref_entries=(),
-        dirty_entries=(),
-        extra_guard=None,
-        paddr_page=None,
-        offset_mask=0,
-    ) -> None:
-        self.guards = guards
-        #: Guards whose set is associative (> 1 way): only those need the
-        #: LRU ``move_to_end`` on replay; a direct-mapped set has no
-        #: replacement order to maintain.
-        self.touch_guards = guards if touch_guards is None else touch_guards
-        #: Check + touch fused into one pass: ``(set, key, entry, touch)``.
-        #: Touching as each guard passes is safe even if a *later* guard
-        #: fails — the slow-path fallback re-hits the already-validated
-        #: structures and performs the same ``move_to_end``, so the final
-        #: LRU order (and every counter) is unchanged.
-        touch_set = set(map(id, self.touch_guards))
-        self.guard_steps = tuple(
-            guard + (id(guard) in touch_set,) for guard in guards
-        )
-        self.counts = counts
-        #: The same batch as an items tuple, so the replay loop skips the
-        #: per-hit ``dict.items()`` view construction.
-        self.counts_items = tuple(counts.items())
-        self.result = result
-        self.ref_entries = ref_entries
-        self.dirty_entries = dirty_entries
-        self.extra_guard = extra_guard
-        self.paddr_page = paddr_page
-        self.offset_mask = offset_mask
-
-    def apply(self, vaddr: int) -> AccessResult | None:
-        """Replay the hit for ``vaddr``; None when a guard fails.
-
-        Guards are checked and LRU-touched in one fused pass (see
-        ``guard_steps``); a failure mid-pass leaves only touches that the
-        slow-path fallback would repeat anyway, so callers that retry via
-        the full access path still converge to identical machine state.
-        """
-        for odict, key, obj, do_touch in self.guard_steps:
-            if odict.get(key) is not obj:
-                return None
-            if do_touch:
-                odict.move_to_end(key)
-        extra = self.extra_guard
-        if extra is not None and not extra():
-            return None
-        for entry in self.ref_entries:
-            entry.referenced = True
-        for entry in self.dirty_entries:
-            entry.dirty = True
-        result = self.result
-        if self.paddr_page is not None:
-            result.paddr = self.paddr_page | (vaddr & self.offset_mask)
-        return result
-
-
-class FusedRun:
-    """A whole run of consecutive pure-hit references, compiled once.
-
-    Where :class:`HotRecipe` replays one repeat hit, a fused run replays
-    a *run* — a maximal stretch of references with no kernel entry, no
-    fault and no epoch change between them — as a single step: one guard
-    validation for the whole run, one aggregated counter batch
-    (per-recipe counts × occurrence count), the run's R/M-bit sets, and
-    the LRU *end-state* rather than every intermediate touch.
-
-    Compiled from ``(recipe, n)`` pairs ordered by each key's **last**
-    occurrence in the run (ascending).  That ordering is what makes the
-    replay exact: in a real per-reference execution an entry's final LRU
-    position is decided by its overall last touch, so touching each
-    distinct key's structures once, in last-occurrence order, reproduces
-    the identical final recency order — including when several keys
-    share an entry (two lines in one page sharing a PLB entry end up
-    positioned by whichever key touched the entry last, which is exactly
-    the key with the greatest last occurrence).
-
-    Unlike the single-hit path, :meth:`apply` validates **every** guard
-    before performing any touch, so a fused run is all-or-nothing: on
-    any guard failure the caller replays the whole run through the
-    per-hit recipe path and machine state is byte-identical to never
-    having attempted the fusion.  Setting referenced/dirty bits once at
-    run end is equivalent to setting them per reference: the writes are
-    idempotent and nothing can observe them mid-run (observation
-    requires a kernel entry, which would have split the run).
-
-    Invalidation rides the same channel as recipes: the compiling
-    machine checks ``Kernel.mutation_epoch`` (its CPU's view, which
-    remote :class:`~repro.os.smp.ShootdownBus` deliveries bump via
-    ``bump_epoch_for_cpu``) once per run instead of once per reference,
-    and no kernel entry can occur *inside* :meth:`apply` — replayed hits
-    never trap — so a single up-front epoch check covers the entire run.
-    """
-
-    __slots__ = (
-        "length",
-        "counts",
-        "guard_steps",
-        "extra_guards",
-        "touch_steps",
-        "ref_entries",
-        "dirty_entries",
-    )
-
-    def __init__(self, pairs, length: int) -> None:
-        """Compile ``pairs`` of ``(HotRecipe, occurrences)``.
-
-        ``pairs`` must be ordered by each key's last occurrence in the
-        run (ascending); ``length`` is the total reference count (the
-        sum of occurrences), kept for telemetry.
-        """
-        self.length = length
-        counts: dict[str, int] = {}
-        guard_steps: list[tuple] = []
-        extra_guards = []
-        touch_steps = []
-        ref_entries: dict[int, object] = {}
-        dirty_entries: dict[int, object] = {}
-        for recipe, n in pairs:
-            for name, amount in recipe.counts_items:
-                counts[name] = counts.get(name, 0) + amount * n
-            guard_steps += recipe.guard_steps
-            extra = recipe.extra_guard
-            if extra is not None:
-                extra_guards.append(extra)
-            for odict, key, _entry, do_touch in recipe.guard_steps:
-                if do_touch:
-                    touch_steps.append((odict, key))
-            for entry in recipe.ref_entries:
-                ref_entries[id(entry)] = entry
-            for entry in recipe.dirty_entries:
-                dirty_entries[id(entry)] = entry
-        self.counts = counts
-        self.guard_steps = tuple(guard_steps)
-        self.extra_guards = tuple(extra_guards)
-        self.touch_steps = tuple(touch_steps)
-        self.ref_entries = tuple(ref_entries.values())
-        self.dirty_entries = tuple(dirty_entries.values())
-
-    def apply(self) -> bool:
-        """Replay the whole run; False (and *no* side effects) on any
-        stale guard, in which case the caller falls back to per-hit
-        replay of the same references."""
-        for odict, key, obj, _touch in self.guard_steps:
-            if odict.get(key) is not obj:
-                return False
-        for guard in self.extra_guards:
-            if not guard():
-                return False
-        for odict, key in self.touch_steps:
-            odict.move_to_end(key)
-        for entry in self.ref_entries:
-            entry.referenced = True
-        for entry in self.dirty_entries:
-            entry.dirty = True
-        return True
-
-
-# --------------------------------------------------------------------- #
 # Base machinery
 
 
@@ -446,10 +237,6 @@ class MemorySystem:
         # at all (and skips the per-call bound-method creation besides).
         # attach_tracer swaps in the traced wrapper.
         self.access_fast = self._access_fast
-        #: True while ``access_fast`` is the traced wrapper: every
-        #: reference must then walk (and open its span), so the replay
-        #: memo (``Machine.touch``) records no recipes.
-        self.traces_references = False
 
     @property
     def current_domain(self) -> int:
@@ -466,8 +253,7 @@ class MemorySystem:
         enclosing span.
         """
         self.tracer = tracer
-        self.traces_references = tracer.active and tracer.sample_every != 0
-        if not self.traces_references:
+        if not tracer.active or tracer.sample_every == 0:
             self.access_fast = self._access_fast
             return
         impl = self._access_fast
@@ -502,17 +288,6 @@ class MemorySystem:
         the returned object's class.
         """
         raise NotImplementedError
-
-    def hot_recipe(self, vaddr: int, access: AccessType) -> HotRecipe | None:
-        """A :class:`HotRecipe` replaying this reference's hit, if eligible.
-
-        Called by the replay fast path after a reference completed as a
-        pure hit.  Models return None whenever replaying the hit by
-        recipe could diverge from the real access path (hazard detection
-        enabled, structure disabled, hit served off the primary probe
-        level, ...).
-        """
-        return None
 
     def switch_domain(self, pd_id: int) -> None:
         raise NotImplementedError
@@ -674,45 +449,6 @@ class PLBSystem(MemorySystem):
             paddr=resolved,
         )
 
-    def hot_recipe(self, vaddr: int, access: AccessType) -> HotRecipe | None:
-        """Pin the pure VIVT hit: PLB entry + L1 line, nothing else runs.
-
-        Eligible only when a repeat hit provably touches just those two
-        structures: the data cache must be virtually tagged (otherwise
-        ``translate`` runs per reference and the TLB would go untouched
-        and uncounted by the recipe) with hazard detection off, and the
-        PLB hit must come from the first probed level (see
-        :meth:`~repro.core.plb.ProtectionLookasideBuffer.pin`).  The L2
-        is irrelevant: it is only consulted on L1 misses.
-        """
-        dcache = self.dcache
-        if dcache.detect_hazards or not dcache.org.virtually_tagged:
-            return None
-        pd_id = self.current_domain
-        pinned_plb = self.plb.pin(pd_id, vaddr)
-        if pinned_plb is None:
-            return None
-        plb_set, plb_key, plb_entry = pinned_plb
-        if not plb_entry.rights.allows(access):
-            return None
-        pinned_line = dcache.pin_line(vaddr, None, pd_id)
-        if pinned_line is None:
-            return None
-        line_set, line_key, line = pinned_line
-        guards = ((plb_set, plb_key, plb_entry), (line_set, line_key, line))
-        touch = []
-        if self.plb.ways > 1:
-            touch.append(guards[0])
-        if dcache.ways > 1:
-            touch.append(guards[1])
-        return HotRecipe(
-            guards=guards,
-            touch_guards=tuple(touch),
-            counts={"refs": 1, "plb.hit": 1, f"{dcache.name}.hit": 1},
-            result=AccessResult(cache_hit=True),
-            dirty_entries=(line,) if access.is_write else (),
-        )
-
     def switch_domain(self, pd_id: int) -> None:
         """One control-register write — the whole cost (Section 4.1.4)."""
         self.stats.inc("domain_switch")
@@ -823,83 +559,6 @@ class PageGroupSystem(MemorySystem):
             paddr=paddr,
         )
 
-    def hot_recipe(self, vaddr: int, access: AccessType) -> HotRecipe | None:
-        """Pin the AID-checked hit: TLB entry, group holding, cache line.
-
-        The group check replays differently per holder: a resident
-        :class:`PageGroupCache` entry is an LRU hit (guarded + touched +
-        counted), the global group 0 is an unconditional match (counted
-        only, for the cache holder), and a :class:`PIDRegisterFile` slot
-        has neither LRU nor counters — it is revalidated by re-running
-        the scan as an extra guard.
-        """
-        dcache = self.dcache
-        if dcache.detect_hazards:
-            return None
-        pd_id = self.current_domain
-        vpn = self.params.vpn(vaddr)
-        pinned_tlb = self.tlb.pin(vpn)
-        if pinned_tlb is None:
-            return None
-        tlb_set, tlb_key, entry = pinned_tlb
-        guards = [(tlb_set, tlb_key, entry)]
-        touch = list(guards) if self.tlb.ways > 1 else []
-        counts = {"refs": 1, "pgtlb.hit": 1, f"{dcache.name}.hit": 1}
-        extra_guard = None
-        holder = self.groups
-        if entry.aid == GLOBAL_PAGE_GROUP:
-            # Group 0 matches unconditionally; only the cache holder
-            # accounts the match.
-            if isinstance(holder, PageGroupCache):
-                counts[f"{holder.name}.global_hit"] = 1
-            effective = entry.rights
-        elif isinstance(holder, PageGroupCache):
-            pinned_group = holder.pin(entry.aid)
-            if pinned_group is None:
-                return None
-            group_set, group_key, pid_entry = pinned_group
-            guards.append((group_set, group_key, pid_entry))
-            if holder.ways > 1:
-                touch.append(guards[-1])
-            counts[f"{holder.name}.hit"] = 1
-            effective = (
-                entry.rights.without_write() if pid_entry.write_disable else entry.rights
-            )
-        else:
-            pid_entry = holder.find(entry.aid)
-            if pid_entry is None:
-                return None
-            aid = entry.aid
-            extra_guard = lambda: holder.find(aid) is pid_entry  # noqa: E731
-            effective = (
-                entry.rights.without_write() if pid_entry.write_disable else entry.rights
-            )
-        if not effective.allows(access):
-            return None
-        paddr = self.params.vaddr(entry.pfn, self.params.page_offset(vaddr))
-        pinned_line = dcache.pin_line(vaddr, paddr, pd_id)
-        if pinned_line is None:
-            return None
-        line_set, line_key, line = pinned_line
-        guards.append((line_set, line_key, line))
-        if dcache.ways > 1:
-            touch.append(guards[-1])
-        return HotRecipe(
-            guards=tuple(guards),
-            touch_guards=tuple(touch),
-            counts=counts,
-            result=AccessResult(
-                cache_hit=True,
-                translated=not dcache.org.virtually_tagged,
-                paddr=paddr,
-            ),
-            ref_entries=(entry,),
-            dirty_entries=(entry, line) if access.is_write else (),
-            extra_guard=extra_guard,
-            paddr_page=self.params.vaddr(entry.pfn, 0),
-            offset_mask=self.params.page_size - 1,
-        )
-
     def _install_group(self, entry: PIDEntry) -> None:
         # Both holder kinds share the install/drop/clear/find surface.
         self.groups.install(entry)
@@ -988,46 +647,6 @@ class ConventionalSystem(MemorySystem):
             translation_refill=refill,
             translated=outcome.translated,
             paddr=paddr,
-        )
-
-    def hot_recipe(self, vaddr: int, access: AccessType) -> HotRecipe | None:
-        """Pin the combined-TLB hit: one TLB entry plus the cache line."""
-        dcache = self.dcache
-        if dcache.detect_hazards:
-            return None
-        pd_id = self.current_domain
-        vpn = self.params.vpn(vaddr)
-        asid = pd_id if self.asid_tagged else 0
-        pinned_tlb = self.tlb.pin(asid, vpn)
-        if pinned_tlb is None:
-            return None
-        tlb_set, tlb_key, entry = pinned_tlb
-        if not entry.rights.allows(access):
-            return None
-        paddr = self.params.vaddr(entry.pfn, self.params.page_offset(vaddr))
-        pinned_line = dcache.pin_line(vaddr, paddr, asid)
-        if pinned_line is None:
-            return None
-        line_set, line_key, line = pinned_line
-        guards = ((tlb_set, tlb_key, entry), (line_set, line_key, line))
-        touch = []
-        if self.tlb.ways > 1:
-            touch.append(guards[0])
-        if dcache.ways > 1:
-            touch.append(guards[1])
-        return HotRecipe(
-            guards=guards,
-            touch_guards=tuple(touch),
-            counts={"refs": 1, "asidtlb.hit": 1, f"{dcache.name}.hit": 1},
-            result=AccessResult(
-                cache_hit=True,
-                translated=not dcache.org.virtually_tagged,
-                paddr=paddr,
-            ),
-            ref_entries=(entry,),
-            dirty_entries=(entry, line) if access.is_write else (),
-            paddr_page=self.params.vaddr(entry.pfn, 0),
-            offset_mask=self.params.page_size - 1,
         )
 
     def switch_domain(self, pd_id: int) -> None:

@@ -57,31 +57,12 @@ class PageGroupCache:
             entries, ways, name=name, stats=self.stats, set_of=lambda group: group
         )
 
-    @property
-    def ways(self) -> int:
-        """Associativity of the backing store (1 = direct mapped)."""
-        return self._cache.ways
-
     def find(self, group: int) -> PIDEntry | None:
         """The entry for ``group``; group 0 matches unconditionally."""
         if group == GLOBAL_PAGE_GROUP:
             self.stats.inc(f"{self.name}.global_hit")
             return PIDEntry(GLOBAL_PAGE_GROUP)
         return self._cache.lookup(group)
-
-    def pin(self, group: int):
-        """``(set, key, entry)`` for a resident group — no accounting.
-
-        Group 0 never lives in the cache (:meth:`find` synthesizes a
-        fresh global entry per probe), so it cannot be pinned.
-        """
-        if group == GLOBAL_PAGE_GROUP:
-            return None
-        pinned = self._cache.pin(group)
-        if pinned is None:
-            return None
-        entry_set, entry = pinned
-        return entry_set, group, entry
 
     def install(self, entry: PIDEntry) -> int | None:
         """Load a group; returns the evicted group, if any."""

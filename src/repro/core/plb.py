@@ -133,32 +133,6 @@ class ProtectionLookasideBuffer:
         self._inc_miss()
         return None
 
-    @property
-    def ways(self) -> int:
-        """Associativity of the backing store (1 = direct mapped)."""
-        return self._store.ways
-
-    def pin(self, pd_id: int, vaddr: int):
-        """``(set, key, entry)`` for a hit at the *first* probed level.
-
-        No accounting — this is the fast-path memo's recording probe.
-        Only a hit at ``levels[0]`` qualifies: :meth:`lookup` probes
-        levels in descending order, so a resident entry at the first
-        level is hit no matter what the other levels later hold, whereas
-        a recipe recorded against a lower level could be silently
-        shadowed by a later fill at a higher one.  Returns None when the
-        PLB is disabled or the entry is not resident at ``levels[0]``.
-        """
-        if self._disabled:
-            return None
-        level = self.levels[0]
-        key = PLBKey(pd_id, self.unit_for(vaddr, level), level)
-        pinned = self._store.pin(key)
-        if pinned is None:
-            return None
-        entry_set, entry = pinned
-        return entry_set, key, entry
-
     def fill(self, pd_id: int, vaddr: int, rights: Rights, *, level: int = 0) -> None:
         """Load a protection mapping (after a PLB miss)."""
         if level not in self.levels:

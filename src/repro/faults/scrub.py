@@ -37,21 +37,14 @@ class Scrubber:
 
         Returns total repairs.  On a multiprocessor the scrubber visits
         each CPU's private hardware in CPU order — a dropped shootdown
-        leaves exactly one CPU stale, and only that CPU's replay memo
-        needs invalidating.
+        leaves exactly one CPU stale.
         """
         kernel = self.kernel
         kernel.stats.inc("scrub.runs")
         total = 0
         with kernel.tracer.span("scrub.run"):
             for ctx in kernel.cpus:
-                repairs = self._scrub_system(ctx.system)
-                if repairs:
-                    # Repairs rewrite entries in place (object identity
-                    # kept), so the replay memo must be invalidated
-                    # explicitly — on the CPU that was repaired.
-                    kernel.bump_epoch_for_cpu(ctx.cpu_id)
-                    total += repairs
+                total += self._scrub_system(ctx.system)
         if total:
             kernel.stats.inc("scrub.repairs", total)
         return total

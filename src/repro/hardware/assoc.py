@@ -89,21 +89,6 @@ class AssocCache(Generic[K, V]):
         """Probe without touching LRU state or counters (for inspection)."""
         return self._set_for(key).get(key)
 
-    def pin(self, key: K) -> tuple[OrderedDict[K, V], V] | None:
-        """The ``(set, value)`` pair for a resident key — no accounting.
-
-        The fast-path memo (see :mod:`repro.sim.machine`) records the
-        exact set dict and value object a hit resolves to; on a repeat
-        hit it revalidates residency with an identity check and replays
-        the LRU touch directly, which is only sound because ``lookup``'s
-        hit path is exactly ``move_to_end`` + one hit counter.
-        """
-        entry_set = self._set_for(key)
-        value = entry_set.get(key)
-        if value is None:
-            return None
-        return entry_set, value
-
     def fill(self, key: K, value: V) -> K | None:
         """Insert or update ``key``; returns the evicted key, if any."""
         entry_set = self._set_for(key)

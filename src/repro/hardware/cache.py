@@ -162,22 +162,6 @@ class DataCache:
         assert paddr is not None
         return (self._line_number(paddr),)
 
-    def pin_line(
-        self, vaddr: int, paddr: int | None, asid: int
-    ) -> tuple[OrderedDict, tuple, CacheLine] | None:
-        """``(set, key, line)`` for a resident line — no accounting.
-
-        Used by the replay fast path to record exactly where a hit
-        resolved; see :meth:`repro.hardware.assoc.AssocCache.pin`.
-        ``paddr`` may be None only for a virtually tagged organization.
-        """
-        entry_set = self._sets[self._index(vaddr, paddr)]
-        key = self._tag_key(vaddr, paddr, asid)
-        line = entry_set.get(key)
-        if line is None:
-            return None
-        return entry_set, key, line
-
     # ------------------------------------------------------------------ #
     # The access path
 

@@ -216,21 +216,8 @@ class AIDTaggedTLB:
             entries, ways, name=name, stats=self.stats, set_of=lambda vpn: vpn
         )
 
-    @property
-    def ways(self) -> int:
-        """Associativity of the backing store (1 = direct mapped)."""
-        return self._cache.ways
-
     def lookup(self, vpn: int) -> PageGroupEntry | None:
         return self._cache.lookup(vpn)
-
-    def pin(self, vpn: int):
-        """``(set, key, entry)`` for a resident page — no accounting."""
-        pinned = self._cache.pin(vpn)
-        if pinned is None:
-            return None
-        entry_set, entry = pinned
-        return entry_set, vpn, entry
 
     def fill(self, vpn: int, pfn: int, rights: Rights, aid: int) -> PageGroupEntry:
         entry = PageGroupEntry(pfn=pfn, rights=rights, aid=aid, referenced=True)
@@ -322,22 +309,8 @@ class ASIDTaggedTLB:
             entries, ways, name=name, stats=self.stats, set_of=lambda key: key[1]
         )
 
-    @property
-    def ways(self) -> int:
-        """Associativity of the backing store (1 = direct mapped)."""
-        return self._cache.ways
-
     def lookup(self, asid: int, vpn: int) -> CombinedEntry | None:
         return self._cache.lookup((asid, vpn))
-
-    def pin(self, asid: int, vpn: int):
-        """``(set, key, entry)`` for a resident mapping — no accounting."""
-        key = (asid, vpn)
-        pinned = self._cache.pin(key)
-        if pinned is None:
-            return None
-        entry_set, entry = pinned
-        return entry_set, key, entry
 
     def fill(self, asid: int, vpn: int, pfn: int, rights: Rights) -> CombinedEntry:
         entry = CombinedEntry(pfn=pfn, rights=rights, referenced=True)

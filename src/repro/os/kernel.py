@@ -145,20 +145,6 @@ class Kernel:
         #: Intent-journal hook: when set, multi-step verbs announce each
         #: mutation boundary by label (see :mod:`repro.faults.journal`).
         self._verb_step_hook: Callable[[str], None] | None = None
-        #: Generation counter guarding the replay fast path: any kernel
-        #: entry that may change what a repeat-hit reference would do
-        #: (attach/detach, rights changes, unmap, domain switch, fault
-        #: handling, injected corruption, ...) bumps it, and the memo in
-        #: :class:`~repro.sim.machine.Machine` discards everything cached
-        #: under an older epoch.  Fused runs
-        #: (:class:`~repro.core.mmu.FusedRun`) invalidate through this
-        #: same channel: a run is compiled from memoized recipes and
-        #: epoch-checked once at its head, which suffices because no
-        #: kernel entry — hence no bump — can occur inside a fused
-        #: replay.  Holds the *current* CPU's epoch; the other CPUs'
-        #: epochs park in their :class:`CpuContext` and are swapped by
-        #: :meth:`set_current_cpu`.
-        self.mutation_epoch = 0
 
         options = dict(system_options or {})
         self.n_cpus = n_cpus
@@ -171,8 +157,8 @@ class Kernel:
             system = self._build_system(model, options, cpu_stats)
             self.cpus.append(CpuContext(cpu_id, system, cpu_stats))
         self.current_cpu = 0
-        #: The *current* CPU's memory system (plain attribute: the replay
-        #: hot path reads it every touch); rebound by set_current_cpu.
+        #: The *current* CPU's memory system (plain attribute: the
+        #: reference path reads it every touch); rebound by set_current_cpu.
         self.system: MemorySystem = self.cpus[0].system
         #: Invalidation transport to remote CPUs (and the fault
         #: injector's shootdown interception point).
@@ -190,17 +176,13 @@ class Kernel:
         """Start (or stop) tracing this kernel and its memory systems.
 
         A sampling tracer wraps every CPU's reference path in a
-        ``mem.access`` span and so turns the replay memo off.  A
-        verb-level tracer (``sample_every=0``, as ``repro serve`` uses)
-        records kernel verbs only: references stay unwrapped and the
-        memo stays on.
+        ``mem.access`` span.  A verb-level tracer (``sample_every=0``,
+        as ``repro serve`` uses) records kernel verbs only: references
+        stay unwrapped.
         """
         self.tracer = tracer
-        # Recipes were recorded against the previous reference path
-        # (wrapped or not): drop them on every CPU.
         for ctx in self.cpus:
             ctx.system.attach_tracer(tracer)
-            self.bump_epoch_for_cpu(ctx.cpu_id)
 
     def _build_system(self, model: str, options: dict, stats: Stats) -> MemorySystem:
         if model == "plb":
@@ -213,33 +195,13 @@ class Kernel:
     # CPUs
 
     def set_current_cpu(self, cpu_id: int) -> None:
-        """Run the kernel's next work on ``cpu_id``'s hardware.
-
-        Parks the outgoing CPU's mutation epoch in its context and
-        restores the incoming one, so each CPU's replay memo stays valid
-        across interleavings (a remote CPU's memo only dies when a
-        shootdown actually reached it).
-        """
+        """Run the kernel's next work on ``cpu_id``'s hardware."""
         if cpu_id == self.current_cpu:
             return
         if not 0 <= cpu_id < self.n_cpus:
             raise KernelError(f"no CPU {cpu_id} (have {self.n_cpus})")
-        self.cpus[self.current_cpu].mutation_epoch = self.mutation_epoch
-        ctx = self.cpus[cpu_id]
         self.current_cpu = cpu_id
-        self.system = ctx.system
-        self.mutation_epoch = ctx.mutation_epoch
-
-    def bump_epoch_for_cpu(self, cpu_id: int) -> None:
-        """Invalidate one CPU's memoized fast-path hits.
-
-        Remote shootdown deliveries land here, so a fused run on the
-        target CPU splits at its next chunk boundary exactly as a local
-        verb would split it."""
-        if cpu_id == self.current_cpu:
-            self.mutation_epoch += 1
-        else:
-            self.cpus[cpu_id].mutation_epoch += 1
+        self.system = self.cpus[cpu_id].system
 
     def merged_stats(self) -> Stats:
         """All CPUs' counters merged deterministically (CPU order).
@@ -256,20 +218,8 @@ class Kernel:
     # ------------------------------------------------------------------ #
     # Kernel-entry accounting
 
-    def bump_epoch(self) -> None:
-        """Invalidate every memoized fast-path hit (see ``mutation_epoch``)."""
-        self.mutation_epoch += 1
-
     def _trap(self, label: str) -> None:
-        """Charge one kernel entry (trap or protected syscall).
-
-        Every kernel entry bumps the mutation epoch: a verb that runs at
-        all *may* change protection or translation state, and charging
-        one integer increment per trap is far cheaper than proving which
-        verbs are pure.  References never trap on the hot path, so the
-        memo survives exactly as long as the machine stays in user mode.
-        """
-        self.mutation_epoch += 1
+        """Charge one kernel entry (trap or protected syscall)."""
         self.stats.inc("kernel.trap")
         self.stats.inc(f"kernel.syscall.{label}")
 
@@ -725,7 +675,6 @@ class Kernel:
 
     def populate_page(self, vpn: int) -> int:
         """Allocate a frame and install the (unique) translation."""
-        self.bump_epoch()
         if self.translations.is_resident(vpn):
             raise KernelError(f"page {vpn:#x} already resident")
         if self.segment_at(vpn) is None:
@@ -962,7 +911,6 @@ class Kernel:
         rebuild is local to the current CPU — soft state elsewhere was
         never corrupted, and refaults from the same authority anyway.
         """
-        self.bump_epoch()
         self.stats.inc("kernel.rebuild_protection")
         with self.tracer.span("kernel.rebuild_protection", pd=pd_id):
             self.ops.rebuild_protection(pd_id)

@@ -164,7 +164,6 @@ class AffinityScheduler:
         self._queues[cpu_id].append(domain)
         kernel.stats.inc("sched.migrations")
         kernel.stats.inc("sched.migration.refill_entries", refill)
-        kernel.bump_epoch_for_cpu(old_cpu)
         return refill
 
     def _evict_cached_state(self, domain: ProtectionDomain, cpu_id: int) -> int:

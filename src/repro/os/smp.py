@@ -23,11 +23,9 @@ Two message kinds travel the bus:
 Delivery to the issuing CPU is synchronous and free (the local
 invalidate is part of the verb, exactly as on one CPU); remote
 deliveries are cost-accounted on the kernel stats under
-``smp.shootdown.*`` / ``smp.tlb_shootdown.*`` and bump the target CPU's
-mutation epoch so its replay memo (ARCHITECTURE.md §9) drops any hit
-recorded against the old rights.  With one CPU the bus degenerates to
-plain local calls and adds no counters — single-CPU stats stay
-byte-identical to the pre-SMP simulator.
+``smp.shootdown.*`` / ``smp.tlb_shootdown.*``.  With one CPU the bus
+degenerates to plain local calls and adds no counters — single-CPU stats
+stay byte-identical to the pre-SMP simulator.
 """
 
 from __future__ import annotations
@@ -43,26 +41,20 @@ TRANSLATION = "translation"
 
 
 class CpuContext:
-    """One CPU's private hardware: memory system (PLB/TLB/holder/L1),
-    stats sink and mutation epoch.
+    """One CPU's private hardware: memory system (PLB/TLB/holder/L1)
+    and stats sink.
 
     CPU 0 shares the kernel's stats object (so single-CPU runs charge
     exactly where the pre-SMP simulator did); remote CPUs get their own
     sink, merged deterministically by ``Kernel.merged_stats``.
-
-    ``mutation_epoch`` holds the CPU's epoch *while it is not current*;
-    the running CPU's live epoch lives in ``kernel.mutation_epoch`` (a
-    plain attribute — the replay fast path reads it every touch) and is
-    swapped in/out by ``Kernel.set_current_cpu``.
     """
 
-    __slots__ = ("cpu_id", "system", "stats", "mutation_epoch")
+    __slots__ = ("cpu_id", "system", "stats")
 
     def __init__(self, cpu_id: int, system: MemorySystem, stats: Stats) -> None:
         self.cpu_id = cpu_id
         self.system = system
         self.stats = stats
-        self.mutation_epoch = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CpuContext(cpu {self.cpu_id}, {self.system.model_name})"
@@ -72,9 +64,9 @@ class ShootdownMessage:
     """One invalidation in flight to one CPU.
 
     ``fire()`` applies the model-specific action against the target
-    CPU's hardware and bumps that CPU's mutation epoch; it is safe to
-    call late (the fault injector's ``delay`` events hold messages and
-    fire them several workload ops after they were sent).
+    CPU's hardware; it is safe to call late (the fault injector's
+    ``delay`` events hold messages and fire them several workload ops
+    after they were sent).
     """
 
     __slots__ = ("kind", "verb", "cpu", "remote", "pages", "_action", "_kernel")
@@ -107,7 +99,6 @@ class ShootdownMessage:
         kernel = self._kernel
         ctx = kernel.cpus[self.cpu]
         entries = int(self._action(ctx.system) or 0)
-        kernel.bump_epoch_for_cpu(self.cpu)
         if self.remote:
             prefix = "smp.shootdown" if self.kind == PROTECTION else "smp.tlb_shootdown"
             kernel.stats.inc(f"{prefix}.entries", entries)
@@ -205,10 +196,8 @@ class ShootdownBus:
         sweep (the per-model range fast paths in ``core/plb.py``,
         ``hardware/tlb.py`` etc.).  Each eligible remote CPU receives one
         message carrying the full page set — so a K-page verb costs one
-        IPI, not K — and, because a message fires once, the target's
-        mutation epoch bumps once per batch.  The injector intercepts
-        the batch as a unit: a drop loses the whole batch, a delay
-        replays it atomically.
+        IPI, not K.  The injector intercepts the batch as a unit: a drop
+        loses the whole batch, a delay replays it atomically.
 
         With ``bus.batch`` False this degenerates to the legacy per-page
         loop (one classic :meth:`shootdown` per page, identical legacy

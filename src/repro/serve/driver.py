@@ -21,8 +21,8 @@ verb-level :class:`~repro.obs.tracer.Tracer` (``sample_every=0``: spans
 per request and per kernel verb, none per reference) whose ``metrics``
 sink is the model's :class:`~repro.obs.live.LiveCollector`, so every
 traced verb feeds the per-verb latency sketches at span exit.  The
-reference path stays unwrapped, so the replay memo stays on under live
-telemetry; per-reference spans are opt-in through ``repro trace
+reference path stays unwrapped, so live telemetry adds no per-reference
+work; per-reference spans are opt-in through ``repro trace
 --sample N``.  Request-level cost is measured
 as the ``merged_stats()`` delta across the request (all CPUs, including
 remote shootdown work), weighted by the standard cycle model.  Span

@@ -49,14 +49,12 @@ class Stats:
         return inc
 
     def counts_view(self) -> Counter[str]:
-        """The live counter store itself, for trusted bulk merges.
+        """The live counter store itself, for trusted bulk reads.
 
-        The replay hot paths (recipe and fused-run, see
-        :mod:`repro.sim.machine`) bind this once and merge precomputed
-        batches with an inline loop, skipping even the :meth:`inc_many`
-        call per event.  The returned object is *the* store, not a copy:
-        it stays valid across :meth:`clear` (the store is emptied, never
-        replaced), and callers must only ever add to it.
+        :func:`~repro.core.costs.cycles_for` prices a whole run from it
+        without copying.  The returned object is *the* store, not a
+        copy: it stays valid across :meth:`clear` (the store is emptied,
+        never replaced), and callers must never remove from it.
         """
         return self._counts
 

@@ -108,7 +108,6 @@ class TestTelemetrySurface:
             system = ctx.system
             assert system.tracer is server.tracer
             assert system.access_fast == system._access_fast
-            assert not system.traces_references
 
 
 class TestChaos:

@@ -25,17 +25,9 @@ absolute floor is enforced independently of the baseline: batched
 messages must stay at least 4x below the legacy per-page count, and the
 batched/legacy differential end-state check must pass.
 
-``--throughput`` switches to the replay-speed guard instead: it times
-the hot-replay workload (ARCHITECTURE.md §9) at all three replay rungs
-— full walk, per-hit recipe (``fuse_runs=False``, the PR-4 fast path)
-and fused-run — and fails when either the recipe/full or the fused/full
-*speedup ratio* drops more than 25% below the committed baseline.  The
-ratios are dimensionless, so the guard is stable across machines of
-different absolute speed; absolute refs/s are recorded informationally
-only.  Each mode replays the same trace several times on one machine
-and takes the best pass: that measures *steady-state* replay (runs are
-compiled once and replayed from the run cache), and one scheduler
-hiccup cannot fail the build.
+``--cluster-smp`` guards the cluster x SMP invalidation matrix the same
+way: exact equality, plus batched fan-out floors that bind whatever the
+baseline says.
 """
 
 from __future__ import annotations
@@ -51,9 +43,6 @@ sys.path.insert(0, str(REPO / "src"))
 BASELINE = REPO / "benchmarks" / "baselines" / "table1_cycles.json"
 THRESHOLD = 0.10
 
-THROUGHPUT_BASELINE = REPO / "benchmarks" / "baselines" / "replay_throughput.json"
-THROUGHPUT_THRESHOLD = 0.25
-
 CLUSTER_SMP_BASELINE = REPO / "benchmarks" / "baselines" / "cluster_smp.json"
 #: Exact equality: the cluster x SMP invalidation workload is
 #: deterministic, so any drift is a real protocol change.
@@ -68,14 +57,6 @@ SHOOTDOWN_THRESHOLD = 0.0
 #: this factor, baseline or no baseline (the ISSUE's acceptance floor).
 SHOOTDOWN_REDUCTION_FLOOR = 4.0
 SHOOTDOWN_CPUS = 8
-#: Hot working set (2 pages resident in the default dcache) and enough
-#: references that the memo warmup is amortized.
-THROUGHPUT_PAGES = 2
-THROUGHPUT_REFS = 30_000
-#: Replays of the trace per mode, on one machine: the first pass warms
-#: the recipe memo and compiles the fused runs, later passes replay at
-#: steady state; best-of keeps the steady-state figure.
-THROUGHPUT_REPS = 4
 
 
 def measure() -> dict[str, dict[str, int]]:
@@ -90,131 +71,6 @@ def measure() -> dict[str, dict[str, int]]:
             report.model: report.cycles_total for report in result.run_reports
         }
     return matrix
-
-
-#: The three replay rungs: full walk, per-hit recipe (the PR-4 fast
-#: path, ``fuse_runs=False``) and fused-run replay.
-THROUGHPUT_MODES = (
-    ("full", False, False),
-    ("recipe", True, False),
-    ("fused", True, True),
-)
-
-#: Speedup ratios the guard enforces (each vs the full walk).
-THROUGHPUT_RATIOS = ("recipe_speedup", "fused_speedup")
-
-#: Absolute floor on steady-state fused-vs-recipe speedup: independent
-#: of the committed baseline, fused replay must stay at least this much
-#: faster than the per-hit recipe path on the hot workload.  A baseline
-#: refreshed on a bad build cannot talk the guard out of this one.
-THROUGHPUT_FUSED_FLOOR = 5.0
-
-
-def measure_throughput() -> dict[str, dict[str, float]]:
-    """Replay throughput per model at all three rungs, hot working set.
-
-    Returns ``{model: {"recipe_speedup": ..., "fused_speedup": ...,
-    "fused_vs_recipe": ..., "full_refs_per_sec": ...,
-    "recipe_refs_per_sec": ..., "fused_refs_per_sec": ...}}``.  Each
-    mode replays the same trace ``THROUGHPUT_REPS`` times on one machine
-    and keeps the best pass — the steady-state figure, where fused runs
-    replay from the run cache (a regression slows every pass; a
-    scheduler hiccup slows one).  Also asserts all three modes produce
-    byte-identical counters — a free equivalence smoke check.
-    """
-    import time
-
-    from repro.core.rights import Rights
-    from repro.os.kernel import MODELS, Kernel
-    from repro.sim.machine import Machine
-    from repro.workloads.tracegen import RefPattern, TraceGenerator
-
-    results: dict[str, dict[str, float]] = {}
-    for model in MODELS:
-        best = {}
-        counters = {}
-        for mode, fast, fuse in THROUGHPUT_MODES:
-            kernel = Kernel(model)
-            machine = Machine(kernel, fast_path=fast, fuse_runs=fuse)
-            domain = kernel.create_domain("bench")
-            segment = kernel.create_segment("bench-data", THROUGHPUT_PAGES)
-            kernel.attach(domain, segment, Rights.RW)
-            refs = list(
-                TraceGenerator(99, kernel.params).refs(
-                    domain.pd_id, segment, THROUGHPUT_REFS, RefPattern()
-                )
-            )
-            times = []
-            for _ in range(THROUGHPUT_REPS):
-                start = time.perf_counter()
-                machine.run(refs)
-                times.append(time.perf_counter() - start)
-            best[mode] = min(times)
-            counters[mode] = kernel.stats.as_dict()
-        for mode in ("recipe", "fused"):
-            if counters[mode] != counters["full"]:
-                raise AssertionError(
-                    f"{model}: {mode} path diverged from full path counters"
-                )
-        results[model] = {
-            "recipe_speedup": round(best["full"] / best["recipe"], 3),
-            "fused_speedup": round(best["full"] / best["fused"], 3),
-            "fused_vs_recipe": round(best["recipe"] / best["fused"], 3),
-            "full_refs_per_sec": round(THROUGHPUT_REFS / best["full"]),
-            "recipe_refs_per_sec": round(THROUGHPUT_REFS / best["recipe"]),
-            "fused_refs_per_sec": round(THROUGHPUT_REFS / best["fused"]),
-        }
-    return results
-
-
-def check_throughput(current: dict, baseline: dict) -> list[str]:
-    """One failure line per (model, ratio) that fell >25% below baseline.
-
-    Both the recipe/full and fused/full speedups gate, so a regression
-    in either replay configuration fails the build even if the other
-    still looks healthy.  Only the dimensionless ratios gate; absolute
-    refs/s differ per machine and are informational.  Malformed or
-    missing baseline cells fail hard, same as the cycles guard.
-    """
-    failures = []
-    for model, cell in baseline.items():
-        if not isinstance(cell, dict):
-            failures.append(
-                f"{model}: malformed baseline cell {cell!r} "
-                "(expected a ratio -> value mapping)"
-            )
-            continue
-        for ratio in THROUGHPUT_RATIOS:
-            base = cell.get(ratio)
-            if (
-                not isinstance(base, (int, float))
-                or isinstance(base, bool)
-                or base <= 0
-            ):
-                failures.append(
-                    f"{model}: malformed baseline cell {ratio}={base!r} "
-                    "(expected a positive number)"
-                )
-                continue
-            now = current.get(model, {}).get(ratio)
-            if now is None:
-                failures.append(
-                    f"{model}: {ratio} missing from current run"
-                )
-                continue
-            drop = (base - now) / base
-            if drop > THROUGHPUT_THRESHOLD:
-                failures.append(
-                    f"{model}: {ratio} {base:.2f}x -> {now:.2f}x "
-                    f"(-{drop * 100:.1f}% > {THROUGHPUT_THRESHOLD * 100:.0f}%)"
-                )
-        fused_vs_recipe = current.get(model, {}).get("fused_vs_recipe")
-        if fused_vs_recipe is not None and fused_vs_recipe < THROUGHPUT_FUSED_FLOOR:
-            failures.append(
-                f"{model}: fused replay only {fused_vs_recipe:.2f}x over the "
-                f"recipe path (floor {THROUGHPUT_FUSED_FLOOR:.0f}x)"
-            )
-    return failures
 
 
 def measure_shootdown() -> dict[str, dict]:
@@ -400,10 +256,6 @@ def main(argv=None) -> int:
         help="rewrite the committed baseline from this run",
     )
     parser.add_argument(
-        "--throughput", action="store_true",
-        help="guard replay fast-path speedup instead of Table 1 cycles",
-    )
-    parser.add_argument(
         "--shootdown", action="store_true",
         help="guard batched range-shootdown counters (exact equality) "
         "instead of Table 1 cycles",
@@ -424,11 +276,6 @@ def main(argv=None) -> int:
         default_path, key, measurer, checker, threshold = (
             SHOOTDOWN_BASELINE, "shootdown", measure_shootdown,
             check_shootdown, SHOOTDOWN_THRESHOLD,
-        )
-    elif args.throughput:
-        default_path, key, measurer, checker, threshold = (
-            THROUGHPUT_BASELINE, "throughput", measure_throughput,
-            check_throughput, THROUGHPUT_THRESHOLD,
         )
     else:
         default_path, key, measurer, checker, threshold = (
@@ -505,26 +352,6 @@ def main(argv=None) -> int:
             f"shootdown regression: all {len(baseline)} models match the "
             f"pinned counters exactly (floor {SHOOTDOWN_REDUCTION_FLOOR:.0f}x)"
         )
-        return 0
-    if args.throughput:
-        if failures:
-            print(f"throughput regression: {len(failures)} of "
-                  f"{len(baseline)} models regressed:")
-            for line in failures:
-                print("  " + line)
-            return 1
-        for model in sorted(current):
-            cell = current[model]
-            print(
-                f"throughput: {model}: recipe {cell['recipe_speedup']:.2f}x, "
-                f"fused {cell['fused_speedup']:.2f}x "
-                f"({cell['fused_vs_recipe']:.1f}x over recipe; "
-                f"full {cell['full_refs_per_sec'] / 1000:.0f}k, "
-                f"recipe {cell['recipe_refs_per_sec'] / 1000:.0f}k, "
-                f"fused {cell['fused_refs_per_sec'] / 1000:.0f}k refs/s)"
-            )
-        print(f"throughput regression: all {len(baseline)} models within "
-              f"{threshold * 100:.0f}% of baseline speedups")
         return 0
     cells = sum(
         len(models) if isinstance(models, dict) else 1
