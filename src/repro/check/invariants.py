@@ -156,16 +156,16 @@ def _check_asid_tlb(kernel, system: ConventionalSystem, problems: list[str]) -> 
                 f"asidtlb: (asid={asid}, vpn={vpn:#x}) maps to pfn "
                 f"{entry.pfn:#x}, table says {pfn:#x}"
             )
-        if system.asid_tagged:
-            info = kernel.rights_for(asid, vpn)
-            allowed = info.rights if info is not None else Rights.NONE
-            excess = _excess(entry.rights, allowed)
-            if excess:
-                problems.append(
-                    f"asidtlb: (asid={asid}, vpn={vpn:#x}) grants "
-                    f"{entry.rights.describe()} but tables allow "
-                    f"{allowed.describe()}"
-                )
+        pd_id = system.entry_domain(asid)
+        info = kernel.rights_for(pd_id, vpn)
+        allowed = info.rights if info is not None else Rights.NONE
+        excess = _excess(entry.rights, allowed)
+        if excess:
+            problems.append(
+                f"asidtlb: (asid={asid}, vpn={vpn:#x}) grants "
+                f"{entry.rights.describe()} but domain {pd_id}'s tables allow "
+                f"{allowed.describe()}"
+            )
 
 
 def _check_dcache(kernel, cache: DataCache, problems: list[str]) -> None:

@@ -220,6 +220,8 @@ class MemorySystem:
         stats: Stats | None,
     ) -> None:
         self.params = params
+        self._page_bits = params.page_bits
+        self._page_mask = params.page_size - 1
         self.stats = stats if stats is not None else Stats()
         self.tracer = NULL_TRACER
         self.pdid = PDIDRegister(stats=self.stats)
@@ -378,8 +380,8 @@ class PLBSystem(MemorySystem):
         self, vaddr: int, access: AccessType
     ) -> AccessResult | ProtectionFault | PageFault:
         self._inc_refs()
-        pd_id = self.current_domain
-        vpn = self.params.vpn(vaddr)
+        pd_id = self.pdid.value
+        vpn = vaddr >> self._page_bits
 
         rights = self.plb.lookup(pd_id, vaddr)
         protection_refill = False
@@ -411,9 +413,7 @@ class PLBSystem(MemorySystem):
             entry.referenced = True
             if access.is_write:
                 entry.dirty = True
-            resolved = self.params.vaddr(
-                entry.pfn_for(vpn), self.params.page_offset(vaddr)
-            )
+            resolved = (entry.pfn_for(vpn) << self._page_bits) | (vaddr & self._page_mask)
             return resolved
 
         # ``translate`` is invoked lazily inside the cache, so a missing
@@ -515,8 +515,8 @@ class PageGroupSystem(MemorySystem):
         self, vaddr: int, access: AccessType
     ) -> AccessResult | ProtectionFault | PageFault:
         self._inc_refs()
-        pd_id = self.current_domain
-        vpn = self.params.vpn(vaddr)
+        pd_id = self.pdid.value
+        vpn = vaddr >> self._page_bits
 
         entry = self.tlb.lookup(vpn)
         refill = False
@@ -549,7 +549,7 @@ class PageGroupSystem(MemorySystem):
         entry.referenced = True
         if access.is_write:
             entry.dirty = True
-        paddr = self.params.vaddr(entry.pfn, self.params.page_offset(vaddr))
+        paddr = (entry.pfn << self._page_bits) | (vaddr & self._page_mask)
         outcome = self.dcache.access(vaddr, lambda: paddr, write=access.is_write, asid=pd_id)
         return AccessResult(
             cache_hit=outcome.hit,
@@ -615,12 +615,20 @@ class ConventionalSystem(MemorySystem):
         self.tlb = ASIDTaggedTLB(tlb_entries, tlb_ways, stats=self.stats)
         self._inc_refs = self.stats.counter("refs")
 
+    def entry_domain(self, asid: int) -> int:
+        """The domain whose TLB entries carry the tag ``asid``.
+
+        An untagged TLB tags every entry 0 and is purged on every
+        switch, so its entries are the running domain's.
+        """
+        return asid if self.asid_tagged else self.pdid.value
+
     def _access_fast(
         self, vaddr: int, access: AccessType
     ) -> AccessResult | ProtectionFault | PageFault:
         self._inc_refs()
-        pd_id = self.current_domain
-        vpn = self.params.vpn(vaddr)
+        pd_id = self.pdid.value
+        vpn = vaddr >> self._page_bits
         asid = pd_id if self.asid_tagged else 0
 
         entry = self.tlb.lookup(asid, vpn)
@@ -640,7 +648,7 @@ class ConventionalSystem(MemorySystem):
         entry.referenced = True
         if access.is_write:
             entry.dirty = True
-        paddr = self.params.vaddr(entry.pfn, self.params.page_offset(vaddr))
+        paddr = (entry.pfn << self._page_bits) | (vaddr & self._page_mask)
         outcome = self.dcache.access(vaddr, lambda: paddr, write=access.is_write, asid=asid)
         return AccessResult(
             cache_hit=outcome.hit,

@@ -17,7 +17,7 @@ small interface (:meth:`find`, :meth:`install`, :meth:`drop`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hardware.assoc import AssocCache
 from repro.hardware.registers import GLOBAL_PAGE_GROUP, PIDEntry, PIDRegisterFile
@@ -103,8 +103,7 @@ class PageGroupCache:
         return self._cache.entries
 
 
-@dataclass(frozen=True)
-class AccessDecision:
+class AccessDecision(NamedTuple):
     """Outcome of the Figure 2 protection check.
 
     Attributes:

@@ -19,7 +19,7 @@ granules the IBM 801 uses for database locking).  A protection unit at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, NamedTuple
 
 from repro.core.params import MachineParams, DEFAULT_PARAMS
 from repro.core.rights import Rights
@@ -27,9 +27,11 @@ from repro.hardware.assoc import AssocCache
 from repro.sim.stats import Stats
 
 
-@dataclass(frozen=True)
-class PLBKey:
-    """Identity of one PLB entry: (domain, protection-unit, level)."""
+class PLBKey(NamedTuple):
+    """Identity of one PLB entry: (domain, protection-unit, level).
+
+    A tuple, so hashing and equality run in C on every probe and sweep.
+    """
 
     pd_id: int
     unit: int
@@ -79,6 +81,8 @@ class ProtectionLookasideBuffer:
         for level in self.levels:
             if level < 0 and -level > params.page_bits:
                 raise ValueError(f"sub-page level {level} finer than a byte")
+        # ``(level, address shift)`` per level, probed in order by lookup.
+        self._shifts = tuple((level, params.page_bits + level) for level in self.levels)
         # The underlying store keeps its own throwaway counters; the PLB
         # accounts hits and misses once per lookup across all levels.
         self._store: AssocCache[PLBKey, PLBEntry] = AssocCache(
@@ -124,9 +128,9 @@ class ProtectionLookasideBuffer:
         if self._disabled:
             self._inc_disabled_walk()
             return None
-        for level in self.levels:
-            key = PLBKey(pd_id, self.unit_for(vaddr, level), level)
-            entry = self._store.lookup(key)
+        store = self._store
+        for level, shift in self._shifts:
+            entry = store.lookup(PLBKey(pd_id, vaddr >> shift, level))
             if entry is not None:
                 self._inc_hit()
                 return entry.rights

@@ -31,8 +31,12 @@ class Rights(enum.IntFlag):
     RWX = READ | WRITE | EXECUTE
 
     def allows(self, access: "AccessType") -> bool:
-        """Return True when these rights permit ``access``."""
-        return bool(self & access.required_right)
+        """Return True when these rights permit ``access``.
+
+        An int bit test: ``self & ...`` would build a new enum member on
+        every reference, and ``allows`` runs on every one.
+        """
+        return self._value_ & access.bit != 0
 
     def without_write(self) -> "Rights":
         """Rights with the write permission stripped.
@@ -51,27 +55,22 @@ class Rights(enum.IntFlag):
 
 
 class AccessType(enum.Enum):
-    """The kind of memory reference being checked."""
+    """The kind of memory reference being checked.
+
+    Each member carries plain attributes, set once: ``required_right``
+    (the single right the access needs), ``bit`` (that right as an int)
+    and ``is_write``.
+    """
 
     READ = "read"
     WRITE = "write"
     EXECUTE = "execute"
 
-    @property
-    def required_right(self) -> Rights:
-        """The single right that must be present for this access."""
-        return _REQUIRED[self]
-
-    @property
-    def is_write(self) -> bool:
-        return self is AccessType.WRITE
-
-
-_REQUIRED = {
-    AccessType.READ: Rights.READ,
-    AccessType.WRITE: Rights.WRITE,
-    AccessType.EXECUTE: Rights.EXECUTE,
-}
+    def __init__(self, value: str) -> None:
+        # Member names match the Rights flags they need.
+        self.required_right = Rights[self._name_]
+        self.bit = self.required_right._value_
+        self.is_write = value == "write"
 
 
 def parse_rights(text: str) -> Rights:

@@ -160,12 +160,11 @@ class Scrubber:
                 system.tlb.drop((asid, vpn))
                 repairs += 1
                 continue
-            if system.asid_tagged:
-                info = kernel.rights_for(asid, vpn)
-                if info is None:
-                    system.tlb.drop((asid, vpn))
-                    repairs += 1
-                elif entry.rights != info.rights:
-                    entry.rights = info.rights
-                    repairs += 1
+            info = kernel.rights_for(system.entry_domain(asid), vpn)
+            if info is None:
+                system.tlb.drop((asid, vpn))
+                repairs += 1
+            elif entry.rights != info.rights:
+                entry.rights = info.rights
+                repairs += 1
         return repairs

@@ -76,7 +76,7 @@ class AssocCache(Generic[K, V]):
 
     def lookup(self, key: K) -> V | None:
         """Probe for ``key``; updates LRU order and hit/miss counters."""
-        entry_set = self._set_for(key)
+        entry_set = self._sets[0] if self.n_sets == 1 else self._set_for(key)
         value = entry_set.get(key)
         if value is not None:
             entry_set.move_to_end(key)
@@ -87,7 +87,8 @@ class AssocCache(Generic[K, V]):
 
     def peek(self, key: K) -> V | None:
         """Probe without touching LRU state or counters (for inspection)."""
-        return self._set_for(key).get(key)
+        entry_set = self._sets[0] if self.n_sets == 1 else self._set_for(key)
+        return entry_set.get(key)
 
     def fill(self, key: K, value: V) -> K | None:
         """Insert or update ``key``; returns the evicted key, if any."""

@@ -133,6 +133,8 @@ class DataCache:
         self.n_lines = size_bytes // line
         self.n_sets = self.n_lines // ways
         self._offset_bits = params.line_offset_bits
+        self._virtually_indexed = org.virtually_indexed
+        self._virtually_tagged = org.virtually_tagged
         # LRU-ordered (front = LRU) map of tag-key -> CacheLine per set.
         self._sets: list[OrderedDict[tuple, CacheLine]] = [
             OrderedDict() for _ in range(self.n_sets)
@@ -143,24 +145,6 @@ class DataCache:
         self._inc_fill = self.stats.counter(f"{name}.fill")
         self._inc_eviction = self.stats.counter(f"{name}.eviction")
         self._inc_writeback = self.stats.counter(f"{name}.writeback")
-
-    # ------------------------------------------------------------------ #
-    # Address plumbing
-
-    def _line_number(self, addr: int) -> int:
-        return addr >> self._offset_bits
-
-    def _index(self, vaddr: int, paddr: int | None) -> int:
-        base = vaddr if self.org.virtually_indexed else paddr
-        assert base is not None
-        return self._line_number(base) % self.n_sets
-
-    def _tag_key(self, vaddr: int, paddr: int | None, asid: int) -> tuple:
-        if self.org.virtually_tagged:
-            tag = self._line_number(vaddr)
-            return (asid, tag) if self.asid_tagged else (tag,)
-        assert paddr is not None
-        return (self._line_number(paddr),)
 
     # ------------------------------------------------------------------ #
     # The access path
@@ -179,27 +163,25 @@ class DataCache:
         invoked lazily per the organization's needs so callers can charge
         TLB traffic exactly when the hardware would generate it.
         """
-        paddr: int | None = None
-        translated = False
+        offset_bits = self._offset_bits
+        virtually_tagged = self._virtually_tagged
+        # Only a VIVT cache without hazard checks can defer translation.
+        paddr = translate() if self.detect_hazards or not virtually_tagged else None
+        translated = paddr is not None
 
-        def resolve() -> int:
-            nonlocal paddr, translated
-            if paddr is None:
-                paddr = translate()
-                translated = True
-            return paddr
-
-        if not self.org.virtually_tagged or self.detect_hazards:
-            resolve()
-
-        index = self._index(vaddr, paddr)
-        key = self._tag_key(vaddr, paddr, asid)
-        entry_set = self._sets[index]
+        base = vaddr if self._virtually_indexed else paddr
+        entry_set = self._sets[(base >> offset_bits) % self.n_sets]
+        if virtually_tagged:
+            tag = vaddr >> offset_bits
+            key = (asid, tag) if self.asid_tagged else (tag,)
+        else:
+            tag = paddr >> offset_bits
+            key = (tag,)
         line = entry_set.get(key)
 
         homonym = False
-        if line is not None and self.detect_hazards and self.org.virtually_tagged:
-            if line.paddr_line != self._line_number(resolve()):
+        if line is not None and self.detect_hazards and virtually_tagged:
+            if line.paddr_line != paddr >> offset_bits:
                 # Virtual tag matched but the physical target differs: a
                 # homonym.  Real hardware would silently return wrong
                 # data; we invalidate and fall through to a miss.
@@ -223,7 +205,10 @@ class DataCache:
 
         # Miss path: translation is now required to fetch the line.
         self._inc_miss()
-        resolve()
+        if paddr is None:
+            paddr = translate()
+            translated = True
+        paddr_line = paddr >> offset_bits
         writeback = False
         victim_paddr_line: int | None = None
         if len(entry_set) >= self.ways:
@@ -236,15 +221,9 @@ class DataCache:
                 writeback = True
                 victim_paddr_line = victim.paddr_line
                 self._inc_writeback()
-        assert paddr is not None
-        entry_set[key] = CacheLine(
-            tag=key[-1],
-            paddr_line=self._line_number(paddr),
-            asid=asid,
-            dirty=write,
-        )
+        entry_set[key] = CacheLine(tag=tag, paddr_line=paddr_line, asid=asid, dirty=write)
         self._inc_fill()
-        synonym = self._synonym_check(self._line_number(paddr)) if self.detect_hazards else False
+        synonym = self._synonym_check(paddr_line) if self.detect_hazards else False
         return CacheAccess(
             hit=False,
             writeback=writeback,

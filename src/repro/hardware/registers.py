@@ -25,20 +25,19 @@ class PDIDRegister:
     A protection domain switch on a PLB-based system "requires changing
     only a single register" (Section 4.1.4); every write is counted so the
     domain-switch benchmarks can report exactly that cost.
+
+    ``value`` is a plain attribute because every reference reads it;
+    change it only through :meth:`write`, which validates and counts.
     """
 
     def __init__(self, stats: Stats | None = None) -> None:
         self.stats = stats if stats is not None else Stats()
-        self._value = 0
-
-    @property
-    def value(self) -> int:
-        return self._value
+        self.value = 0
 
     def write(self, pd_id: int) -> None:
         if pd_id < 0:
             raise ValueError("PD-ID must be non-negative")
-        self._value = pd_id
+        self.value = pd_id
         self.stats.inc("pdid.write")
 
 

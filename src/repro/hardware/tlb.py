@@ -245,15 +245,17 @@ class AIDTaggedTLB:
                      aid: int | None = None) -> int:
         """Rewrite rights and/or AID for every resident page of a batch.
 
-        The range-shootdown fast path: one pass over the store applies a
-        whole batched verb (e.g. "move K pages into a group") instead of
-        K independent probes.  Returns entries changed; accounting
-        matches ``update`` per entry.
+        The range-shootdown fast path: one message applies a whole
+        batched verb (e.g. "move K pages into a group"), probing each of
+        the K distinct pages once and leaving LRU order alone.  Returns
+        entries changed; ``{name}.update`` counts them as :meth:`update`
+        would page by page.
         """
-        wanted = set(vpns)
+        peek = self._cache.peek
         changed = 0
-        for vpn, entry in self._cache.items():
-            if vpn in wanted:
+        for vpn in set(vpns):
+            entry = peek(vpn)
+            if entry is not None:
                 if rights is not None:
                     entry.rights = rights
                 if aid is not None:
@@ -326,17 +328,20 @@ class ASIDTaggedTLB:
         return True
 
     def update_rights_pages(self, asid: int, vpns, rights: Rights) -> int:
-        """Rewrite one domain's rights for a VPN batch in one pass.
+        """Rewrite one domain's rights for a VPN batch, one probe per page.
 
         The conventional model's range-shootdown fast path: the batch
         still only reaches ONE domain's replicas (they are tagged with
         its ASID) — the per-domain message cost of §4.1.3 survives
-        batching.  Returns entries changed.
+        batching.  Each of the K distinct pages is probed once and LRU
+        order is left alone.  Returns entries changed; ``{name}.update``
+        counts them as :meth:`update_rights` would page by page.
         """
-        wanted = set(vpns)
+        peek = self._cache.peek
         changed = 0
-        for (entry_asid, vpn), entry in self._cache.items():
-            if entry_asid == asid and vpn in wanted:
+        for vpn in set(vpns):
+            entry = peek((asid, vpn))
+            if entry is not None:
                 entry.rights = rights
                 changed += 1
         if changed:

@@ -654,7 +654,7 @@ class Kernel:
 
         The range form of :meth:`set_page_rights_global`: the group
         table is updated per page, but every remote CPU sees one message
-        whose single sweep rewrites all its resident entries.
+        that rewrites the batch's resident entries, one probe per page.
         """
         vpns = tuple(vpns)
         if not vpns:
@@ -1333,10 +1333,16 @@ class ConventionalOps(ModelOps):
     def set_page_rights(self, domain: ProtectionDomain, vpn: int, rights: Rights) -> None:
         domain.page_overrides[vpn] = rights
         self._mirror(domain).set_rights(vpn, rights)
-        asid = self._asid(domain)
+        # Only where the entries under ``asid`` are this domain's: an
+        # untagged TLB's belong to whichever domain runs there.
+        asid, pd_id = self._asid(domain), domain.pd_id
         self.kernel.bus.shootdown(
             "set_page_rights",
-            lambda system: int(system.tlb.update_rights(asid, vpn, rights)),
+            lambda system: (
+                int(system.tlb.update_rights(asid, vpn, rights))
+                if system.entry_domain(asid) == pd_id
+                else 0
+            ),
         )
 
     def set_pages_rights(
@@ -1347,12 +1353,14 @@ class ConventionalOps(ModelOps):
         for vpn in vpns:
             domain.page_overrides[vpn] = rights
         self._mirror(domain).set_rights_many(vpns, rights)
-        asid = self._asid(domain)
+        asid, pd_id = self._asid(domain), domain.pd_id
         self.kernel.bus.shootdown_range(
             "set_pages_rights",
             vpns,
-            lambda pages: lambda system: system.tlb.update_rights_pages(
-                asid, pages, rights
+            lambda pages: lambda system: (
+                system.tlb.update_rights_pages(asid, pages, rights)
+                if system.entry_domain(asid) == pd_id
+                else 0
             ),
         )
 

@@ -192,8 +192,8 @@ class ShootdownBus:
         """Coalesce a multi-page verb into ONE message per target CPU.
 
         ``action_factory(pages) -> action`` builds the invalidation that
-        applies a whole VPN batch to one CPU's hardware in a single
-        sweep (the per-model range fast paths in ``core/plb.py``,
+        applies a whole VPN batch to one CPU's hardware in one action
+        (the per-model range fast paths in ``core/plb.py``,
         ``hardware/tlb.py`` etc.).  Each eligible remote CPU receives one
         message carrying the full page set — so a K-page verb costs one
         IPI, not K.  The injector intercepts the batch as a unit: a drop

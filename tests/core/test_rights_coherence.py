@@ -14,7 +14,9 @@ import pytest
 from repro.check import check_invariants
 from repro.core.mmu import ProtectionFault
 from repro.core.rights import AccessType, Rights
+from repro.faults.scrub import Scrubber
 from repro.os.kernel import Kernel
+from repro.sim.machine import SMPMachine
 
 
 def touch(kernel, domain, vpn, access=AccessType.READ):
@@ -97,4 +99,60 @@ class TestConventionalTLBRights:
             key[0] == a.pd_id and segment.base_vpn <= key[1] < segment.base_vpn + 4
             for key, _ in kernel.system.tlb.items()
         )
+        assert check_invariants(kernel) == []
+
+
+class TestUntaggedConventionalTLBRights:
+    """Without ASIDs every entry is tagged 0 and the TLB is purged on each
+    switch, so it holds only the running domain's entries: another
+    domain's rights change must leave them alone."""
+
+    def make(self, n_cpus=1):
+        kernel = Kernel(
+            "conventional", n_cpus=n_cpus, system_options={"asid_tagged": False}
+        )
+        a = kernel.create_domain("a")
+        b = kernel.create_domain("b")
+        segment = kernel.create_segment("s", 4)
+        kernel.attach(a, segment, Rights.READ)
+        kernel.attach(b, segment, Rights.READ)
+        return kernel, a, b, segment
+
+    def test_other_domains_page_rights_leave_running_entry_alone(self):
+        kernel, a, b, segment = self.make()
+        vpn = segment.base_vpn
+        touch(kernel, b, vpn)  # b runs; its entry (0, vpn) holds READ
+        kernel.set_page_rights(a, vpn, Rights.RW)
+        assert dict(kernel.system.tlb.items())[(0, vpn)].rights == Rights.READ
+        with pytest.raises(ProtectionFault):
+            kernel.system.access(kernel.params.vaddr(vpn), AccessType.WRITE)
+        assert check_invariants(kernel) == []
+
+    def test_range_rights_change_reaches_no_other_domains_entries(self):
+        kernel, a, b, segment = self.make(n_cpus=2)
+        machine = SMPMachine(kernel)
+        vpns = list(segment.vpns())
+        for vpn in vpns:
+            machine.touch_on(1, b, kernel.params.vaddr(vpn))
+        kernel.set_current_cpu(0)
+        before = kernel.stats.snapshot()
+        kernel.set_pages_rights(a, vpns, Rights.RW)
+        assert kernel.stats.delta(before)["smp.shootdown.msgs"] == 1
+        cpu1 = kernel.cpus[1].system
+        assert {key: entry.rights for key, entry in cpu1.tlb.items()} == {
+            (0, vpn): Rights.READ for vpn in vpns
+        }
+        with pytest.raises(ProtectionFault):
+            cpu1.access(kernel.params.vaddr(vpns[-1]), AccessType.WRITE)
+        assert check_invariants(kernel) == []
+
+    def test_excess_rights_are_flagged_and_scrubbed(self):
+        kernel, a, b, segment = self.make()
+        vpn = segment.base_vpn
+        touch(kernel, b, vpn)
+        dict(kernel.system.tlb.items())[(0, vpn)].rights = Rights.RW
+        problems = check_invariants(kernel)
+        assert len(problems) == 1 and problems[0].startswith("asidtlb:")
+        assert Scrubber(kernel).scrub() == 1
+        assert dict(kernel.system.tlb.items())[(0, vpn)].rights == Rights.READ
         assert check_invariants(kernel) == []

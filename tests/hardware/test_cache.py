@@ -227,44 +227,78 @@ class TestFlushing:
 
 
 class TestWritebackModel:
-    """Differential test: the cache's dirty/writeback behaviour against
+    """Differential test: every access, in every organization, against
     a brute-force reference model."""
 
-    @settings(max_examples=40)
+    #: Virtual pages the ops touch; they map onto a permutation of frames
+    #: starting at FRAME_BASE, so virtual and physical tags always differ.
+    PAGES = 10
+    FRAME_BASE = 16
+    #: 256 sets span two pages (128 lines each), so a virtually indexed
+    #: set differs from the physically indexed one whenever the
+    #: permutation changes a page's parity.
+    SETS = 256
+
+    @settings(max_examples=60)
     @given(
         ops=st.lists(
-            st.tuples(st.integers(0, 63), st.booleans()),  # (line#, write?)
+            # (page, line within the page, write?)
+            st.tuples(st.integers(0, PAGES - 1), st.integers(0, 3), st.booleans()),
             min_size=1, max_size=150,
         ),
         ways=st.sampled_from([1, 2, 4]),
+        org=st.sampled_from(list(CacheOrg)),
+        frames=st.permutations(range(PAGES)),
     )
-    def test_writebacks_match_reference(self, ops, ways):
-        cache = DataCache(8 * LINE, ways, CacheOrg.VIVT, params=PARAMS)
-        n_sets = cache.n_sets
-        # Reference: per-set list of (line#, dirty), LRU order.
-        model: dict[int, list[list]] = {s: [] for s in range(n_sets)}
+    def test_writebacks_match_reference(self, ops, ways, org, frames):
+        cache = DataCache(self.SETS * ways * LINE, ways, org, params=PARAMS)
+        assert cache.n_sets == self.SETS
+        lines_per_page = PARAMS.page_size // LINE
+        # Reference: per-set list of [tag, paddr_line, dirty], LRU first.
+        model: dict[int, list[list]] = {s: [] for s in range(self.SETS)}
         model_writebacks = 0
-        for line_no, write in ops:
-            vaddr = line_no * LINE
-            cache.access(vaddr, identity_translate(vaddr), write=write)
-            entries = model[line_no % n_sets]
-            found = next((e for e in entries if e[0] == line_no), None)
+        for page, line_in_page, write in ops:
+            vaddr = PARAMS.vaddr(page, line_in_page * LINE)
+            paddr = PARAMS.vaddr(self.FRAME_BASE + frames[page], line_in_page * LINE)
+            calls = []
+
+            def translate(paddr=paddr):
+                calls.append(paddr)
+                return paddr
+
+            result = cache.access(vaddr, translate, write=write)
+
+            vline, pline = vaddr // LINE, paddr // LINE
+            assert vline // lines_per_page != pline // lines_per_page
+            index = (vline if org.virtually_indexed else pline) % self.SETS
+            tag = vline if org.virtually_tagged else pline
+            entries = model[index]
+            found = next((e for e in entries if e[0] == tag), None)
+            victim_line = None
             if found:
                 entries.remove(found)
-                found[1] = found[1] or write
+                found[2] = found[2] or write
                 entries.append(found)
             else:
                 if len(entries) >= ways:
                     victim = entries.pop(0)
-                    if victim[1]:
+                    if victim[2]:
                         model_writebacks += 1
-                entries.append([line_no, write])
+                        victim_line = victim[1]
+                entries.append([tag, pline, write])
+            translated = not found if org is CacheOrg.VIVT else True
+            assert result.hit == bool(found)
+            assert result.translated == translated
+            assert len(calls) == int(translated)
+            assert result.victim_paddr_line == victim_line
+            assert result.writeback == (victim_line is not None)
         assert cache.stats["dcache.writeback"] == model_writebacks
-        model_lines = sorted(e[0] for s in model.values() for e in s)
-        # Residency agrees too (probe without disturbing LRU).
-        for line_no in model_lines:
-            key = cache._tag_key(line_no * LINE, None, 0)
-            assert key in cache._sets[line_no % n_sets]
+        # Residency agrees too: every line, its frame and its dirty bit.
+        model_lines = sorted(tuple(e) for s in model.values() for e in s)
+        resident = sorted(
+            (key[-1], line.paddr_line, line.dirty) for key, line in cache.resident_lines()
+        )
+        assert resident == model_lines
 
 
 class TestCacheProperties:

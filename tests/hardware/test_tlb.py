@@ -169,3 +169,68 @@ class TestTLBProperties:
         for vpn in vpns:
             tlb.fill(vpn, vpn + 1000)
         assert len(tlb) == len(set(vpns))
+
+
+#: ``(entries, ways)``: fully associative, set-associative, direct mapped.
+GEOMETRIES = st.sampled_from([(16, 16), (16, 4), (16, 2), (8, 1)])
+RIGHTS = st.sampled_from([Rights.NONE, Rights.READ, Rights.RW, Rights.RWX])
+#: Resident pages are drawn from 0..9; a batch may also name pages that
+#: are not resident (10 and 11 never are), and name a page twice.
+BATCH = st.lists(st.integers(0, 11), min_size=1, max_size=12)
+
+
+class TestRangeUpdates:
+    """A range update must equal a per-page loop over the batch's
+    distinct pages, on twin TLBs filled identically."""
+
+    @settings(max_examples=60)
+    @given(
+        geometry=GEOMETRIES,
+        fills=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 9), RIGHTS), max_size=40
+        ),
+        asid=st.integers(0, 2),
+        vpns=BATCH,
+        rights=RIGHTS,
+    )
+    def test_asid_update_rights_pages_matches_per_page(
+        self, geometry, fills, asid, vpns, rights
+    ):
+        batched, looped = ASIDTaggedTLB(*geometry), ASIDTaggedTLB(*geometry)
+        for tlb in (batched, looped):
+            for fill_asid, vpn, fill_rights in fills:
+                tlb.fill(fill_asid, vpn, vpn + 100, fill_rights)
+        before = [(key, entry.rights) for key, entry in batched.items()]
+        changed = batched.update_rights_pages(asid, vpns, rights)
+        expected = sum(looped.update_rights(asid, vpn, rights) for vpn in set(vpns))
+        assert changed == expected
+        after = list(batched.items())
+        assert after == list(looped.items())
+        assert batched.stats["asidtlb.update"] == looped.stats["asidtlb.update"] == expected
+        assert [key for key, _ in after] == [key for key, _ in before]  # LRU order
+        for (key, old), (_, entry) in zip(before, after):
+            if key[0] != asid:
+                assert entry.rights == old  # other domains' replicas untouched
+
+    @settings(max_examples=60)
+    @given(
+        geometry=GEOMETRIES,
+        fills=st.lists(
+            st.tuples(st.integers(0, 9), RIGHTS, st.integers(0, 5)), max_size=40
+        ),
+        vpns=BATCH,
+        rights=st.one_of(st.none(), RIGHTS),
+        aid=st.one_of(st.none(), st.integers(0, 5)),
+    )
+    def test_aid_update_pages_matches_per_page(self, geometry, fills, vpns, rights, aid):
+        batched, looped = AIDTaggedTLB(*geometry), AIDTaggedTLB(*geometry)
+        for tlb in (batched, looped):
+            for vpn, fill_rights, fill_aid in fills:
+                tlb.fill(vpn, vpn + 100, fill_rights, fill_aid)
+        before = [vpn for vpn, _ in batched.items()]
+        changed = batched.update_pages(vpns, rights=rights, aid=aid)
+        expected = sum(looped.update(vpn, rights=rights, aid=aid) for vpn in set(vpns))
+        assert changed == expected
+        assert list(batched.items()) == list(looped.items())
+        assert batched.stats["pgtlb.update"] == looped.stats["pgtlb.update"] == expected
+        assert [vpn for vpn, _ in batched.items()] == before  # LRU order

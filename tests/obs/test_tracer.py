@@ -274,7 +274,7 @@ class TestDisabledFastPath:
             )
             assert plain.as_dict() == traced.as_dict(), sample_every
 
-    def test_attach_then_detach_restores_fast_path(self):
+    def test_attach_then_detach_restores_unwrapped_access(self):
         kernel = Kernel("plb")
         tracer = Tracer(kernel.stats)
         kernel.attach_tracer(tracer)
