@@ -750,7 +750,7 @@ class ClusterDSM:
                 entry.lease_until = self.net.clock + self.lease_cycles
                 self._valid[vpn] = {nid}
             # The local grant is ONE batched verb for the whole set (a
-            # single page keeps the legacy per-page path and counters).
+            # single page charges as the per-page verb).
             node._set_local_rights_range(vpns, Rights.RW)
             return
         raise ClusterTimeoutError(

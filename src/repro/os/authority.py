@@ -17,11 +17,12 @@ site — keep working unchanged.
 NUMA-style home shards keyed by VPN chunk.  The global containers stay
 the single source of truth (every verb still lands in the same dicts,
 so recovery, the fault injector and the differential oracle are
-untouched); what shards is the *index and epoch* state: each shard
-keeps its own segment index for lock-free reads on the fast path and
-its own mutation epoch, so Table 1 verbs on disjoint segments touch
-disjoint shards instead of serializing on one structure.  ``n_shards=1``
-is byte-identical to the monolithic authority and charges no counters.
+untouched); what shards is the *index*: each shard keeps its own
+segment index for lock-free reads on the fast path, and every table
+mutation is charged to the home shards it touches, so Table 1 verbs on
+disjoint segments count as shard-local instead of serializing on one
+structure.  ``n_shards=1`` is byte-identical to the monolithic authority
+and charges no counters.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class Authority:
     def note_mutation(self, vpns) -> None:
         """Record a table mutation against the home shard(s) of ``vpns``.
 
-        Monolithic authority: nothing to track (the kernel-wide
-        mutation epoch already serializes everything).
+        Monolithic authority: nothing to track (one structure already
+        serializes everything).
         """
 
 
@@ -159,21 +160,18 @@ SHARD_SPAN_BITS = 3
 
 
 class AuthorityShard:
-    """One NUMA-style home shard: a segment index plus a mutation epoch.
+    """One NUMA-style home shard: a segment index.
 
     The shard does not own table *contents* — translations, groups and
     domain records stay in the shared authority containers.  It owns the
-    read-path index (segments overlapping its VPN chunks, kept sorted
-    for binary search) and the per-shard mutation epoch that replaces
-    "one writer serializes the world" with "writers serialize per VPN
-    range".
+    read-path index: the segments overlapping its VPN chunks, kept
+    sorted for binary search.
     """
 
-    __slots__ = ("index", "mutation_epoch", "segment_bases", "segments_by_base")
+    __slots__ = ("index", "segment_bases", "segments_by_base")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.mutation_epoch = 0
         self.segment_bases: list[int] = []
         self.segments_by_base: dict[int, VirtualSegment] = {}
 
@@ -275,10 +273,10 @@ class ShardedAuthority(Authority):
         return self.shards[self.shard_of(vpn)].segment_at(vpn)
 
     # ------------------------------------------------------------------ #
-    # Per-shard mutation epochs
+    # Per-shard mutation accounting
 
     def note_mutation(self, vpns) -> None:
-        """Bump the mutation epoch of every shard ``vpns`` touches.
+        """Charge a table mutation to every home shard ``vpns`` touches.
 
         Charges ``authority.shard.*`` counters only when K > 1, so a
         single-shard kernel's stats stay byte-identical to the pinned
@@ -291,13 +289,8 @@ class ShardedAuthority(Authority):
         homes = self.shards_for(vpns)
         if not homes:
             return
-        for idx in homes:
-            self.shards[idx].mutation_epoch += 1
         self.stats.inc("authority.shard.mutations")
         if len(homes) == 1:
             self.stats.inc("authority.shard.local")
         else:
             self.stats.inc("authority.shard.cross")
-
-    def shard_epoch(self, index: int) -> int:
-        return self.shards[index].mutation_epoch

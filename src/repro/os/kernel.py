@@ -56,6 +56,19 @@ MODELS = ("plb", "pagegroup", "conventional")
 MCE_DEGRADE_THRESHOLD = 3
 
 
+def _flush_page(system: MemorySystem, vpn: int, pfn: int) -> None:
+    """Flush one page's lines from a CPU's data caches before an unmap."""
+    if system.dcache.org.virtually_tagged:
+        system.dcache.flush_page(vpn)
+    else:
+        system.dcache.flush_frame(pfn)
+    l2 = getattr(system, "l2", None)
+    if l2 is not None:
+        # The L2 is physically tagged: left alone, its lines would go
+        # stale the moment the freed frame is recycled for another page.
+        l2.flush_frame(pfn)
+
+
 class SegmentationViolation(Exception):
     """A protection or page fault no handler claimed: the program dies."""
 
@@ -463,55 +476,51 @@ class Kernel:
 
     def set_page_rights(self, domain: ProtectionDomain, vpn: int, rights: Rights) -> None:
         """Change one domain's rights on one page (others unaffected)."""
-        self._trap("set_page_rights")
-        self._require_attached(domain, vpn)
-        self._note_shards((vpn,))
-        with self.tracer.span("kernel.set_page_rights", pd=domain.pd_id, vpn=vpn):
-            self.ops.set_page_rights(domain, vpn, rights)
+        self.set_pages_rights(domain, (vpn,), rights)
 
     def set_pages_rights(self, domain: ProtectionDomain, vpns, rights: Rights) -> None:
         """Change one domain's rights on a page batch (range verb).
 
-        The range form of :meth:`set_page_rights`: one kernel entry and
-        one range shootdown per remote CPU for the whole VPN set.  This
-        is the verb a DSM range invalidation rides on an SMP node — an
-        M-CPU node pays 1 batched IPI per remote CPU instead of K×M
-        per-page messages.
+        One kernel entry and one range shootdown per remote CPU for the
+        whole VPN set.  This is the verb a DSM range invalidation rides
+        on an SMP node — an M-CPU node pays 1 batched IPI per remote CPU
+        instead of K×M per-page messages.  Called with one page it *is*
+        :meth:`set_page_rights`: same trap, span and bus labels.
         """
         vpns = tuple(vpns)
         if not vpns:
             return
-        self._trap("set_pages_rights")
+        label = "set_page_rights" if len(vpns) == 1 else "set_pages_rights"
+        self._trap(label)
         for vpn in vpns:
             self._require_attached(domain, vpn)
         self._note_shards(vpns)
-        with self.tracer.span(
-            "kernel.set_pages_rights", pd=domain.pd_id, pages=len(vpns)
+        with self._range_span(
+            vpns, "kernel.set_page_rights", "kernel.set_pages_rights", pd=domain.pd_id
         ):
-            self.ops.set_pages_rights(domain, vpns, rights)
+            self.ops.set_pages_rights(domain, vpns, rights, label)
 
     def set_rights_all_domains(self, vpn: int, rights: Rights) -> None:
         """Change every attached domain's rights on one page."""
-        self._trap("set_rights_all")
-        self._note_shards((vpn,))
-        with self.tracer.span("kernel.set_rights_all", vpn=vpn):
-            self.ops.set_rights_all(vpn, rights)
+        self.set_pages_rights_all_domains((vpn,), rights)
 
     def set_pages_rights_all_domains(self, vpns, rights: Rights) -> None:
         """Change every attached domain's rights on a page batch.
 
-        The range form of :meth:`set_rights_all_domains`: one kernel
-        entry and one range shootdown per target CPU for the whole VPN
-        set (K messages collapse to 1 on the SASOS models; the
+        One kernel entry and one range shootdown per target CPU for the
+        whole VPN set (K messages collapse to 1 on the SASOS models; the
         conventional model still pays one message per sharing domain —
-        the §4.1.3 ordering, now per verb instead of per page).
+        the §4.1.3 ordering, now per verb instead of per page).  Called
+        with one page it *is* :meth:`set_rights_all_domains`.
         """
         vpns = tuple(vpns)
         if not vpns:
             return
         self._trap("set_rights_all")
         self._note_shards(vpns)
-        with self.tracer.span("kernel.set_rights_all_pages", pages=len(vpns)):
+        with self._range_span(
+            vpns, "kernel.set_rights_all", "kernel.set_rights_all_pages"
+        ):
             self.ops.set_rights_all_pages(vpns, rights)
 
     def set_segment_rights(
@@ -532,6 +541,13 @@ class Kernel:
         self._trap("switch")
         with self.tracer.span("kernel.switch", pd=domain.pd_id):
             self.system.switch_domain(domain.pd_id)
+
+    def _range_span(self, vpns: tuple[int, ...], one: str, many: str, **attrs):
+        """A range verb's span: a one-page call opens the single-page
+        verb's span (``vpn=``), a batch the range span (``pages=``)."""
+        if len(vpns) == 1:
+            return self.tracer.span(one, **attrs, vpn=vpns[0])
+        return self.tracer.span(many, **attrs, pages=len(vpns))
 
     def _require_attached(self, domain: ProtectionDomain, vpn: int) -> VirtualSegment:
         segment = self.segment_at(vpn)
@@ -554,14 +570,14 @@ class Kernel:
     ) -> None:
         """Give a domain access to a page-group (one PID-table update).
 
-        Grants are lazy across CPUs: a remote CPU running the domain
-        picks the group up on its next group miss — no shootdown.
+        A fresh grant is lazy across CPUs: a remote CPU running the
+        domain picks the group up on its next group miss.  Changing the
+        write-disable bit of a group the domain already holds reaches
+        every CPU running it (see :meth:`PageGroupOps.grant`).
         """
         self._trap("grant_group")
-        system = self._require_pagegroup()
-        entry = domain.grant_group(aid, write_disable=write_disable)
-        if system.current_domain == domain.pd_id:
-            system.groups.install(entry)
+        self._require_pagegroup()
+        self.ops.grant(domain, aid, write_disable=write_disable, verb="grant_group")
 
     def revoke_group(self, domain: ProtectionDomain, aid: int) -> None:
         """Remove a domain's access to a page-group.
@@ -573,13 +589,7 @@ class Kernel:
         self._require_pagegroup()
         domain.revoke_group(aid)
         self._verb_step("revoked")
-        pd_id = domain.pd_id
-        self.bus.shootdown(
-            "revoke_group",
-            lambda system: int(system.groups.drop(aid)),
-            predicate=lambda ctx: ctx.system.current_domain == pd_id,
-            pages=tuple(self.group_table.pages_in_group(aid)),
-        )
+        self.ops.drop_group("revoke_group", domain, aid)
 
     def move_page_to_group(self, vpn: int, aid: int, *, rights: Rights | None = None) -> int:
         """Reassign a page to another group; updates the TLB entry in place.
@@ -588,35 +598,11 @@ class Kernel:
         paging recipes are built from this verb ("move this page to that
         page group", Table 1).
         """
-        self._trap("move_page")
-        self._require_pagegroup()
-        self._note_shards((vpn,))
-        old = self.group_table.move(vpn, aid)
-        self._verb_step("moved")
-        if rights is not None:
-            self.group_table.set_rights(vpn, rights)
-            self._verb_step("rights_set")
-        self.bus.shootdown(
-            "move_page",
-            lambda system: int(system.tlb.update(vpn, rights=rights, aid=aid)),
-        )
-        return old
+        return self.move_pages_to_group((vpn,), aid, rights=rights)[vpn]
 
     def set_page_rights_global(self, vpn: int, rights: Rights) -> None:
-        """Rewrite a page's global rights field (page-group model).
-
-        The page-group model's cheap path: "the change is easily made in
-        a single TLB entry" when it applies to all domains (§4.1.2) —
-        one entry per CPU on a multiprocessor.
-        """
-        self._trap("set_page_rights_global")
-        self._require_pagegroup()
-        self._note_shards((vpn,))
-        self.group_table.set_rights(vpn, rights)
-        self.bus.shootdown(
-            "set_rights_global",
-            lambda system: int(system.tlb.update(vpn, rights=rights)),
-        )
+        """Rewrite a page's global rights field (page-group model)."""
+        self.set_pages_rights_global((vpn,), rights)
 
     def move_pages_to_group(
         self, vpns, aid: int, *, rights: Rights | None = None
@@ -625,13 +611,14 @@ class Kernel:
 
         The K-page group verb: where a loop of :meth:`move_page_to_group`
         costs K traps and K×(N−1) bus messages, this costs one trap and
-        one message per remote CPU carrying the whole VPN set.  Returns
+        one message per remote CPU carrying the whole VPN set.  Called
+        with one page it *is* :meth:`move_page_to_group`.  Returns
         ``{vpn: previous aid}``.
         """
         vpns = tuple(vpns)
         if not vpns:
             return {}
-        self._trap("move_pages")
+        self._trap("move_page" if len(vpns) == 1 else "move_pages")
         self._require_pagegroup()
         self._note_shards(vpns)
         old = {vpn: self.group_table.move(vpn, aid) for vpn in vpns}
@@ -652,9 +639,11 @@ class Kernel:
     def set_pages_rights_global(self, vpns, rights: Rights) -> None:
         """Rewrite a page batch's global rights (page-group model).
 
-        The range form of :meth:`set_page_rights_global`: the group
-        table is updated per page, but every remote CPU sees one message
-        that rewrites the batch's resident entries, one probe per page.
+        The page-group model's cheap path: "the change is easily made in
+        a single TLB entry" when it applies to all domains (§4.1.2).
+        The group table is updated per page, and every remote CPU sees
+        one message that rewrites the batch's resident entries, one
+        probe per page.
         """
         vpns = tuple(vpns)
         if not vpns:
@@ -688,80 +677,33 @@ class Kernel:
         return frame.pfn
 
     def unmap_page(self, vpn: int, *, flush_cache: bool = True) -> int:
-        """Remove a page's translation (Section 4.1.3's two steps).
+        """Remove a page's translation; returns the freed frame number."""
+        return self.unmap_pages((vpn,), flush_cache=flush_cache)[vpn]
 
-        Flushes the page's lines from the data cache (one operation per
+    def free_page(self, vpn: int, *, flush_cache: bool = True) -> None:
+        """Unmap a page and return its frame to the allocator."""
+        self.free_pages((vpn,), flush_cache=flush_cache)
+
+    def unmap_pages(self, vpns, *, flush_cache: bool = True) -> dict[int, int]:
+        """Remove a page batch's translations (Section 4.1.3's two steps).
+
+        Flushes each page's lines from the data cache (one operation per
         line), removes the TLB entry (model-specific), and clears the
         translation.  Protection state is untouched: on the PLB system
         "no maintenance of the PLB is required" — stale entries drain by
         replacement, and any touch faults on the missing translation.
-        On a multiprocessor the flush + TLB invalidate is broadcast to
-        every remote CPU as a *translation* shootdown — the one message
-        class the fault injector may never drop.
-        Returns the freed frame number (still allocated; the caller
-        releases or recycles it).
-        """
-        self._trap("unmap_page")
-        pfn = self.translations.pfn_for(vpn)
-        if pfn is None:
-            raise KernelError(f"page {vpn:#x} is not resident")
-        self._note_shards((vpn,))
-        with self.tracer.span("kernel.unmap_page", vpn=vpn):
-            segment = self.segment_at(vpn)
-            if segment is not None and segment.seg_id in self._contiguous:
-                # Breaking any page of a contiguous segment demotes the
-                # whole segment back to per-page translations.
-                del self._contiguous[segment.seg_id]
-            if flush_cache:
-                if self.system.dcache.org.virtually_tagged:
-                    self.system.dcache.flush_page(vpn)
-                else:
-                    self.system.dcache.flush_frame(pfn)
-                l2 = getattr(self.system, "l2", None)
-                if l2 is not None:
-                    # The L2 is physically tagged: left alone, its lines
-                    # would go stale the moment the freed frame is
-                    # recycled for another page.
-                    l2.flush_frame(pfn)
-            self.ops.invalidate_translation(vpn)
-            if self.n_cpus > 1:
-                ops = self.ops
-
-                def _remote_unmap(system, vpn=vpn, pfn=pfn, flush=flush_cache):
-                    if flush:
-                        if system.dcache.org.virtually_tagged:
-                            system.dcache.flush_page(vpn)
-                        else:
-                            system.dcache.flush_frame(pfn)
-                        l2 = getattr(system, "l2", None)
-                        if l2 is not None:
-                            l2.flush_frame(pfn)
-                    return ops.invalidate_translation_on(system, vpn)
-
-                self.bus.broadcast_remote("unmap_page", _remote_unmap, kind=TRANSLATION)
-            self.ops.on_unmap(vpn)
-            self.translations.unmap(vpn)
-        return pfn
-
-    def free_page(self, vpn: int, *, flush_cache: bool = True) -> None:
-        """Unmap a page and return its frame to the allocator."""
-        pfn = self.unmap_page(vpn, flush_cache=flush_cache)
-        self.memory.release(pfn)
-
-    def unmap_pages(self, vpns, *, flush_cache: bool = True) -> dict[int, int]:
-        """Remove a page batch's translations with ONE trap and ONE
-        translation shootdown per remote CPU.
-
-        Local work (cache flush, contiguous-segment demotion, TLB
-        invalidate) is identical per page to :meth:`unmap_page`; the
-        remote broadcast carries the whole ``{vpn: pfn}`` set so a
-        segment teardown costs one IPI per CPU, not one per page.
-        Returns ``{vpn: pfn}`` for the freed frames (still allocated).
+        On a multiprocessor the flush + TLB invalidate reaches every
+        remote CPU as ONE *translation* shootdown for the batch — the
+        one message class the fault injector may never drop.  Called
+        with one page it *is* :meth:`unmap_page`, whose remote CPUs
+        probe for the page instead of sweeping.  Returns ``{vpn: pfn}``
+        for the freed frames (still allocated; the caller releases or
+        recycles them).
         """
         vpns = tuple(vpns)
         if not vpns:
             return {}
-        self._trap("unmap_pages")
+        self._trap("unmap_page" if len(vpns) == 1 else "unmap_pages")
         frames: dict[int, int] = {}
         for vpn in vpns:
             pfn = self.translations.pfn_for(vpn)
@@ -769,43 +711,34 @@ class Kernel:
                 raise KernelError(f"page {vpn:#x} is not resident")
             frames[vpn] = pfn
         self._note_shards(vpns)
-        with self.tracer.span("kernel.unmap_pages", pages=len(vpns)):
+        with self._range_span(vpns, "kernel.unmap_page", "kernel.unmap_pages"):
             for vpn, pfn in frames.items():
                 segment = self.segment_at(vpn)
                 if segment is not None and segment.seg_id in self._contiguous:
+                    # Breaking any page of a contiguous segment demotes the
+                    # whole segment back to per-page translations.
                     del self._contiguous[segment.seg_id]
                 if flush_cache:
-                    if self.system.dcache.org.virtually_tagged:
-                        self.system.dcache.flush_page(vpn)
-                    else:
-                        self.system.dcache.flush_frame(pfn)
-                    l2 = getattr(self.system, "l2", None)
-                    if l2 is not None:
-                        l2.flush_frame(pfn)
+                    _flush_page(self.system, vpn, pfn)
                 self.ops.invalidate_translation(vpn)
             if self.n_cpus > 1:
                 ops = self.ops
 
-                def _remote_unmap_factory(pages, frames=frames, flush=flush_cache):
-                    def _remote_unmap(system):
-                        if flush:
+                def remote_unmap(pages):
+                    def action(system):
+                        if flush_cache:
                             for vpn in pages:
-                                pfn = frames[vpn]
-                                if system.dcache.org.virtually_tagged:
-                                    system.dcache.flush_page(vpn)
-                                else:
-                                    system.dcache.flush_frame(pfn)
-                                l2 = getattr(system, "l2", None)
-                                if l2 is not None:
-                                    l2.flush_frame(pfn)
+                                _flush_page(system, vpn, frames[vpn])
+                        if len(pages) == 1:
+                            return ops.invalidate_translation_on(system, pages[0])
                         return ops.invalidate_translations_on(system, pages)
 
-                    return _remote_unmap
+                    return action
 
                 self.bus.shootdown_range(
                     "unmap_page",
                     vpns,
-                    _remote_unmap_factory,
+                    remote_unmap,
                     kind=TRANSLATION,
                     include_local=False,
                 )
@@ -944,20 +877,15 @@ class ModelOps:
     def detach(self, domain: ProtectionDomain, segment: VirtualSegment) -> None:
         raise NotImplementedError
 
-    def set_page_rights(self, domain: ProtectionDomain, vpn: int, rights: Rights) -> None:
-        raise NotImplementedError
-
     def set_pages_rights(
-        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights
+        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights, verb: str
     ) -> None:
-        """Batched per-domain rights change over a VPN set (range verb)."""
-        raise NotImplementedError
-
-    def set_rights_all(self, vpn: int, rights: Rights) -> None:
+        """One domain's rights change over a VPN set; ``verb`` labels
+        its bus messages (the kernel verb's trap label)."""
         raise NotImplementedError
 
     def set_rights_all_pages(self, vpns: tuple[int, ...], rights: Rights) -> None:
-        """Batched all-domains rights change over a VPN set (range verb)."""
+        """Every attached domain's rights change over a VPN set."""
         raise NotImplementedError
 
     def set_segment_rights(
@@ -974,12 +902,8 @@ class ModelOps:
         raise NotImplementedError
 
     def invalidate_translations_on(self, system: MemorySystem, vpns) -> int:
-        """Drop one CPU's translations for a VPN batch in one sweep.
-
-        Default falls back to per-page probes; models with a range fast
-        path (a single associative pass) override it.
-        """
-        return sum(self.invalidate_translation_on(system, vpn) for vpn in vpns)
+        """Drop one CPU's translations for a VPN batch in one sweep."""
+        raise NotImplementedError
 
     def rebuild_protection(self, pd_id: int | None = None) -> None:
         """Discard cached protection state; rebuild what cannot refault."""
@@ -1015,81 +939,53 @@ class PLBOps(ModelOps):
         self.kernel._verb_step("detached")
         pd_id, lo, hi = domain.pd_id, segment.base_vpn, segment.end_vpn
         self.kernel.bus.shootdown(
-            "detach",
-            lambda system: system.plb.purge_domain_range(pd_id, lo, hi)[1],
-            pages=tuple(range(lo, hi)),
+            "detach", lambda system: system.plb.purge_domain_range(pd_id, lo, hi)[1]
         )
 
-    def set_page_rights(self, domain: ProtectionDomain, vpn: int, rights: Rights) -> None:
-        # "Changing a domain's access rights to a page simply requires
-        # updating a PLB entry" (§4.1.2) — one entry per CPU.
-        domain.page_overrides[vpn] = rights
-        pd_id = domain.pd_id
-        vaddr = self.kernel.params.vaddr(vpn)
-
-        def action(system, pd_id=pd_id, vaddr=vaddr, vpn=vpn, rights=rights):
-            plb = system.plb
-            if plb.levels == (0,):
-                return plb.update_rights(pd_id, vaddr, rights)
-            if min(plb.levels) >= 0:
-                # A superpage entry covering this page spoke for the old
-                # uniform rights and cannot express the exception; drop
-                # the domain's covering entries at every level with
-                # indexed probes, new rights fault in lazily per page.
-                return plb.invalidate(pd_id, vaddr)
-            # Sub-page units: many units lie inside one page, beyond the
-            # reach of a single indexed probe — sweep the range.
-            return plb.purge_domain_range(pd_id, vpn, vpn + 1)[1]
-
-        self.kernel.bus.shootdown("set_page_rights", action)
-
     def set_pages_rights(
-        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights
+        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights, verb: str
     ) -> None:
-        # The range form: the domain's overrides are written per page,
-        # but each remote CPU sees ONE message whose sweep updates (or
-        # drops, on superpage configurations) every cached entry for the
-        # batch.
+        # "Changing a domain's access rights to a page simply requires
+        # updating a PLB entry" (§4.1.2) — one entry per page on each
+        # CPU, and one message per remote CPU for the whole batch.
         for vpn in vpns:
             domain.page_overrides[vpn] = rights
         pd_id = domain.pd_id
-        params = self.kernel.params
+        vaddr = self.kernel.params.vaddr
 
-        def factory(pages, pd_id=pd_id, rights=rights):
+        def factory(pages):
+            addrs = [vaddr(vpn) for vpn in pages]
+
             def action(system):
                 plb = system.plb
                 touched = 0
-                for vpn in pages:
-                    vaddr = params.vaddr(vpn)
-                    if plb.levels == (0,):
-                        touched += plb.update_rights(pd_id, vaddr, rights)
-                    elif min(plb.levels) >= 0:
-                        touched += plb.invalidate(pd_id, vaddr)
-                    else:
+                if plb.levels == (0,):
+                    for addr in addrs:
+                        touched += plb.update_rights(pd_id, addr, rights)
+                elif min(plb.levels) >= 0:
+                    # A superpage entry covering a page spoke for the old
+                    # uniform rights and cannot express the exception;
+                    # drop the domain's covering entries at every level
+                    # with indexed probes, new rights fault in lazily.
+                    for addr in addrs:
+                        touched += plb.invalidate(pd_id, addr)
+                else:
+                    # Sub-page units: many units lie inside one page,
+                    # beyond the reach of a single indexed probe — sweep
+                    # each page.
+                    for vpn in pages:
                         touched += plb.purge_domain_range(pd_id, vpn, vpn + 1)[1]
                 return touched
 
             return action
 
-        self.kernel.bus.shootdown_range("set_pages_rights", vpns, factory)
+        self.kernel.bus.shootdown_range(verb, vpns, factory)
 
-    def set_rights_all(self, vpn: int, rights: Rights) -> None:
+    def set_rights_all_pages(self, vpns: tuple[int, ...], rights: Rights) -> None:
         # One PLB entry per domain with access must change (§4.1.3: "the
         # number of entries changed depends on the number of domains
         # that have access to the page") — but only *one* message per
-        # CPU: the sweep rewrites every cached entry for the page.
-        segment = self.kernel.segment_at(vpn)
-        if segment is not None:
-            for domain in self.kernel.attached_domains(segment):
-                domain.page_overrides[vpn] = rights
-        self.kernel.bus.shootdown(
-            "set_rights_all",
-            lambda system: system.plb.update_entries_for_page(vpn, rights)[1],
-        )
-
-    def set_rights_all_pages(self, vpns: tuple[int, ...], rights: Rights) -> None:
-        # The range form: one sweep rewrites every cached entry for the
-        # whole batch, so one message per CPU covers K pages.
+        # CPU: one sweep rewrites every cached entry for the batch.
         kernel = self.kernel
         for vpn in vpns:
             segment = kernel.segment_at(vpn)
@@ -1115,7 +1011,6 @@ class PLBOps(ModelOps):
         self.kernel.bus.shootdown(
             "set_segment_rights",
             lambda system: system.plb.sweep_domain_range(pd_id, lo, hi, rights)[1],
-            pages=tuple(range(lo, hi)),
         )
 
     def invalidate_translation_on(self, system: PLBSystem, vpn: int) -> int:
@@ -1177,13 +1072,7 @@ class PageGroupOps(ModelOps):
         self.kernel._verb_step("detached")
         domain.revoke_group(segment.aid)
         self.kernel._verb_step("revoked")
-        aid, pd_id = segment.aid, domain.pd_id
-        self.kernel.bus.shootdown(
-            "detach",
-            lambda system: int(system.groups.drop(aid)),
-            predicate=lambda ctx: ctx.system.current_domain == pd_id,
-            pages=tuple(range(segment.base_vpn, segment.end_vpn)),
-        )
+        self.drop_group("detach", domain, segment.aid)
 
     def _private_group_for(self, domain: ProtectionDomain) -> int:
         aid = self._private_groups.get(domain.pd_id)
@@ -1192,59 +1081,33 @@ class PageGroupOps(ModelOps):
             self._private_groups[domain.pd_id] = aid
         return aid
 
-    def set_page_rights(self, domain: ProtectionDomain, vpn: int, rights: Rights) -> None:
-        # Per-domain rights cannot be expressed inside a shared group:
-        # the page must move to a group private to the domain (§4.1.2's
-        # read-write-pages-in-a-read-only-segment example).  Other
-        # domains consequently lose access to the page until it moves
-        # back — the global nature of page-group protection.
-        aid = self._private_group_for(domain)
-        if not domain.holds_group(aid):
-            entry = domain.grant_group(aid)
-            if self.kernel.system.current_domain == domain.pd_id:
-                self.system.groups.install(entry)
-        self.kernel.group_table.move(vpn, aid)
-        self.kernel.group_table.set_rights(vpn, rights)
-        self.kernel.bus.shootdown(
-            "set_page_rights",
-            lambda system: int(system.tlb.update(vpn, rights=rights, aid=aid)),
-        )
-
     def set_pages_rights(
-        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights
+        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights, verb: str
     ) -> None:
-        # The range form of the private-group move: the whole batch
-        # moves to the domain's private group, then one message per
-        # remote CPU rewrites all its resident entries in a single
-        # sweep.
+        # Per-domain rights cannot be expressed inside a shared group:
+        # the pages must move to a group private to the domain (§4.1.2's
+        # read-write-pages-in-a-read-only-segment example).  Other
+        # domains consequently lose access to them until they move
+        # back — the global nature of page-group protection.  One
+        # message per remote CPU rewrites the batch's resident entries.
         aid = self._private_group_for(domain)
         if not domain.holds_group(aid):
-            entry = domain.grant_group(aid)
-            if self.kernel.system.current_domain == domain.pd_id:
-                self.system.groups.install(entry)
+            self.grant(domain, aid, write_disable=False, verb=verb)
         for vpn in vpns:
             self.kernel.group_table.move(vpn, aid)
             self.kernel.group_table.set_rights(vpn, rights)
         self.kernel.bus.shootdown_range(
-            "set_pages_rights",
+            verb,
             vpns,
             lambda pages: lambda system: system.tlb.update_pages(
                 pages, rights=rights, aid=aid
             ),
         )
 
-    def set_rights_all(self, vpn: int, rights: Rights) -> None:
-        # "The change is easily made in a single TLB entry" (§4.1.2) —
-        # one entry per CPU on a multiprocessor.
-        self.kernel.group_table.set_rights(vpn, rights)
-        self.kernel.bus.shootdown(
-            "set_rights_all",
-            lambda system: int(system.tlb.update(vpn, rights=rights)),
-        )
-
     def set_rights_all_pages(self, vpns: tuple[int, ...], rights: Rights) -> None:
-        # Still one entry per page — but one *message* per CPU for the
-        # whole batch, its sweep rewriting every resident entry at once.
+        # "The change is easily made in a single TLB entry" (§4.1.2):
+        # one entry per page on each CPU, one message per remote CPU for
+        # the whole batch.
         for vpn in vpns:
             self.kernel.group_table.set_rights(vpn, rights)
         self.kernel.bus.shootdown_range(
@@ -1257,21 +1120,54 @@ class PageGroupOps(ModelOps):
         self, domain: ProtectionDomain, segment: VirtualSegment, rights: Rights
     ) -> None:
         # Per-domain, whole-segment changes map onto the PID
-        # write-disable bit; revocation drops the group on every CPU
-        # running the domain.
+        # write-disable bit; revocation, like a changed bit, reaches
+        # every CPU running the domain.
         domain.attachments[segment.seg_id] = rights
         if rights == Rights.NONE:
             domain.revoke_group(segment.aid)
-            aid, pd_id = segment.aid, domain.pd_id
-            self.kernel.bus.shootdown(
-                "set_segment_rights",
-                lambda system: int(system.groups.drop(aid)),
-                predicate=lambda ctx: ctx.system.current_domain == pd_id,
-            )
+            self.drop_group("set_segment_rights", domain, segment.aid)
             return
-        entry = domain.grant_group(segment.aid, write_disable=not rights & Rights.WRITE)
+        self.grant(
+            domain,
+            segment.aid,
+            write_disable=not rights & Rights.WRITE,
+            verb="set_segment_rights",
+        )
+
+    def grant(
+        self, domain: ProtectionDomain, aid: int, *, write_disable: bool, verb: str
+    ) -> None:
+        """Grant a group, or change the write-disable bit of a held one.
+
+        A fresh grant stays lazy: remote CPUs load the group on their
+        next group miss.  A changed bit must reach every remote CPU
+        running the domain, or its holder keeps granting the old bit:
+        one protection message drops the cached entry there, and the
+        next group miss reloads it from the domain record.
+        """
+        held = domain.groups.get(aid)
+        entry = domain.grant_group(aid, write_disable=write_disable)
         if self.kernel.system.current_domain == domain.pd_id:
             self.system.groups.install(entry)
+        if held is not None and held.write_disable != entry.write_disable:
+            self.drop_group(verb, domain, aid, include_local=False)
+
+    def drop_group(
+        self,
+        verb: str,
+        domain: ProtectionDomain,
+        aid: int,
+        *,
+        include_local: bool = True,
+    ) -> None:
+        """Drop ``aid`` from the group holder of every CPU running ``domain``."""
+        pd_id = domain.pd_id
+        self.kernel.bus.shootdown(
+            verb,
+            lambda system: int(system.groups.drop(aid)),
+            predicate=lambda ctx: ctx.system.current_domain == pd_id,
+            include_local=include_local,
+        )
 
     def invalidate_translation_on(self, system: PageGroupSystem, vpn: int) -> int:
         return int(system.tlb.invalidate(vpn))
@@ -1325,37 +1221,22 @@ class ConventionalOps(ModelOps):
         self.kernel._verb_step("mirror_cleared")
         asid, lo, hi = self._asid(domain), segment.base_vpn, segment.end_vpn
         self.kernel.bus.shootdown(
-            "detach",
-            lambda system: system.tlb.invalidate_domain_range(asid, lo, hi)[1],
-            pages=tuple(range(lo, hi)),
-        )
-
-    def set_page_rights(self, domain: ProtectionDomain, vpn: int, rights: Rights) -> None:
-        domain.page_overrides[vpn] = rights
-        self._mirror(domain).set_rights(vpn, rights)
-        # Only where the entries under ``asid`` are this domain's: an
-        # untagged TLB's belong to whichever domain runs there.
-        asid, pd_id = self._asid(domain), domain.pd_id
-        self.kernel.bus.shootdown(
-            "set_page_rights",
-            lambda system: (
-                int(system.tlb.update_rights(asid, vpn, rights))
-                if system.entry_domain(asid) == pd_id
-                else 0
-            ),
+            "detach", lambda system: system.tlb.invalidate_domain_range(asid, lo, hi)[1]
         )
 
     def set_pages_rights(
-        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights
+        self, domain: ProtectionDomain, vpns: tuple[int, ...], rights: Rights, verb: str
     ) -> None:
         # One mirror sweep and one range shootdown for the domain's
         # ASID; the single-domain case dodges §4.1.3's D-message tax.
+        # Only where the entries under ``asid`` are this domain's: an
+        # untagged TLB's belong to whichever domain runs there.
         for vpn in vpns:
             domain.page_overrides[vpn] = rights
         self._mirror(domain).set_rights_many(vpns, rights)
         asid, pd_id = self._asid(domain), domain.pd_id
         self.kernel.bus.shootdown_range(
-            "set_pages_rights",
+            verb,
             vpns,
             lambda pages: lambda system: (
                 system.tlb.update_rights_pages(asid, pages, rights)
@@ -1364,31 +1245,13 @@ class ConventionalOps(ModelOps):
             ),
         )
 
-    def set_rights_all(self, vpn: int, rights: Rights) -> None:
-        # One TLB/PTE update per attached domain: replication makes the
-        # all-domains change linear in the sharers — and each domain's
-        # update is its own shootdown, so the remote cost is D messages
-        # per CPU where the SASOS models send one (§4.1.3).
-        segment = self.kernel.segment_at(vpn)
-        if segment is None:
-            return
-        for domain in self.kernel.attached_domains(segment):
-            domain.page_overrides[vpn] = rights
-            self._mirror(domain).set_rights(vpn, rights)
-            asid = self._asid(domain)
-            self.kernel.bus.shootdown(
-                "set_rights_all",
-                lambda system, asid=asid: int(
-                    system.tlb.update_rights(asid, vpn, rights)
-                ),
-            )
-
     def set_rights_all_pages(self, vpns: tuple[int, ...], rights: Rights) -> None:
-        # Batching collapses the page factor, never the domain factor:
-        # each sharing domain still needs its own shootdown (its replicas
-        # are tagged with its ASID), so the verb costs D messages per CPU
-        # where the SASOS models send one — §4.1.3's ordering survives
-        # range shootdowns intact.
+        # One TLB/PTE update per attached domain: replication makes the
+        # all-domains change linear in the sharers.  Batching collapses
+        # the page factor, never the domain factor: each sharing domain
+        # needs its own shootdown (its replicas are tagged with its
+        # ASID), so the verb costs D messages per CPU where the SASOS
+        # models send one — §4.1.3's ordering survives range shootdowns.
         by_domain: dict[int, list[int]] = {}
         domains: dict[int, ProtectionDomain] = {}
         for vpn in vpns:
@@ -1425,7 +1288,6 @@ class ConventionalOps(ModelOps):
         self.kernel.bus.shootdown(
             "set_segment_rights",
             lambda system: system.tlb.invalidate_domain_range(asid, lo, hi)[1],
-            pages=tuple(range(lo, hi)),
         )
 
     def invalidate_translation_on(self, system: ConventionalSystem, vpn: int) -> int:

@@ -69,7 +69,7 @@ class ShootdownMessage:
     after they were sent).
     """
 
-    __slots__ = ("kind", "verb", "cpu", "remote", "pages", "_action", "_kernel")
+    __slots__ = ("kind", "verb", "cpu", "remote", "_action", "_kernel")
 
     def __init__(
         self,
@@ -80,17 +80,11 @@ class ShootdownMessage:
         action: Callable[[MemorySystem], int],
         *,
         remote: bool,
-        pages: tuple[int, ...] | None = None,
     ) -> None:
         self.kind = kind
         self.verb = verb
         self.cpu = cpu
         self.remote = remote
-        #: The VPN set a batched (range) message covers, or ``None`` for
-        #: a classic single-invalidation message.  The action already
-        #: closes over the set; this is carried for observability and so
-        #: the fault injector intercepts the batch as one unit.
-        self.pages = pages
         self._action = action
         self._kernel = kernel
 
@@ -100,14 +94,17 @@ class ShootdownMessage:
         ctx = kernel.cpus[self.cpu]
         entries = int(self._action(ctx.system) or 0)
         if self.remote:
-            prefix = "smp.shootdown" if self.kind == PROTECTION else "smp.tlb_shootdown"
-            kernel.stats.inc(f"{prefix}.entries", entries)
+            kernel.stats.inc(_ENTRIES[self.kind], entries)
         return entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f"cpu {self.cpu}" + (" (remote)" if self.remote else "")
-        span = f", {len(self.pages)} pages" if self.pages is not None else ""
-        return f"ShootdownMessage({self.verb}, {self.kind}, {where}{span})"
+        return f"ShootdownMessage({self.verb}, {self.kind}, {where})"
+
+
+#: Remote-delivery counter family of each message kind.
+_FAMILY = {PROTECTION: "smp.shootdown", TRANSLATION: "smp.tlb_shootdown"}
+_ENTRIES = {kind: f"{family}.entries" for kind, family in _FAMILY.items()}
 
 
 class ShootdownBus:
@@ -127,8 +124,8 @@ class ShootdownBus:
         self.hook: Callable[[ShootdownMessage], bool] | None = None
         #: When True (the default), :meth:`shootdown_range` coalesces a
         #: multi-page verb into one message per target CPU.  When False
-        #: it degenerates to the legacy one-message-per-page loop — the
-        #: ``--no-batch`` A/B measurement path.
+        #: it sends K one-page messages instead — the ``--no-batch`` A/B
+        #: measurement path.
         self.batch = True
 
     def shootdown(
@@ -139,7 +136,6 @@ class ShootdownBus:
         kind: str = PROTECTION,
         predicate: Callable[[CpuContext], bool] | None = None,
         include_local: bool = True,
-        pages: tuple[int, ...] | None = None,
     ) -> None:
         """Apply ``action`` locally, then broadcast it to remote CPUs.
 
@@ -149,35 +145,8 @@ class ShootdownBus:
         where it holds (e.g. holder drops only reach CPUs running the
         revoked domain).  ``include_local=False`` broadcasts to remotes
         only (used when the verb already did the local work itself).
-        ``pages`` annotates range verbs whose single action already
-        covers a page span (detach, segment rights sweeps) — it changes
-        no accounting, only what the message carries.
         """
-        kernel = self.kernel
-        cpus = kernel.cpus
-        local_id = kernel.current_cpu
-        if include_local and (predicate is None or predicate(cpus[local_id])):
-            self._deliver(
-                ShootdownMessage(
-                    kernel, kind, verb, local_id, action, remote=False, pages=pages
-                )
-            )
-        if len(cpus) == 1:
-            return
-        stats = kernel.stats
-        for ctx in cpus:
-            if ctx.cpu_id == local_id:
-                continue
-            if predicate is not None and not predicate(ctx):
-                continue
-            prefix = "smp.shootdown" if kind == PROTECTION else "smp.tlb_shootdown"
-            stats.inc(f"{prefix}.msgs")
-            stats.inc(f"{prefix}.verb.{verb}")
-            self._deliver(
-                ShootdownMessage(
-                    kernel, kind, verb, ctx.cpu_id, action, remote=True, pages=pages
-                )
-            )
+        self._send(verb, action, kind, predicate, include_local, None)
 
     def shootdown_range(
         self,
@@ -189,72 +158,71 @@ class ShootdownBus:
         predicate: Callable[[CpuContext], bool] | None = None,
         include_local: bool = True,
     ) -> None:
-        """Coalesce a multi-page verb into ONE message per target CPU.
+        """Coalesce a K-page verb into ONE message per target CPU.
 
         ``action_factory(pages) -> action`` builds the invalidation that
         applies a whole VPN batch to one CPU's hardware in one action
         (the per-model range fast paths in ``core/plb.py``,
         ``hardware/tlb.py`` etc.).  Each eligible remote CPU receives one
-        message carrying the full page set — so a K-page verb costs one
-        IPI, not K.  The injector intercepts the batch as a unit: a drop
-        loses the whole batch, a delay replays it atomically.
+        message covering the full page set — so a K-page verb costs one
+        IPI, not K — and charges ``batches`` and ``batched_entries``.
+        The injector intercepts the batch as a unit: a drop loses the
+        whole batch, a delay replays it atomically.
 
-        With ``bus.batch`` False this degenerates to the legacy per-page
-        loop (one classic :meth:`shootdown` per page, identical legacy
-        accounting) — the ``--no-batch`` comparison path.
+        One page is no batch: it crosses as a single-page verb's message
+        and charges no batch counters.  With ``bus.batch`` False every
+        page crosses that way — K one-page messages, the ``--no-batch``
+        comparison path.
         """
         pages = tuple(pages)
         if not pages:
             return
-        if not self.batch:
-            for vpn in pages:
-                self.shootdown(
-                    verb,
-                    action_factory((vpn,)),
-                    kind=kind,
-                    predicate=predicate,
-                    include_local=include_local,
-                )
-            return
-        kernel = self.kernel
-        cpus = kernel.cpus
-        local_id = kernel.current_cpu
-        action = action_factory(pages)
-        if include_local and (predicate is None or predicate(cpus[local_id])):
-            self._deliver(
-                ShootdownMessage(
-                    kernel, kind, verb, local_id, action, remote=False, pages=pages
-                )
-            )
-        if len(cpus) == 1:
-            return
-        stats = kernel.stats
-        prefix = "smp.shootdown" if kind == PROTECTION else "smp.tlb_shootdown"
-        for ctx in cpus:
-            if ctx.cpu_id == local_id:
-                continue
-            if predicate is not None and not predicate(ctx):
-                continue
-            stats.inc(f"{prefix}.msgs")
-            stats.inc(f"{prefix}.verb.{verb}")
-            stats.inc(f"{prefix}.batches")
-            stats.inc(f"{prefix}.batched_entries", len(pages))
-            self._deliver(
-                ShootdownMessage(
-                    kernel, kind, verb, ctx.cpu_id, action, remote=True, pages=pages
-                )
-            )
+        batches = (pages,) if self.batch else [(vpn,) for vpn in pages]
+        for batch in batches:
+            self._send(verb, action_factory(batch), kind, predicate, include_local, batch)
 
-    def broadcast_remote(
+    def _send(
         self,
         verb: str,
         action: Callable[[MemorySystem], int],
-        *,
-        kind: str = PROTECTION,
-        predicate: Callable[[CpuContext], bool] | None = None,
+        kind: str,
+        predicate: Callable[[CpuContext], bool] | None,
+        include_local: bool,
+        pages: tuple[int, ...] | None,
     ) -> None:
-        """Broadcast to remote CPUs only (local work already done)."""
-        self.shootdown(verb, action, kind=kind, predicate=predicate, include_local=False)
+        """The one delivery loop: the issuing CPU first, for free, then
+        one costed message to each eligible remote CPU in CPU order.
+
+        ``pages`` is the range batch the action covers, or ``None`` for
+        a :meth:`shootdown`; only a batch of two or more pages charges
+        the batch counters.
+        """
+        kernel = self.kernel
+        cpus = kernel.cpus
+        local_id = kernel.current_cpu
+        if include_local and (predicate is None or predicate(cpus[local_id])):
+            self._deliver(
+                ShootdownMessage(kernel, kind, verb, local_id, action, remote=False)
+            )
+        if len(cpus) == 1:
+            return
+        inc = kernel.stats.inc
+        family = _FAMILY[kind]
+        msgs, by_verb = f"{family}.msgs", f"{family}.verb.{verb}"
+        batched = pages is not None and len(pages) > 1
+        if batched:
+            batches, batched_entries = f"{family}.batches", f"{family}.batched_entries"
+        for ctx in cpus:
+            if ctx.cpu_id == local_id or (predicate is not None and not predicate(ctx)):
+                continue
+            inc(msgs)
+            inc(by_verb)
+            if batched:
+                inc(batches)
+                inc(batched_entries, len(pages))
+            self._deliver(
+                ShootdownMessage(kernel, kind, verb, ctx.cpu_id, action, remote=True)
+            )
 
     def _deliver(self, message: ShootdownMessage) -> None:
         hook = self.hook

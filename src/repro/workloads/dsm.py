@@ -116,15 +116,8 @@ class DSMNode:
         )
 
     def _set_local_rights(self, vpn: int, rights: Rights) -> None:
-        """Apply a coherence decision to the local protection state."""
-        kernel = self.kernel
-        if kernel.model == "pagegroup":
-            if kernel.translations.is_resident(vpn):
-                kernel.set_page_rights_global(vpn, rights)
-            else:
-                kernel.group_table.set_rights(vpn, rights)
-        else:
-            kernel.set_page_rights(self.domain, vpn, rights)
+        """Apply a coherence decision to one page's local protection."""
+        self._set_local_rights_range((vpn,), rights)
 
     def _set_local_rights_range(self, vpns, rights: Rights) -> None:
         """Apply a coherence decision to a page batch with ONE verb.
@@ -132,14 +125,11 @@ class DSMNode:
         The node-local half of a DSM ``invalidate_range``: one kernel
         entry and one batched range shootdown per remote CPU, so an
         M-CPU node pays 1 IPI per remote CPU for the whole set instead
-        of len(vpns)×(M−1) per-page messages.  Single pages keep the
-        exact legacy path (and its counters).
+        of len(vpns)×(M−1) per-page messages.  A single page takes the
+        range verb's one-page form, which charges as the per-page verb.
         """
         vpns = tuple(vpns)
         if not vpns:
-            return
-        if len(vpns) == 1:
-            self._set_local_rights(vpns[0], rights)
             return
         kernel = self.kernel
         if kernel.model == "pagegroup":

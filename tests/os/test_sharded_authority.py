@@ -1,7 +1,7 @@
 """ShardedAuthority: VPN-range home shards behind the same Authority API.
 
 Unit coverage for the shard map itself (chunk interleave, spanning
-segments, per-shard epochs, K=1 charging nothing) plus the satellite's
+segments, per-shard mutation accounting, K=1 charging nothing) plus a
 differential sweep: the ``repro.check`` lockstep harness replays 20
 scenario-seeds through all three models at K ∈ {1, 2, 4} shards — a
 sharded kernel must stay op-for-op identical to the gold model, because
@@ -96,7 +96,7 @@ def test_spanning_segment_registered_in_every_overlapped_shard():
 
 
 # ---------------------------------------------------------------------- #
-# Epochs and accounting
+# Mutation accounting
 
 
 def test_single_shard_run_charges_no_shard_counters():
@@ -110,6 +110,9 @@ def test_single_shard_run_charges_no_shard_counters():
 
 
 def test_disjoint_mutations_advance_disjoint_epochs():
+    """Verbs on disjoint segments each touch one home shard of their
+    own and are charged as shard-local; one verb spanning them all is
+    charged once, as cross-shard."""
     kernel = Kernel("plb", n_frames=256, n_shards=4)
     dom = kernel.create_domain("d")
     segs = [kernel.create_segment(f"s{i}", 8) for i in range(4)]
@@ -118,15 +121,23 @@ def test_disjoint_mutations_advance_disjoint_epochs():
     authority = kernel.authority
     homes = [authority.shard_of(seg.base_vpn) for seg in segs]
     assert sorted(homes) == [0, 1, 2, 3]
-    before = [authority.shard_epoch(i) for i in range(4)]
-    kernel.set_page_rights(dom, segs[0].base_vpn, Rights.READ)
-    after = [authority.shard_epoch(i) for i in range(4)]
-    # Only the touched segment's home shard moved: disjoint-segment
-    # verbs stop contending on one global epoch.
-    assert after[homes[0]] == before[homes[0]] + 1
-    for i in range(4):
-        if i != homes[0]:
-            assert after[i] == before[i]
+    for seg, home in zip(segs, homes):
+        assert authority.shards_for(seg.vpns()) == {home}
+    before = kernel.stats.snapshot()
+    for seg in segs:
+        kernel.set_page_rights(dom, seg.base_vpn, Rights.READ)
+    delta = kernel.stats.delta(before)
+    assert delta["authority.shard.mutations"] == 4
+    assert delta["authority.shard.local"] == 4
+    assert delta["authority.shard.cross"] == 0
+    firsts = [seg.base_vpn for seg in segs]
+    assert authority.shards_for(firsts) == {0, 1, 2, 3}
+    before = kernel.stats.snapshot()
+    kernel.set_pages_rights(dom, firsts, Rights.RW)
+    delta = kernel.stats.delta(before)
+    assert delta["authority.shard.mutations"] == 1
+    assert delta["authority.shard.local"] == 0
+    assert delta["authority.shard.cross"] == 1
 
 
 def test_single_shard_mutation_charged_as_local():

@@ -134,6 +134,55 @@ class TestShootdownSemantics:
         assert delta["smp.shootdown.msgs"] == 0
         assert delta["smp.tlb_shootdown.msgs"] == 0
 
+    @pytest.mark.parametrize(
+        "downgrade",
+        [
+            lambda kernel, domain, segment: kernel.set_segment_rights(
+                domain, segment, Rights.READ
+            ),
+            lambda kernel, domain, segment: kernel.grant_group(
+                domain, segment.aid, write_disable=True
+            ),
+        ],
+        ids=["set_segment_rights", "grant_group"],
+    )
+    def test_group_write_downgrade_reaches_remote_cpus(self, downgrade):
+        """Setting the write-disable bit of a held group must reach a
+        remote CPU running the domain: its holder's cached entry would
+        otherwise keep granting writes the domain no longer has."""
+        kernel = smp_kernel("pagegroup")
+        domain, segment = shared_setup(kernel)
+        smp = SMPMachine(kernel)
+        vaddr = kernel.params.vaddr(segment.base_vpn)
+        for cpu in (0, 1):
+            assert not smp.touch_on(cpu, domain, vaddr, AccessType.WRITE).faulted
+        kernel.set_current_cpu(0)
+        before = kernel.stats.snapshot()
+        downgrade(kernel, domain, segment)
+        assert kernel.stats.delta(before)["smp.shootdown.msgs"] == 1
+        assert check_invariants(kernel) == []
+        assert not smp.touch_on(1, domain, vaddr).faulted
+        with pytest.raises(SegmentationViolation):
+            smp.touch_on(1, domain, vaddr, AccessType.WRITE)
+        assert check_invariants(kernel) == []
+
+    def test_group_write_upgrade_reaches_remote_cpus_and_fresh_grants_stay_lazy(self):
+        kernel = smp_kernel("pagegroup")
+        domain, segment = shared_setup(kernel, rights=Rights.READ)
+        smp = SMPMachine(kernel)
+        vaddr = kernel.params.vaddr(segment.base_vpn)
+        for cpu in (0, 1):
+            assert not smp.touch_on(cpu, domain, vaddr).faulted
+        kernel.set_current_cpu(0)
+        before = kernel.stats.snapshot()
+        kernel.grant_group(domain, kernel.create_page_group())
+        kernel.grant_group(domain, segment.aid, write_disable=True)  # unchanged bit
+        assert kernel.stats.delta(before)["smp.shootdown.msgs"] == 0
+        kernel.set_segment_rights(domain, segment, Rights.RW)
+        assert kernel.stats.delta(before)["smp.shootdown.msgs"] == 1
+        assert check_invariants(kernel) == []
+        assert not smp.touch_on(1, domain, vaddr, AccessType.WRITE).faulted
+
     def test_remote_costs_are_counted_per_verb(self):
         kernel = smp_kernel("plb", n_cpus=3)
         domain, segment = shared_setup(kernel)
