@@ -22,30 +22,19 @@ from repro.analysis.table1 import (
     run_fileserver,
     run_gc,
     run_rpc,
+    run_shlib,
     run_txn,
 )
 from repro.core.costs import CycleCosts, DEFAULT_COSTS, geometric_mean
 from repro.os.kernel import MODELS
-from repro.analysis.table1 import _run_matrix
 from repro.workloads.attach import AttachConfig
 from repro.workloads.checkpoint import CheckpointConfig
 from repro.workloads.compression import CompressionConfig
 from repro.workloads.fileserver import FileServerConfig
 from repro.workloads.gc import GCConfig
 from repro.workloads.rpc import RPCConfig
-from repro.workloads.shlib import SharedLibraryConfig, SharedLibraryWorkload
+from repro.workloads.shlib import SharedLibraryConfig
 from repro.workloads.txn import TxnConfig
-
-
-def _run_shlib(models) -> Table1Result:
-    config = SharedLibraryConfig(libraries=3, library_pages=4, domains=3,
-                                 rounds=3, fetches_per_round=16)
-    return _run_matrix(
-        "Shared libraries",
-        lambda kernel: SharedLibraryWorkload(kernel, config),
-        models=models,
-        summarize=lambda r: {"fetches": r.fetches},
-    )
 
 #: The quick-run configurations used for the summary (small but
 #: representative; each workload's dedicated bench uses larger ones).
@@ -66,12 +55,15 @@ QUICK_RUNS: list[tuple[str, Callable[..., Table1Result]]] = [
     ("RPC", lambda models: run_rpc(RPCConfig(calls=60), models=models)),
     ("file server", lambda models: run_fileserver(
         FileServerConfig(requests=45, files=8, active_files=4), models=models)),
-    ("shared libraries", _run_shlib),
+    ("shared libraries", lambda models: run_shlib(
+        SharedLibraryConfig(libraries=3, library_pages=4, domains=3, rounds=3,
+                            fetches_per_round=16),
+        models=models)),
 ]
 
 
-#: Fault/recovery counters surfaced in workload, profile and summary
-#: output so soak runs show recovery *cost*, not just correctness.
+#: Fault/recovery counters, so soak runs show recovery *cost*, not
+#: just correctness.
 RECOVERY_COUNTERS = (
     "faults.injected",
     "faults.recovered",
@@ -83,32 +75,8 @@ RECOVERY_COUNTERS = (
     "cluster.reconcile.repairs",
 )
 
-
-def recovery_counter_lines(stats_by_model) -> list[str]:
-    """Fault/recovery counter lines — empty when no such event occurred.
-
-    Fault-free runs contribute no lines at all, so seed output (and the
-    bench baselines pinned on it) stays byte-identical.
-    """
-    totals = {
-        model: {name: stats.get(name, 0) for name in RECOVERY_COUNTERS}
-        for model, stats in stats_by_model.items()
-    }
-    if not any(any(counts.values()) for counts in totals.values()):
-        return []
-    lines = ["fault recovery:"]
-    for model, counts in totals.items():
-        ranked = ", ".join(
-            f"{name}={count}" for name, count in counts.items() if count
-        )
-        lines.append(f"  {model}: {ranked or '(none)'}")
-    return lines
-
-
-#: Range-shootdown batching counters surfaced next to the recovery
-#: block.  Nonzero only when a multi-CPU run actually coalesced a
-#: multi-page verb, so single-CPU (and pre-batching) output is
-#: byte-identical — the pinned seed baselines never see these lines.
+#: Range-shootdown batching counters: nonzero only when a multi-CPU run
+#: actually coalesced a multi-page verb.
 SMP_BATCH_COUNTERS = (
     "smp.shootdown.batches",
     "smp.shootdown.batched_entries",
@@ -116,28 +84,9 @@ SMP_BATCH_COUNTERS = (
     "smp.tlb_shootdown.batched_entries",
 )
 
-
-def smp_batch_counter_lines(stats_by_model) -> list[str]:
-    """Shootdown-batching counter lines — empty when nothing batched."""
-    totals = {
-        model: {name: stats.get(name, 0) for name in SMP_BATCH_COUNTERS}
-        for model, stats in stats_by_model.items()
-    }
-    if not any(any(counts.values()) for counts in totals.values()):
-        return []
-    lines = ["batched shootdowns:"]
-    for model, counts in totals.items():
-        ranked = ", ".join(
-            f"{name}={count}" for name, count in counts.items() if count
-        )
-        lines.append(f"  {model}: {ranked or '(none)'}")
-    return lines
-
-
-#: Authority-sharding and cluster/SMP composition counters.  Nonzero
-#: only when the Authority actually runs sharded (n_shards > 1) or a
-#: multi-CPU cluster node applies a batched DSM invalidation, so the
-#: default non-sharded output stays byte-identical.
+#: Authority-sharding and cluster/SMP composition counters: nonzero only
+#: when the authority runs sharded (n_shards > 1) or a multi-CPU cluster
+#: node applies a batched DSM invalidation.
 SHARD_COUNTERS = (
     "authority.shard.mutations",
     "authority.shard.local",
@@ -146,21 +95,37 @@ SHARD_COUNTERS = (
     "cluster.smp.invalidate_pages",
 )
 
+#: The counter families ``workload``, ``profile`` and ``summary`` print,
+#: as (title, counters) pairs, in print order.
+COUNTER_FAMILIES = (
+    ("fault recovery", RECOVERY_COUNTERS),
+    ("batched shootdowns", SMP_BATCH_COUNTERS),
+    ("authority shards", SHARD_COUNTERS),
+)
 
-def shard_counter_lines(stats_by_model) -> list[str]:
-    """Authority-shard counter lines — empty on non-sharded runs."""
-    totals = {
-        model: {name: stats.get(name, 0) for name in SHARD_COUNTERS}
-        for model, stats in stats_by_model.items()
-    }
-    if not any(any(counts.values()) for counts in totals.values()):
-        return []
-    lines = ["authority shards:"]
-    for model, counts in totals.items():
-        ranked = ", ".join(
-            f"{name}={count}" for name, count in counts.items() if count
-        )
-        lines.append(f"  {model}: {ranked or '(none)'}")
+
+def counter_family_lines(stats_by_model) -> list[str]:
+    """One block per counter family, omitted when all its counters are zero.
+
+    ``stats_by_model`` maps each model to its counts (a ``Stats`` or a
+    plain mapping).  Fault-free, single-CPU, unsharded runs contribute no
+    lines at all, so seed output (and the bench baselines pinned on it)
+    stays byte-identical.
+    """
+    lines: list[str] = []
+    for title, names in COUNTER_FAMILIES:
+        totals = {
+            model: {name: stats.get(name, 0) for name in names}
+            for model, stats in stats_by_model.items()
+        }
+        if not any(any(counts.values()) for counts in totals.values()):
+            continue
+        lines.append(f"{title}:")
+        for model, counts in totals.items():
+            ranked = ", ".join(
+                f"{name}={count}" for name, count in counts.items() if count
+            )
+            lines.append(f"  {model}: {ranked or '(none)'}")
     return lines
 
 
@@ -181,7 +146,7 @@ def hot_counter_lines(stats_by_model, n: int = 6) -> list[str]:
 class SummaryRow:
     workload: str
     cycles: dict[str, int]
-    #: per-model RECOVERY_COUNTERS totals (all zero on fault-free runs).
+    #: per-model COUNTER_FAMILIES totals (all zero on fault-free runs).
     recovery: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
@@ -197,11 +162,9 @@ def run_summary(
             cycles=result.cycles(costs),
             recovery={
                 model: {
-                    c: stats.get(c, 0)
-                    for c in (
-                        RECOVERY_COUNTERS + SMP_BATCH_COUNTERS
-                        + SHARD_COUNTERS
-                    )
+                    counter: stats.get(counter, 0)
+                    for _, counters in COUNTER_FAMILIES
+                    for counter in counters
                 }
                 for model, stats in result.stats_by_model.items()
             },
@@ -241,29 +204,7 @@ def render_summary(rows: list[SummaryRow], *, baseline: str = "plb") -> str:
             bucket = recovery_totals.setdefault(model, {})
             for name, count in counts.items():
                 bucket[name] = bucket.get(name, 0) + count
-    recovery = recovery_counter_lines(
-        {model: _DictStats(counts) for model, counts in recovery_totals.items()}
-    )
-    if recovery:
-        footer += "\n" + "\n".join(recovery)
-    batched = smp_batch_counter_lines(
-        {model: _DictStats(counts) for model, counts in recovery_totals.items()}
-    )
-    if batched:
-        footer += "\n" + "\n".join(batched)
-    sharded = shard_counter_lines(
-        {model: _DictStats(counts) for model, counts in recovery_totals.items()}
-    )
-    if sharded:
-        footer += "\n" + "\n".join(sharded)
+    families = counter_family_lines(recovery_totals)
+    if families:
+        footer += "\n" + "\n".join(families)
     return table + "\n" + footer
-
-
-class _DictStats:
-    """Just enough of the Stats interface for recovery_counter_lines."""
-
-    def __init__(self, counts: dict[str, int]) -> None:
-        self._counts = counts
-
-    def get(self, name: str, default: int = 0) -> int:
-        return self._counts.get(name, default)

@@ -1,18 +1,19 @@
-"""Differential protection oracle: cross-model equivalence checking.
+"""The kernel oracle: cross-model equivalence checking, with and without faults.
 
 Three very different memory systems (:mod:`repro.core.mmu`) must agree on
 one thing: which references a protection domain may perform, and where
 they land in physical memory.  This package checks that agreement against
 a *gold model* — a flat, obviously-correct dictionary interpretation of
 the kernel's protection and translation state — by replaying one seeded
-kernel-verb/reference stream through all configured systems in lockstep.
+kernel-verb/reference stream through all configured systems in lockstep,
+through the pager, on any number of CPUs, with or without a fault plan.
 
 * :mod:`repro.check.gold` — the gold model and the per-model equivalence
   contract (the models differ *by design* in fault ordering and in the
   page-group model's global-rights semantics; the contract encodes it).
 * :mod:`repro.check.ops` — the replayable operation vocabulary and the
   seeded scenario generator.
-* :mod:`repro.check.differ` — the lockstep harness, divergence
+* :mod:`repro.check.harness` — the lockstep harness, divergence
   minimizer and repro-dump machinery.
 * :mod:`repro.check.invariants` — structural coherence checks over the
   hardware caches, callable mid-run against any live kernel.
@@ -20,7 +21,7 @@ kernel-verb/reference stream through all configured systems in lockstep.
 See ARCHITECTURE.md §7 and ``python -m repro check --help``.
 """
 
-from repro.check.differ import CheckReport, CheckRunResult, DifferentialHarness, Divergence, run_check
+from repro.check.harness import CheckReport, CheckRunResult, Divergence, LockstepHarness, run_check
 from repro.check.gold import Expectation, GoldModel
 from repro.check.invariants import check_invariants
 from repro.check.ops import SCENARIOS, Op, ScenarioSpec, generate_ops, op_from_dict, ops_from_dicts
@@ -28,10 +29,10 @@ from repro.check.ops import SCENARIOS, Op, ScenarioSpec, generate_ops, op_from_d
 __all__ = [
     "CheckReport",
     "CheckRunResult",
-    "DifferentialHarness",
     "Divergence",
     "Expectation",
     "GoldModel",
+    "LockstepHarness",
     "Op",
     "SCENARIOS",
     "ScenarioSpec",

@@ -28,7 +28,12 @@ encodes the contract (see ARCHITECTURE.md §7):
 * **pagegroup** rights are *global per page*: ``SetPageRights`` moves
   the page into a domain-private group, changing every other domain's
   access to it (§4.1.2), and a detached domain retains access to pages
-  previously moved into its private group.
+  previously moved into its private group;
+* a page the **pager holds** (paged out, not yet paged in or touched)
+  takes a page fault before every **plb** outcome: the page-out revoked
+  the clients' rights (Table 1's compression-paging row), so any
+  reference — even one by a domain without rights to the page — takes a
+  protection fault that the pager resolves by paging the page in.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ class Expectation:
         kind: ``"allowed"``, ``"prot"`` (protection fault) or ``"fatal"``
             (an unserviceable page fault: no live segment backs the page).
         reason: fault reason for ``"prot"`` (``"unattached"``/``"denied"``).
-        page_fault: the model raises a serviceable page fault before the
-            final outcome (the harness populates the page and retries).
+        page_fault: a fault the kernel resolves precedes the final
+            outcome: a serviceable page fault, or a protection fault the
+            pager resolves by paging the page in.
     """
 
     kind: str
@@ -98,7 +104,7 @@ class GoldModel:
     holdings: dict = field(default_factory=dict)       # (pd, aid) -> write_disable
     private_aid: dict = field(default_factory=dict)    # pd -> aid
     resident: set = field(default_factory=set)         # vpns with a frame
-    current_pd: int = 0
+    paged_out: set = field(default_factory=set)        # vpns the pager holds
 
     _next_pd: int = 1
     _next_seg: int = 1
@@ -144,11 +150,12 @@ class GoldModel:
         raise ValueError(f"unknown model {model!r}")
 
     def _expect_plb(self, pd: int, vpn: int, access: AccessType) -> Expectation:
+        paged_out = vpn in self.paged_out
         rights = self.domain_page_rights(pd, vpn)
         if rights is None:
-            return Expectation("prot", "unattached")
+            return Expectation("prot", "unattached", page_fault=paged_out)
         if not rights.allows(access):
-            return Expectation("prot", "denied")
+            return Expectation("prot", "denied", page_fault=paged_out)
         return Expectation("allowed", page_fault=vpn not in self.resident)
 
     def _expect_conventional(self, pd: int, vpn: int, access: AccessType) -> Expectation:
@@ -268,13 +275,14 @@ class GoldModel:
             return None
         if isinstance(op, opmod.PageOut):
             self.resident.discard(op.vpn)
+            self.paged_out.add(op.vpn)
             return None
         if isinstance(op, opmod.PageIn):
             self.resident.add(op.vpn)
+            self.paged_out.discard(op.vpn)
             return None
         if isinstance(op, opmod.Switch):
-            self.current_pd = op.pd
-            return None
+            return None  # the kernels track each CPU's current domain
         if isinstance(op, opmod.DestroySegment):
             seg = self.segments[op.seg]
             for (pd, seg_id) in list(self.attachments):
@@ -282,6 +290,7 @@ class GoldModel:
                     self._detach(pd, seg)
             for vpn in range(seg.base_vpn, seg.end_vpn):
                 self.resident.discard(vpn)
+                self.paged_out.discard(vpn)
                 self.group_of.pop(vpn, None)
                 self.group_rights.pop(vpn, None)
             seg.live = False
@@ -289,11 +298,12 @@ class GoldModel:
         if isinstance(op, opmod.Touch):
             # Canonical residency: a touch of a live, non-resident page
             # leaves it resident (the translating models demand-populate
-            # it; the harness syncs any model that did not fault).
+            # it, the pager pages it in; the harness syncs any model
+            # that did not fault).
             vpn = self.params.vpn(op.vaddr)
-            self.current_pd = op.pd
             if self.live_segment_at(vpn) is not None:
                 self.resident.add(vpn)
+                self.paged_out.discard(vpn)
             return None
         raise ValueError(f"unknown op {op!r}")
 

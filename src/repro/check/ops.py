@@ -1,11 +1,11 @@
-"""The differential oracle's operation vocabulary and scenario generator.
+"""The kernel oracle's operation vocabulary and scenario generator.
 
 Every operation is a frozen dataclass naming a kernel verb (or a memory
 reference) in model-agnostic terms: domains and segments are identified
 by the deterministic kernel-assigned ids, pages by VPN.  The same op list
 replays identically through any subset of the three memory systems, and
 serializes to/from plain dicts so a minimized divergence can be dumped
-and replayed (:mod:`repro.check.differ`).
+and replayed (:mod:`repro.check.harness`).
 
 The generator only emits operations that are valid against the gold
 model's state (the validity rules are model-independent kernel

@@ -15,21 +15,19 @@
 * ``profile <name>`` — run traced and print the top-N hotspot table
   (spans ranked by attributed weighted cycles).
 * ``replay <trace-file>`` — replay a saved reference trace on a model.
-* ``check <scenario>`` — differential protection oracle: replay a seeded
+* ``check <scenario>`` — the kernel oracle: replay a seeded
   kernel-verb/reference stream through the selected models in lockstep
-  against the gold model and report any divergence (exit 1) with a
-  minimized repro dump.  Scenarios: fuzz, attach, rights, paging, switch.
-* ``chaos <scenario>`` — run a check scenario under a seeded fault plan
-  (disk errors, bit rot, machine checks, dropped shootdowns) and assert
-  that recovery converges the end state back to the gold model; exit 1
-  with a replayable JSON repro dump on unrecovered divergence.
+  against the gold model, through the pager, on ``--cpus`` CPUs.  With
+  no ``--plan`` every reference is compared; under a seeded fault plan
+  (disk errors, bit rot, machine checks, dropped shootdowns) recovery
+  must converge the end state back to gold.  A divergence exits 1 with
+  a minimized, replayable JSON repro dump.  Scenarios: fuzz, attach,
+  rights, paging, switch.
 * ``crash-recover`` — sweep a simulated crash through every mutation
   boundary of every journaled kernel verb and verify the intent journal
   restores the authoritative state byte-for-byte.
 * ``smp`` — multiprocessor mode (§4.1.3): print the measured remote
-  shootdown-consistency table for ``--cpus N``, and with ``--plan`` also
-  run a multi-CPU chaos smoke on every model (exit 1 if any seed fails
-  to recover).
+  shootdown-consistency table for ``--cpus N``.
 * ``serve`` — open-loop virtual-time server: seeded Poisson arrivals mix
   txn/gc/rpc/checkpoint requests against long-lived kernels, continuous
   chaos (``--plan``) and a background scrubber run alongside, and live
@@ -54,12 +52,10 @@ from typing import Sequence
 from repro.analysis.figures import render_figure1, render_figure2
 from repro.analysis.report import format_table
 from repro.analysis.summary import (
+    counter_family_lines,
     hot_counter_lines,
-    recovery_counter_lines,
     render_summary,
     run_summary,
-    shard_counter_lines,
-    smp_batch_counter_lines,
 )
 from repro.analysis.table1 import (
     full_table1,
@@ -262,8 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="pages in the segment created for the trace's addresses",
     )
 
+    from repro.faults.plan import preset_catalog
+
     check = sub.add_parser(
-        "check", help="run the differential protection oracle"
+        "check", help="run the kernel oracle (every model in lockstep "
+        "against the gold model, optionally under a fault plan)",
+        epilog=preset_catalog(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     check.add_argument(
         "scenario",
@@ -282,40 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="approximate operations per seed (default 250)",
     )
     check.add_argument(
-        "--invariant-every", type=int, default=16, metavar="N",
-        help="run structural invariant checks every N ops (0 disables)",
+        "--plan", default="none",
+        help="fault plan: 'none' (the default: compare every reference), "
+        "a preset name, or a JSON file (a plan dict or a repro dump)",
     )
-
-    from repro.faults.plan import preset_catalog
-
-    chaos = sub.add_parser(
-        "chaos", help="run a check scenario under fault injection",
-        epilog=preset_catalog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    chaos.add_argument(
-        "scenario",
-        help="fuzz scenario: fuzz, attach, rights, paging or switch",
-    )
-    chaos.add_argument(
-        "--model", default="plb", help="one of: " + ", ".join(MODELS)
-    )
-    chaos.add_argument(
-        "--plan", default="mixed",
-        help="fault plan: a preset name, 'none', or a JSON file "
-        "(a plan dict or a chaos repro dump)",
-    )
-    chaos.add_argument(
-        "--seed", default="0",
-        help="single seed ('7') or inclusive range ('0..9')",
-    )
-    chaos.add_argument(
-        "--ops", type=int, default=120,
-        help="approximate operations per seed (default 120)",
-    )
-    chaos.add_argument(
-        "--scrub-every", type=int, default=16, metavar="N",
-        help="run the protection scrubber every N ops (0 disables)",
+    check.add_argument(
+        "--cpus", type=int, default=1, metavar="N",
+        help="simulated CPUs per kernel; references go round-robin "
+        "(default 1)",
     )
 
     crash = sub.add_parser(
@@ -328,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     smp = sub.add_parser(
-        "smp",
-        help="multiprocessor consistency table and chaos smoke (§4.1.3)",
+        "smp", help="multiprocessor consistency table (§4.1.3)",
     )
     smp.add_argument(
         "--cpus", type=int, default=4, metavar="N",
@@ -352,28 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report the group-verb workload with range-shootdown "
         "batching disabled (legacy one-message-per-page); both modes "
         "are always measured and differentially compared",
-    )
-    smp.add_argument(
-        "--plan", default=None,
-        help="also run a multi-CPU chaos smoke under this fault plan "
-        "(a preset name, 'none', or a JSON file); exit 1 on unrecovered "
-        "divergence",
-    )
-    smp.add_argument(
-        "--scenario", default="fuzz",
-        help="chaos scenario for --plan runs (default fuzz)",
-    )
-    smp.add_argument(
-        "--seed", default="0",
-        help="chaos seed for --plan runs: '7' or 'LO..HI'",
-    )
-    smp.add_argument(
-        "--ops", type=int, default=120,
-        help="approximate chaos operations per seed (default 120)",
-    )
-    smp.add_argument(
-        "--scrub-every", type=int, default=16, metavar="N",
-        help="run the protection scrubber every N ops (0 disables)",
     )
 
     serve = sub.add_parser(
@@ -575,15 +527,7 @@ def cmd_workload(name: str, models: Sequence[str], jobs: int = 1) -> str:
         for model, summary in result.summary_by_model.items()
     ]
     lines = hot_counter_lines(result.stats_by_model)
-    recovery = recovery_counter_lines(result.stats_by_model)
-    if recovery:
-        lines.extend(recovery)
-    batched = smp_batch_counter_lines(result.stats_by_model)
-    if batched:
-        lines.extend(batched)
-    sharded = shard_counter_lines(result.stats_by_model)
-    if sharded:
-        lines.extend(sharded)
+    lines.extend(counter_family_lines(result.stats_by_model))
     lines.append("")
     lines.append(result.render())
     if summary_rows and summary_rows[0][1:]:
@@ -816,15 +760,9 @@ def cmd_profile(name: str, model: str, top: int, n_shards: int = 1) -> str:
         f"\n\nattributed cycles (root spans): {total}"
         + f"\nweighted cycles over run delta:  {cycles_for(delta)}"
     )
-    recovery = recovery_counter_lines({model: delta})
-    if recovery:
-        footer += "\n" + "\n".join(recovery)
-    batched = smp_batch_counter_lines({model: delta})
-    if batched:
-        footer += "\n" + "\n".join(batched)
-    sharded = shard_counter_lines({model: delta})
-    if sharded:
-        footer += "\n" + "\n".join(sharded)
+    families = counter_family_lines({model: delta})
+    if families:
+        footer += "\n" + "\n".join(families)
     return table + footer
 
 
@@ -886,8 +824,10 @@ def cmd_check(
     models: Sequence[str],
     seed_text: str,
     n_ops: int,
-    invariant_every: int,
+    plan_text: str,
+    cpus: int,
 ) -> int:
+    """The kernel oracle: one status line per seed, a dump on divergence."""
     import json
 
     from repro.check import SCENARIOS, run_check
@@ -897,27 +837,37 @@ def cmd_check(
             f"unknown scenario {scenario!r}; choose from: "
             + ", ".join(sorted(SCENARIOS))
         )
+    _validate_parallelism(cpus=cpus)
+    plan = _parse_plan(plan_text)
     seeds = _parse_seeds(seed_text)
     failed = 0
     for seed in seeds:
         result = run_check(
-            scenario, seed, tuple(models),
-            n_ops=n_ops, invariant_every=invariant_every,
+            scenario, seed, tuple(models), n_ops=n_ops, plan=plan, n_cpus=cpus
+        )
+        settings = [
+            f"{result.ops_total} ops",
+            f"{result.refs_checked} refs",
+            f"models={','.join(models)}",
+        ]
+        if plan is not None:
+            settings.append(f"plan={plan_text}")
+        if cpus > 1:
+            settings.append(f"cpus={cpus}")
+        status = ", ".join(settings) + "".join(
+            f"; {model}: " + ", ".join(f"{name}={count}" for name, count in counts.items())
+            for model, counts in result.counters.items()
         )
         if result.ok:
-            print(
-                f"check {scenario} seed={seed}: OK "
-                f"({result.ops_total} ops, {result.refs_checked} refs, "
-                f"models={','.join(models)})"
-            )
-        else:
-            failed += 1
-            print(
-                f"check {scenario} seed={seed}: DIVERGED — "
-                + result.divergence.describe()
-            )
-            print("minimized repro dump:")
-            print(json.dumps(result.dump(), indent=2))
+            print(f"check {scenario} seed={seed}: OK ({status})")
+            continue
+        failed += 1
+        print(
+            f"check {scenario} seed={seed}: DIVERGED ({status}) — "
+            + result.divergence.describe()
+        )
+        print("replayable repro dump:")
+        print(json.dumps(result.dump(), indent=2))
     if failed:
         print(f"{failed}/{len(seeds)} seeds diverged", file=sys.stderr)
         return 1
@@ -928,8 +878,8 @@ def _parse_plan(text: str):
     """Resolve --plan: preset name, 'none', or a JSON file path.
 
     A JSON file may hold either a bare plan dict (``{"events": ...}``) or
-    a full chaos repro dump (the ``"plan"`` key of which is used), so a
-    failing run's dump replays directly.
+    a full ``repro check`` dump (the ``"plan"`` key of which is used, and
+    may be null), so a failing run's dump replays directly.
     """
     import json
     import os
@@ -946,8 +896,10 @@ def _parse_plan(text: str):
                 data = json.load(fp)
         except (OSError, json.JSONDecodeError) as error:
             raise CLIError(f"cannot load --plan {text}: {error}")
-        if isinstance(data, dict) and isinstance(data.get("plan"), dict):
+        if isinstance(data, dict) and "plan" in data:
             data = data["plan"]
+            if data is None:
+                return None
         try:
             return FaultPlan.from_dict(data)
         except (KeyError, TypeError, ValueError) as error:
@@ -958,76 +910,14 @@ def _parse_plan(text: str):
     )
 
 
-def cmd_chaos(
-    scenario: str,
-    model: str,
-    plan_text: str,
-    seed_text: str,
-    n_ops: int,
-    scrub_every: int,
-) -> int:
-    import json
-
-    from repro.check import SCENARIOS
-    from repro.faults.chaos import run_chaos
-
-    if scenario not in SCENARIOS:
-        raise CLIError(
-            f"unknown scenario {scenario!r}; choose from: "
-            + ", ".join(sorted(SCENARIOS))
-        )
-    if model not in MODELS:
-        raise CLIError(
-            f"unknown model {model!r}; choose from: " + ", ".join(MODELS)
-        )
-    plan = _parse_plan(plan_text)
-    seeds = _parse_seeds(seed_text)
-    failed = 0
-    for seed in seeds:
-        result = run_chaos(
-            scenario, model, seed,
-            plan=plan, n_ops=n_ops, scrub_every=scrub_every,
-        )
-        counters = ", ".join(
-            f"{key}={value}" for key, value in sorted(result.counters.items())
-            if key in ("faults.injected", "faults.recovered",
-                       "disk.retries", "scrub.repairs") and value
-        )
-        if result.ok:
-            print(
-                f"chaos {scenario} seed={seed}: OK "
-                f"({result.ops_total} ops, {result.refs_checked} refs, "
-                f"model={model}, plan={plan_text}"
-                + (f", {counters}" if counters else "")
-                + ")"
-            )
-        else:
-            failed += 1
-            print(
-                f"chaos {scenario} seed={seed}: FAIL — "
-                + result.divergence.describe()
-            )
-            print("replayable repro dump:")
-            print(json.dumps(result.dump(), indent=2))
-    if failed:
-        print(f"{failed}/{len(seeds)} seeds failed to recover", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_smp(
     cpus: int,
     models: Sequence[str],
     domains: int,
     pages: int,
-    plan_text: str | None,
-    scenario: str,
-    seed_text: str,
-    n_ops: int,
-    scrub_every: int,
     batch: bool = True,
 ) -> int:
-    """The §4.1.3 consistency table, plus an optional multi-CPU chaos smoke."""
+    """The §4.1.3 consistency table."""
     from repro.analysis.consistency import (
         batched_table,
         cluster_smp_table,
@@ -1063,49 +953,6 @@ def cmd_smp(
             )
     except ValueError as error:
         raise CLIError(str(error))
-    if plan_text is None:
-        return 0
-
-    import json
-
-    from repro.check import SCENARIOS
-    from repro.faults.chaos import run_chaos
-
-    if scenario not in SCENARIOS:
-        raise CLIError(
-            f"unknown scenario {scenario!r}; choose from: "
-            + ", ".join(sorted(SCENARIOS))
-        )
-    plan = _parse_plan(plan_text)
-    seeds = _parse_seeds(seed_text)
-    failed = 0
-    for model in models:
-        for seed in seeds:
-            result = run_chaos(
-                scenario, model, seed,
-                plan=plan, n_ops=n_ops, scrub_every=scrub_every, n_cpus=cpus,
-            )
-            if result.ok:
-                print(
-                    f"smp chaos {scenario} model={model} seed={seed}: OK "
-                    f"({result.ops_total} ops, {result.refs_checked} refs, "
-                    f"cpus={cpus}, plan={plan_text})"
-                )
-            else:
-                failed += 1
-                print(
-                    f"smp chaos {scenario} model={model} seed={seed}: FAIL — "
-                    + result.divergence.describe()
-                )
-                print("replayable repro dump:")
-                print(json.dumps(result.dump(), indent=2))
-    if failed:
-        print(
-            f"{failed}/{len(models) * len(seeds)} smp chaos runs failed "
-            "to recover",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -1345,20 +1192,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(cmd_replay(args.trace, args.model, args.pages))
     elif args.command == "check":
         return cmd_check(
-            args.scenario, args.models, args.seed, args.ops,
-            args.invariant_every,
-        )
-    elif args.command == "chaos":
-        return cmd_chaos(
-            args.scenario, args.model, args.plan, args.seed, args.ops,
-            args.scrub_every,
+            args.scenario, args.models, args.seed, args.ops, args.plan,
+            args.cpus,
         )
     elif args.command == "crash-recover":
         return cmd_crash_recover(args.models)
     elif args.command == "smp":
         return cmd_smp(
-            args.cpus, args.models, args.domains, args.pages, args.plan,
-            args.scenario, args.seed, args.ops, args.scrub_every,
+            args.cpus, args.models, args.domains, args.pages,
             batch=not args.no_batch,
         )
     elif args.command == "serve":

@@ -1,9 +1,9 @@
 """Cluster chaos: kill a node or cut a link at every protocol step.
 
-The kernel chaos harness (:mod:`repro.faults.chaos`) checks that one
-kernel converges to the gold protection state after injected hardware
-faults.  This module is its cluster-scope sibling: a scripted workload
-drives page traffic across a :class:`~repro.cluster.dsm.ClusterDSM`
+The kernel oracle (:mod:`repro.check.harness`) checks that each
+model's kernel converges to the gold protection state after injected
+hardware faults.  This module is its cluster-scope sibling: a scripted
+workload drives page traffic across a :class:`~repro.cluster.dsm.ClusterDSM`
 while a :class:`~repro.cluster.faults.ClusterInjector` disrupts the
 interconnect, and the end state is audited against a
 :class:`GoldCluster` — a tiny oracle that tracks, per shared page, what

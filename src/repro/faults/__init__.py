@@ -1,4 +1,7 @@
-"""Deterministic fault injection and recovery (chaos harness).
+"""Deterministic fault injection and recovery.
+
+The kernel oracle (:mod:`repro.check.harness`) replays its scenarios
+under these fault plans and checks that recovery converges to gold.
 
 Public surface:
 
@@ -9,7 +12,7 @@ Public surface:
 * :mod:`repro.faults.scrub` — the periodic cache scrubber.
 * :mod:`repro.faults.journal` — intent journal for crash-consistent
   kernel verbs.
-* :mod:`repro.faults.chaos` — the chaos driver and crash-recover sweep.
+* :mod:`repro.faults.chaos` — the crash-recover sweep.
 
 Only the errors and plan layers are re-exported at package level; the
 heavier modules (scrub/journal/chaos import the kernel) are imported by

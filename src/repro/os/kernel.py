@@ -152,6 +152,9 @@ class Kernel:
 
         self._protection_handlers: list[Callable[[ProtectionFault], bool]] = []
         self._page_fault_handlers: list[Callable[[PageFault], bool]] = []
+        self._rights_listeners: list[
+            Callable[[ProtectionDomain | None, tuple[int, ...]], None]
+        ] = []
         #: Machine-check bookkeeping: per-structure fault counts, for the
         #: degradation policy of :meth:`handle_machine_check`.
         self._mce_counts: dict[str, int] = {}
@@ -499,6 +502,9 @@ class Kernel:
             vpns, "kernel.set_page_rights", "kernel.set_pages_rights", pd=domain.pd_id
         ):
             self.ops.set_pages_rights(domain, vpns, rights, label)
+        if self._rights_listeners:
+            for listener in self._rights_listeners:
+                listener(domain, vpns)
 
     def set_rights_all_domains(self, vpn: int, rights: Rights) -> None:
         """Change every attached domain's rights on one page."""
@@ -522,6 +528,9 @@ class Kernel:
             vpns, "kernel.set_rights_all", "kernel.set_rights_all_pages"
         ):
             self.ops.set_rights_all_pages(vpns, rights)
+        if self._rights_listeners:
+            for listener in self._rights_listeners:
+                listener(None, vpns)
 
     def set_segment_rights(
         self, domain: ProtectionDomain, segment: VirtualSegment, rights: Rights
@@ -766,6 +775,20 @@ class Kernel:
     def add_page_fault_handler(self, handler: Callable[[PageFault], bool]) -> None:
         """Register a page-fault handler ahead of the default pager path."""
         self._page_fault_handlers.append(handler)
+
+    def add_rights_listener(
+        self, listener: Callable[[ProtectionDomain | None, tuple[int, ...]], None]
+    ) -> None:
+        """Register a callback told after a per-page rights verb.
+
+        ``listener(domain, vpns)`` runs after :meth:`set_pages_rights`
+        (``domain`` is the one changed) and
+        :meth:`set_pages_rights_all_domains` (``domain`` is None).  The
+        user-level pager listens so that page-in keeps a rights change
+        made while the page was out.  A kernel without listeners pays
+        one empty-list test per verb.
+        """
+        self._rights_listeners.append(listener)
 
     def handle_protection_fault(self, fault: ProtectionFault) -> None:
         """Deliver a protection fault; raises SegmentationViolation if unclaimed."""

@@ -7,10 +7,14 @@ follow Table 1's compression-paging row:
 
 * PLB system — mark the page inaccessible to the clients in the PLB,
   page the data out, remove the TLB entry; on page-in, restore the
-  clients' rights (new PLB entries fault in lazily).
+  clients' rights on every CPU (new PLB entries fault in lazily).
 * Page-group system — move the page to the server's private page-group
   (one TLB-entry update), page out, remove the TLB entry; on page-in,
   move the page back to its original group.
+
+Page-in restores only what the page-out took away: a rights verb issued
+while the page is out (a domain's new rights, or a move to another
+group) is kept.
 
 The pager optionally compresses page images (the Appel & Li compression
 paging workload is built directly on this class).
@@ -56,12 +60,14 @@ class PagerError(ValueError):
 class _EvictedState:
     """What must be restored when the page comes back."""
 
-    #: Page-group model: the group and global rights the page held.
+    #: Page-group model: the group the page held.
     aid: int | None = None
-    rights: Rights | None = None
-    #: Domain-page model: per-domain rights before the page-out
-    #: (pd_id -> rights override, or None when the domain had no
-    #: override and fell through to its attachment grant).
+    #: Domain-page model: the clients the page-out revoked, each with
+    #: its rights override before the page-out (None when the domain
+    #: fell through to its attachment grant).  A rights verb on the page
+    #: while it is out drops its domains from here (see
+    #: :meth:`UserLevelPager._on_rights_verb`): page-in restores only
+    #: revocations that are still in place.
     overrides: dict[int, Rights | None] | None = None
 
 
@@ -96,6 +102,7 @@ class UserLevelPager:
             self.domain.grant_group(self.server_group)
         else:
             self.server_group = None
+            kernel.add_rights_listener(self._on_rights_verb)
         kernel.add_page_fault_handler(self._on_page_fault)
         kernel.add_protection_handler(self._on_protection_fault)
 
@@ -193,10 +200,14 @@ class UserLevelPager:
         """Deny client access for the duration of the operation."""
         kernel = self.kernel
         if kernel.model == "pagegroup":
+            # The move alone shuts the clients out.  The page keeps its
+            # own global rights in the server group, so a rights verb
+            # issued while the page is out lands where page-in finds it.
             state.aid = kernel.group_table.aid_of(vpn)
-            state.rights = kernel.group_table.rights_of(vpn)
             assert self.server_group is not None
-            kernel.move_page_to_group(vpn, self.server_group, rights=Rights.RW)
+            kernel.move_page_to_group(
+                vpn, self.server_group, rights=kernel.group_table.rights_of(vpn)
+            )
         else:
             segment = kernel.segment_at(vpn)
             overrides: dict[int, Rights | None] = {}
@@ -243,29 +254,57 @@ class UserLevelPager:
     def _restore_access(self, vpn: int, state: _EvictedState) -> None:
         kernel = self.kernel
         if kernel.model == "pagegroup":
-            assert state.aid is not None and state.rights is not None
-            kernel.move_page_to_group(vpn, state.aid, rights=state.rights)
+            # A verb that moved the page out of the server group while it
+            # was out has placed it for good.
+            if kernel.group_table.aid_of(vpn) == self.server_group:
+                assert state.aid is not None
+                kernel.move_page_to_group(
+                    vpn, state.aid, rights=kernel.group_table.rights_of(vpn)
+                )
             return
         segment = kernel.segment_at(vpn)
         if segment is None or state.overrides is None:
             return
-        from repro.core.mmu import PLBSystem  # local import avoids a cycle
-
+        restored: list[tuple[int, Rights]] = []
         for domain in kernel.attached_domains(segment):
-            previous = state.overrides.get(domain.pd_id)
+            if domain.pd_id not in state.overrides or vpn not in domain.page_overrides:
+                # Not revoked by this page-out, or a verb has since set
+                # or cleared the domain's rights on the page: keep those.
+                continue
+            previous = state.overrides[domain.pd_id]
             if previous is None:
-                domain.page_overrides.pop(vpn, None)
+                del domain.page_overrides[vpn]
                 effective = domain.attachments[segment.seg_id]
             else:
                 domain.page_overrides[vpn] = previous
                 effective = previous
+            restored.append((domain.pd_id, effective))
+        if restored and kernel.model == "plb":
             # The PLB was deliberately left alone at unmap time
-            # (Section 4.1.3), so a stale inaccessible entry may still
-            # be resident; rewrite it with the restored rights.
-            if isinstance(kernel.system, PLBSystem):
-                kernel.system.plb.update_entries_for_page(
-                    vpn, effective, pd_id=domain.pd_id
+            # (Section 4.1.3), so every CPU may still hold the revoked
+            # entries; rewrite them with the restored rights.
+            def restore(system) -> int:
+                return sum(
+                    system.plb.update_entries_for_page(vpn, rights, pd_id=pd_id)[1]
+                    for pd_id, rights in restored
                 )
+
+            restore(kernel.system)
+            kernel.bus.shootdown("page_in", restore, include_local=False)
+
+    def _on_rights_verb(self, domain: ProtectionDomain | None, vpns) -> None:
+        """A rights verb has replaced revocations on pages held out.
+
+        ``domain`` None means every attached domain's rights changed.
+        """
+        for vpn in vpns:
+            state = self._evicted.get(vpn)
+            if state is None:
+                continue
+            if domain is None:
+                state.overrides.clear()
+            else:
+                state.overrides.pop(domain.pd_id, None)
 
     # ------------------------------------------------------------------ #
     # Fault plumbing

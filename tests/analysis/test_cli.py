@@ -136,10 +136,11 @@ class TestSMPCommand:
         assert "paper ordering: plb <= pagegroup <= conventional" in out
 
     def test_chaos_smoke_exits_zero_on_recovery(self, capsys):
-        assert main(["smp", "--cpus", "2", "--models", "plb",
+        """The multi-CPU fault smoke is ``repro check --cpus N --plan``."""
+        assert main(["check", "fuzz", "--cpus", "2", "--models", "plb",
                      "--plan", "shootdown", "--ops", "40", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "smp chaos fuzz model=plb seed=0: OK" in out
+        assert "check fuzz seed=0: OK" in out
         assert "cpus=2" in out
 
     def test_too_few_pages_is_a_clean_error(self, capsys):
@@ -257,25 +258,28 @@ class TestReplay:
 
 
 class TestChaosCommand:
+    """Fault plans run through ``repro check --plan``."""
+
     def test_recoverable_plan_exits_zero(self, capsys):
-        assert main(["chaos", "fuzz", "--model", "plb", "--plan", "mixed",
-                     "--seed", "0"]) == 0
+        assert main(["check", "fuzz", "--models", "plb", "--plan", "mixed",
+                     "--seed", "0", "--ops", "120"]) == 0
         out = capsys.readouterr().out
-        assert "chaos fuzz seed=0: OK" in out
+        assert "check fuzz seed=0: OK" in out
+        assert "plan=mixed" in out
         assert "faults.injected=" in out
 
     def test_no_plan_exits_zero(self, capsys):
-        assert main(["chaos", "fuzz", "--model", "pagegroup", "--plan", "none",
+        assert main(["check", "fuzz", "--models", "pagegroup", "--plan", "none",
                      "--seed", "0"]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_unrecoverable_plan_exits_one_with_dump(self, capsys):
         import json
 
-        assert main(["chaos", "fuzz", "--model", "plb",
+        assert main(["check", "fuzz", "--models", "plb",
                      "--plan", "unrecoverable", "--seed", "1"]) == 1
         captured = capsys.readouterr()
-        assert "FAIL" in captured.out
+        assert "DIVERGED" in captured.out
         assert "replayable repro dump:" in captured.out
         dump = json.loads(captured.out.split("replayable repro dump:\n", 1)[1])
         assert dump["plan"]["name"] == "unrecoverable"
@@ -284,21 +288,25 @@ class TestChaosCommand:
     def test_plan_file_replays_dump(self, tmp_path, capsys):
         import json
 
-        main(["chaos", "fuzz", "--model", "plb",
+        main(["check", "fuzz", "--models", "plb",
               "--plan", "unrecoverable", "--seed", "1"])
         out = capsys.readouterr().out
+        dump_text = out.split("replayable repro dump:\n", 1)[1]
         dump_path = tmp_path / "repro.json"
-        dump_path.write_text(out.split("replayable repro dump:\n", 1)[1])
-        assert main(["chaos", "fuzz", "--model", "plb",
+        dump_path.write_text(dump_text)
+        assert main(["check", "fuzz", "--models", "plb",
                      "--plan", str(dump_path), "--seed", "1"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        replayed = capsys.readouterr().out
+        assert "DIVERGED" in replayed
+        again = json.loads(replayed.split("replayable repro dump:\n", 1)[1])
+        assert again["divergence"] == json.loads(dump_text)["divergence"]
 
     def test_unknown_plan_exits_cleanly(self, capsys):
-        assert main(["chaos", "fuzz", "--plan", "gremlins", "--seed", "0"]) == 2
+        assert main(["check", "fuzz", "--plan", "gremlins", "--seed", "0"]) == 2
         assert "unknown --plan" in capsys.readouterr().err
 
     def test_unknown_scenario_exits_cleanly(self, capsys):
-        assert main(["chaos", "bogus", "--seed", "0"]) == 2
+        assert main(["check", "bogus", "--seed", "0"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
 

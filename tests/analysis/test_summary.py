@@ -6,7 +6,7 @@ import dataclasses
 
 from repro.analysis.summary import (
     SummaryRow,
-    recovery_counter_lines,
+    counter_family_lines,
     render_summary,
     run_summary,
 )
@@ -54,17 +54,31 @@ class TestRecoveryCounterLines:
     def test_all_zero_means_no_lines_at_all(self):
         # Fault-free runs must keep workload/profile output
         # byte-identical to the seed.
-        assert recovery_counter_lines({"plb": Stats()}) == []
+        assert counter_family_lines({"plb": Stats()}) == []
 
     def test_only_nonzero_counters_named(self):
         stats = Stats()
         stats.inc("faults.injected", 4)
         stats.inc("faults.recovered", 3)
-        lines = recovery_counter_lines({"plb": stats, "pagegroup": Stats()})
+        lines = counter_family_lines({"plb": stats, "pagegroup": Stats()})
         assert lines[0] == "fault recovery:"
         assert "faults.injected=4" in lines[1]
         assert "faults.recovered=3" in lines[1]
         assert "disk.retries" not in lines[1]
+
+    def test_each_nonzero_family_prints_in_declared_order(self):
+        stats = Stats()
+        stats.inc("authority.shard.mutations", 2)
+        stats.inc("scrub.repairs", 1)
+        lines = counter_family_lines({"plb": {"scrub.repairs": 1}, "pagegroup": stats})
+        assert lines == [
+            "fault recovery:",
+            "  plb: scrub.repairs=1",
+            "  pagegroup: scrub.repairs=1",
+            "authority shards:",
+            "  plb: (none)",
+            "  pagegroup: authority.shard.mutations=2",
+        ]
 
 
 class TestRun:

@@ -11,6 +11,7 @@ from repro.check.ops import (
     CreateSegment,
     Detach,
     DestroySegment,
+    PageIn,
     PageOut,
     SetPageRights,
     SetRightsAll,
@@ -186,6 +187,60 @@ class TestContract:
             "allowed", page_fault=True
         )
         assert gold.expect("conventional", 1, 0x100, AccessType.READ).page_fault
+
+    def test_plb_paged_out_page_faults_before_every_outcome(self):
+        """The PLB pager revokes client rights at page-out, so every
+        reference to a page it holds takes a protection fault the pager
+        resolves by paging in — even a domain with no rights to it."""
+        gold = GoldModel()
+        build(
+            gold,
+            CreateDomain("rw"),
+            CreateDomain("ro"),
+            CreateDomain("none"),
+            CreateSegment("s", 4, True),
+            Attach(1, 1, Rights.RW),
+            Attach(2, 1, Rights.READ),
+            PageOut(0x100),
+        )
+        assert gold.paged_out == {0x100}
+        write = AccessType.WRITE
+        assert gold.expect("plb", 1, 0x100, write) == Expectation("allowed", page_fault=True)
+        assert gold.expect("plb", 2, 0x100, write) == Expectation(
+            "prot", "denied", page_fault=True
+        )
+        assert gold.expect("plb", 3, 0x100, write) == Expectation(
+            "prot", "unattached", page_fault=True
+        )
+        # A page never populated is not the pager's: no fault first.
+        build(gold, CreateSegment("t", 4, False), Attach(2, 2, Rights.READ))
+        assert gold.expect("plb", 2, 0x104, write) == Expectation("prot", "denied")
+        # The other models keep their translate-first contract.
+        assert gold.expect("conventional", 3, 0x100, write) == Expectation(
+            "prot", "unattached", page_fault=True
+        )
+
+    @pytest.mark.parametrize("release", ["page_in", "touch", "destroy"])
+    def test_paged_out_rule_ends_when_the_pager_lets_go(self, release):
+        gold = GoldModel()
+        build(
+            gold,
+            CreateDomain("ro"),
+            CreateDomain("rw"),
+            CreateSegment("s", 4, True),
+            CreateSegment("t", 4, True),
+            Attach(1, 1, Rights.READ),
+            PageOut(0x100),
+        )
+        {
+            "page_in": lambda: build(gold, PageIn(0x100)),
+            "touch": lambda: build(gold, Touch(2, gold.params.vaddr(0x100), AccessType.READ)),
+            "destroy": lambda: build(gold, DestroySegment(1)),
+        }[release]()
+        assert gold.paged_out == set()
+        expect = gold.expect("plb", 1, 0x100, AccessType.WRITE)
+        assert not expect.page_fault
+        assert expect.kind == "prot"
 
     def test_touch_populates_live_page(self):
         gold = GoldModel()

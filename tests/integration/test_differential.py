@@ -1,8 +1,9 @@
-"""Differential oracle as a tier-1 suite, plus its bug-detection teeth.
+"""The kernel oracle as a tier-1 suite, plus its bug-detection teeth.
 
 The parametrized half replays seeded scenario streams through all three
-memory systems in lockstep against the gold model and requires zero
-divergence.  The second half proves the oracle actually catches the bug
+memory systems in lockstep against the gold model — through the pager,
+on one CPU and on two CPUs over two authority shards — and requires
+zero divergence.  The second half proves the oracle actually catches the bug
 class it was built for: re-injecting the historical first-hit-stop
 ``ProtectionLookasideBuffer.invalidate`` (which left stale sibling-level
 entries granting revoked rights) must produce a divergence with a
@@ -15,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check import SCENARIOS, check_invariants, ops_from_dicts, run_check
-from repro.check.differ import DifferentialHarness, minimize_ops
+from repro.check.harness import LockstepHarness, minimize_ops
 from repro.check.ops import (
     Attach,
     CreateDomain,
@@ -42,6 +43,22 @@ def test_models_agree_with_gold(scenario, seed):
 def test_single_model_subset_runs():
     result = run_check("fuzz", 0, ("pagegroup",), n_ops=80)
     assert result.ok
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_models_agree_with_gold_on_two_cpus_two_shards(scenario, seed):
+    """References alternate between two CPUs, so every rights change
+    must reach the other CPU's cached state before its next reference."""
+    result = run_check(scenario, seed, n_ops=120, n_cpus=2, n_shards=2)
+    assert result.ok, result.divergence.describe()
+
+
+def test_rights_set_while_paged_out_survive_page_in():
+    """fuzz seed 19 changes a page's rights while the pager holds it;
+    page-in used to write the pre-eviction rights back over the change."""
+    result = run_check("fuzz", 19)
+    assert result.ok, result.divergence.describe()
 
 
 # --------------------------------------------------------------------- #
@@ -89,7 +106,7 @@ def buggy_invalidate(monkeypatch):
 
 
 def _harness():
-    return DifferentialHarness(("plb",), scenario=SCENARIOS["fuzz"])
+    return LockstepHarness(("plb",), scenario=SCENARIOS["fuzz"])
 
 
 def test_directed_sequence_clean_on_fixed_plb():
@@ -133,7 +150,7 @@ def test_run_check_dump_carries_span_trail():
     """A divergence dump includes ops, divergence and the span trail."""
     import json
 
-    from repro.check.differ import CheckRunResult, Divergence
+    from repro.check.harness import CheckRunResult, Divergence
 
     result = CheckRunResult(
         scenario="fuzz", seed=0, models=("plb",), ok=False,

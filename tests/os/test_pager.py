@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.rights import Rights
-from repro.os.kernel import Kernel
+from repro.core.rights import AccessType, Rights
+from repro.os.kernel import Kernel, SegmentationViolation
 from repro.os.pager import PagerError, UserLevelPager
 from repro.sim.machine import Machine
 
@@ -134,6 +134,87 @@ class TestModelSpecificProtocol:
         pager.page_in(segment.base_vpn)
         assert kernel.stats["pager.page_out"] == 1
         assert kernel.stats["pager.page_in"] == 1
+
+
+class TestRightsVerbsWhilePagedOut:
+    """Page-in restores only what the page-out took away: a rights verb
+    issued while the page is out is kept, on every model."""
+
+    MODELS = ["plb", "pagegroup", "conventional"]
+
+    def setup(self, model):
+        kernel = Kernel(model, n_frames=64)
+        a = kernel.create_domain("a")
+        b = kernel.create_domain("b")
+        segment = kernel.create_segment("s", 4, populate=True)
+        kernel.attach(a, segment, Rights.RW)
+        kernel.attach(b, segment, Rights.RW)
+        return kernel, a, b, segment
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_set_page_rights_revocation_survives_page_in(self, model):
+        kernel, a, b, segment = self.setup(model)
+        pager = UserLevelPager(kernel)
+        vpn = segment.base_vpn
+        pager.page_out(vpn)
+        kernel.set_page_rights(b, vpn, Rights.NONE)
+        pager.page_in(vpn)
+        with pytest.raises(SegmentationViolation):
+            Machine(kernel).read(b, kernel.params.vaddr(vpn))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_set_rights_all_domains_survives_page_in(self, model):
+        kernel, a, b, segment = self.setup(model)
+        pager = UserLevelPager(kernel)
+        vpn = segment.base_vpn
+        pager.page_out(vpn)
+        kernel.set_rights_all_domains(vpn, Rights.READ)
+        pager.page_in(vpn)
+        machine = Machine(kernel)
+        for domain in (a, b):
+            machine.read(domain, kernel.params.vaddr(vpn))
+            with pytest.raises(SegmentationViolation):
+                machine.write(domain, kernel.params.vaddr(vpn))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_set_segment_rights_survives_page_in(self, model):
+        """``set_segment_rights`` clears a READ override while the page
+        is out.  On the domain-page models page-in must not bring the
+        override back; on the page-group model the override was a move
+        to the domain's private group, which the segment verb leaves
+        alone (rights are global per page, §4.1.2)."""
+        kernel, a, b, segment = self.setup(model)
+        vpn = segment.base_vpn
+        kernel.set_page_rights(a, vpn, Rights.READ)
+        pager = UserLevelPager(kernel)
+        pager.page_out(vpn)
+        kernel.set_segment_rights(a, segment, Rights.RW)
+        pager.page_in(vpn)
+        machine, vaddr = Machine(kernel), kernel.params.vaddr(vpn)
+        if model == "pagegroup":
+            with pytest.raises(SegmentationViolation):
+                machine.write(a, vaddr)
+        else:
+            machine.write(a, vaddr)
+
+    def test_plb_page_in_restores_rights_on_every_cpu(self):
+        """The page-out's revocation reached every CPU over the bus, so
+        the page-in's restore must too, or a remote CPU keeps denying."""
+        kernel = Kernel("plb", n_cpus=2)
+        domain = kernel.create_domain("app")
+        segment = kernel.create_segment("data", 4, populate=True)
+        kernel.attach(domain, segment, Rights.RW)
+        vaddr = kernel.params.vaddr(segment.base_vpn)
+        cpu0, cpu1 = (Machine(kernel, cpu=ctx) for ctx in kernel.cpus)
+        cpu0.read(domain, vaddr)
+        cpu1.read(domain, vaddr)
+        kernel.set_current_cpu(0)
+        pager = UserLevelPager(kernel)
+        pager.page_out(segment.base_vpn)
+        pager.page_in(segment.base_vpn)
+        kernel.set_current_cpu(1)
+        kernel.system.access(vaddr, AccessType.READ)  # no protection fault
+        assert kernel.stats["smp.shootdown.verb.page_in"] == 1
 
 
 class TestReentrancyAndIdempotence:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.differ import run_check
+from repro.check import run_check
 from repro.core.rights import Rights
 from repro.os.authority import SHARD_SPAN_BITS, ShardedAuthority
 from repro.os.kernel import MODELS, Kernel
