@@ -16,11 +16,11 @@ shootdown batches for a K=6-page acquisition.
 
 Expectations checked:
 
-* wire messages are exactly one request/reply pair per holder node —
-  independent of both K and the CPUs per node;
-* every node-local IPI is a batched range shootdown
-  (``ipi_msgs == ipi_batches``): the page factor never reappears
-  inside a node;
+* the experiment's contract holds (``measure_cluster_smp``'s
+  ``problems``): wire messages are exactly one request/reply pair per
+  holder node — independent of both K and the CPUs per node — and
+  every node-local IPI is a batched range shootdown, so the page
+  factor never reappears inside a node;
 * IPIs scale with (participating nodes) x (cpus - 1), never with K;
 * all three models pay identical wire and IPI costs — the DSM layer
   sits above the protection model.
@@ -44,23 +44,16 @@ K_PAGES = 6
 @pytest.mark.parametrize("cpus", AXES)
 @pytest.mark.parametrize("nodes", AXES)
 def test_cluster_smp_invalidation(benchmark, model, nodes, cpus):
-    cost = benchmark.pedantic(
+    result = benchmark.pedantic(
         lambda: measure_cluster_smp(
             model, nodes=nodes, cpus=cpus, k_pages=K_PAGES
         ),
         rounds=1, iterations=1,
     )
-    # One request/reply pair per holder node, independent of K and M.
-    assert cost.wire_msgs == 2 * cost.holders
-    if nodes > 1:
-        assert cost.holders == nodes - 1
-    # Node-local fan-out is batched: one range shootdown per remote
-    # CPU, never one message per page.
-    assert cost.fanout_batched, (
-        f"{cost.ipi_msgs} IPIs but {cost.ipi_batches} batches"
-    )
-    participants = nodes if nodes > 1 else 1
-    assert cost.ipi_msgs == participants * (cpus - 1)
+    assert not result.problems
+    assert result.holders == nodes - 1
+    # One batched range shootdown per remote CPU of every participant.
+    assert result.cost.msgs == nodes * (cpus - 1)
 
 
 def test_report_cluster_smp(benchmark):
@@ -71,45 +64,44 @@ def test_report_cluster_smp(benchmark):
             for cpus in AXES:
                 per_model = {}
                 for model in MODELS:
-                    cost = measure_cluster_smp(
+                    result = measure_cluster_smp(
                         model, nodes=nodes, cpus=cpus, k_pages=K_PAGES
                     )
-                    per_model[model] = cost
+                    per_model[model] = result
+                    cost = result.cost
                     reports.append(
                         RunReport(
                             title="cluster-smp",
                             model=model,
                             counters={
-                                "cluster.wire_msgs": cost.wire_msgs,
-                                "cluster.holders": cost.holders,
-                                "smp.ipi_msgs": cost.ipi_msgs,
-                                "smp.ipi_batches": cost.ipi_batches,
+                                "cluster.wire_msgs": cost.wire,
+                                "cluster.holders": result.holders,
+                                "smp.ipi_msgs": cost.msgs,
+                                "smp.ipi_batches": cost.batches,
                             },
                             cycles_total=0,
                             cycles_breakdown={},
                             params={"nodes": nodes, "cpus": cpus,
                                     "k_pages": K_PAGES},
-                            summary={
-                                "fanout_batched": cost.fanout_batched,
-                            },
+                            summary={"problems": result.problems},
                         )
                     )
                 # The DSM layer sits above the protection model: all
                 # three models must pay identical costs.
                 first = per_model[MODELS[0]]
                 assert all(
-                    (c.wire_msgs, c.ipi_msgs, c.ipi_batches)
-                    == (first.wire_msgs, first.ipi_msgs, first.ipi_batches)
-                    for c in per_model.values()
+                    (r.cost.wire, r.cost.msgs, r.cost.batches)
+                    == (first.cost.wire, first.cost.msgs, first.cost.batches)
+                    for r in per_model.values()
                 )
                 rows.append(
                     [
                         f"{nodes} x {cpus}",
-                        first.wire_msgs,
+                        first.cost.wire,
                         first.holders,
-                        first.ipi_msgs,
-                        first.ipi_batches,
-                        "OK" if first.fanout_batched else "FAIL",
+                        first.cost.msgs,
+                        first.cost.batches,
+                        "FAIL" if first.problems else "OK",
                     ]
                 )
         return rows, reports

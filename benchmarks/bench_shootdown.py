@@ -12,13 +12,15 @@ protection end state is differentially compared.
 
 Expectations checked:
 
-* batched messages are K-fold fewer than legacy at every CPU count
-  (the per-CPU factor N-1 — and the conventional model's per-domain
-  factor D — survive; only the page factor K collapses);
-* entries invalidated are identical — batching changes message count,
-  never the invalidation work itself;
-* the differential end-state check passes (batched == legacy rights,
-  residency and grouping, clean invariants on every CPU).
+* the experiment's contract holds (``measure_batched``'s ``problems``):
+  batched messages are exactly K-fold fewer than legacy for the same
+  entries at every CPU count (the per-CPU factor N-1 — and the
+  conventional model's per-domain factor D — survive; only the page
+  factor K collapses), and the differential end-state check passes
+  (batched == legacy rights, residency and grouping, clean invariants
+  on every CPU);
+* batching saves messages, and the absolute saving grows with the CPU
+  count.
 """
 
 from __future__ import annotations
@@ -42,14 +44,10 @@ def test_batched_shootdowns(benchmark, model, cpus):
         lambda: measure_batched(model, n_cpus=cpus, pages=PAGES),
         rounds=1, iterations=1,
     )
+    assert not result.problems
     batched_msgs, legacy_msgs = result.workload_msgs
-    assert result.end_state_ok, result.problems
     # One message per remote CPU per verb: the page factor K collapses.
     assert batched_msgs < legacy_msgs
-    assert legacy_msgs == batched_msgs * (PAGES // 3)
-    # The invalidation work itself is untouched by batching.
-    for verb, cost in result.batched.items():
-        assert cost.entries == result.legacy[verb].entries
 
 
 def test_report_shootdown_batching(benchmark):
@@ -59,7 +57,7 @@ def test_report_shootdown_batching(benchmark):
         for cpus in CPUS:
             for model in MODELS:
                 result = measure_batched(model, n_cpus=cpus, pages=PAGES)
-                assert result.end_state_ok, result.problems
+                assert not result.problems
                 batched_msgs, legacy_msgs = result.workload_msgs
                 batched_entries = sum(
                     c.entries for c in result.batched.values()
@@ -123,11 +121,9 @@ def test_report_shootdown_batching(benchmark):
         ),
         reports=reports,
     )
-    # Direction: the reduction equals K at every CPU count, and the
-    # absolute message saving grows with the CPU count.
+    # Direction: the absolute message saving grows with the CPU count.
     eight = [row for row in rows if row[0] == "8 CPUs"]
     two = [row for row in rows if row[0] == "2 CPUs"]
     assert all(row[3] - row[2] > 0 for row in rows)
     for row8, row2 in zip(eight, two):
         assert row8[3] - row8[2] > row2[3] - row2[2]
-    assert all(row[3] >= row[2] * 4 for row in rows)

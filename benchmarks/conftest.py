@@ -1,7 +1,8 @@
 """Benchmark-suite plumbing: print registered reports after the run.
 
 Set ``REPRO_BENCH_REPORT=<path>`` to also dump the structured RunReport
-JSON (consumed by ``tools/check_bench_regression.py``).
+JSON for offline analysis.  ``tools/check_bench_regression.py`` does not
+read it: each of its guards measures its own cells.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ them alongside the timing table.
 
 Besides the human-readable text, callers may attach a machine-readable
 :class:`repro.obs.export.RunReport` (or a list of them) to each entry.
-``write_run_reports`` dumps every attached report as one JSON document —
-the input to ``tools/check_bench_regression.py``.
+``write_run_reports`` dumps every attached report as one JSON document
+for offline analysis.  ``tools/check_bench_regression.py`` does not read
+it: each of its guards measures its own cells.
 """
 
 from __future__ import annotations

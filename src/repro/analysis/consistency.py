@@ -13,24 +13,31 @@ remote structures must be touched before the system is coherent again?
   page table and cached under every sharing ASID, so a global rights
   change costs one invalidation per *sharing domain* per remote CPU.
 
-This module stages exactly that scenario — ``n_domains`` protection
-domains sharing one segment, every CPU's hardware warmed under every
-domain — then measures the remote shootdown traffic
-(``smp.shootdown.*`` / ``smp.tlb_shootdown.*``) that each Table 1 verb
-generates, and renders the comparison as a text table.  The headline
-metric is *remote invalidation messages per rights change on a shared
-page*, which the paper orders PLB ≤ page-group ≤ conventional.
+Three experiments stage that scenario — ``n_domains`` domains sharing
+one segment, every CPU warmed under every domain — with one helper, and
+cost each operation with one :func:`probe` into one :class:`Cost`.  Each
+declares its contract once, as the ``problems`` on its result, which
+``repro smp``, ``repro cluster``, the benches and
+``tools/check_bench_regression.py`` read instead of restating it:
+
+* :func:`consistency_table` — each Table 1 verb once; rights-change
+  messages ordered PLB ≤ page-group ≤ conventional.
+* :func:`batched_table` — three K-page verbs on twin kernels, range
+  shootdowns against the legacy per-page bus; the same clean end state,
+  and K times the messages for the same entries on the legacy twin.
+* :func:`cluster_smp_table` — one K-page DSM write over N nodes × M
+  CPUs; every IPI a batch, one request/reply pair per holder node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from repro.analysis.report import format_table
 from repro.check.invariants import check_invariants
 from repro.core.costs import DEFAULT_COSTS
-from repro.core.rights import AccessType, Rights
+from repro.core.rights import Rights
 from repro.os.kernel import MODELS, Kernel
 from repro.sim.machine import SMPMachine
 
@@ -39,27 +46,94 @@ VERB_ALL_DOMAINS = "rights change (all domains, one page)"
 VERB_ONE_DOMAIN = "rights change (one domain, one page)"
 VERB_UNMAP = "unmap page"
 VERB_DETACH = "detach segment (one domain)"
-VERBS: tuple[str, ...] = (
-    VERB_ALL_DOMAINS,
-    VERB_ONE_DOMAIN,
-    VERB_UNMAP,
-    VERB_DETACH,
-)
+VERBS: tuple[str, ...] = (VERB_ALL_DOMAINS, VERB_ONE_DOMAIN, VERB_UNMAP, VERB_DETACH)
 
 
-@dataclass(frozen=True)
-class VerbCost:
-    """Remote consistency traffic one verb generated.
+class Cost(NamedTuple):
+    """The consistency traffic one operation generated.
 
-    ``msgs`` counts interprocessor shootdown messages (IPIs); ``entries``
-    counts hardware entries actually invalidated/updated on remote CPUs.
+    ``msgs`` counts interprocessor shootdown messages (IPIs) and
+    ``entries`` the hardware entries they invalidated or updated on
+    remote CPUs.  ``batches`` counts the messages that carried a
+    multi-page range, ``cycles`` prices the shootdown traffic, and
+    ``wire`` counts interconnect messages (requests and replies; zero
+    on a single machine).
     """
 
     msgs: int
     entries: int
+    batches: int
+    cycles: int
+    wire: int
 
-    def render(self) -> str:
-        return f"{self.msgs} / {self.entries}"
+    def render(self, *fields: str) -> str:
+        """The named fields, ``" / "``-separated, for a table cell."""
+        return " / ".join(str(getattr(self, name)) for name in fields)
+
+
+class Report(NamedTuple):
+    """One rendered experiment and the contract problems it found."""
+
+    text: str
+    problems: list[str]
+
+
+def probe(system, op: Callable[[], object]) -> Cost:
+    """Run ``op`` and cost it from one ``system.merged_stats()`` delta.
+
+    ``system`` is a :class:`Kernel` or a ``ClusterDSM``, whose merged
+    stats hold every node's kernel.
+    """
+    before = system.merged_stats()
+    op()
+    delta = system.merged_stats().delta(before)
+
+    def both(counter: str) -> int:
+        return delta[f"smp.shootdown.{counter}"] + delta[f"smp.tlb_shootdown.{counter}"]
+
+    return Cost(
+        msgs=both("msgs"),
+        entries=both("entries"),
+        batches=both("batches"),
+        cycles=sum(
+            count * DEFAULT_COSTS.weight_for(name)
+            for name, count in delta.as_dict().items()
+            if "shootdown" in name
+        ),
+        wire=delta["cluster.msg.sent"],
+    )
+
+
+def _warm(smp: SMPMachine, domains, vpns) -> None:
+    """Reference every page under every domain on every CPU, then switch
+    to CPU 0, the paper's "processor making the change"."""
+    kernel = smp.kernel
+    vpns = list(vpns)
+    for cpu in range(kernel.n_cpus):
+        for domain in domains:
+            for vpn in vpns:
+                smp.touch_on(cpu, domain, kernel.params.vaddr(vpn))
+    kernel.set_current_cpu(0)
+
+
+def _stage(
+    model: str, *, n_cpus: int, n_domains: int, pages: int, n_frames: int, n_shards=1
+):
+    """``n_domains`` domains sharing one ``pages``-page segment read-write,
+    warmed on every CPU: each CPU's hardware then holds whatever its
+    model caches for the sharing set (D PLB entries, one AID-tagged
+    entry, or D ASID-tagged entries per page)."""
+    kernel = Kernel(model, n_frames=n_frames, n_cpus=n_cpus, n_shards=n_shards)
+    domains = [kernel.create_domain(f"node{i}") for i in range(n_domains)]
+    shared = kernel.create_segment("shared", pages)
+    for domain in domains:
+        kernel.attach(domain, shared, Rights.RW)
+    _warm(SMPMachine(kernel), domains, shared.vpns())
+    return kernel, domains, shared
+
+
+# --------------------------------------------------------------------- #
+# One page per Table 1 verb
 
 
 @dataclass
@@ -69,19 +143,12 @@ class ConsistencyResult:
     model: str
     n_cpus: int
     n_domains: int
-    costs: dict[str, VerbCost]
+    costs: dict[str, Cost]
 
     @property
     def rights_change_msgs(self) -> int:
         """The headline: remote messages for a shared-page rights change."""
         return self.costs[VERB_ALL_DOMAINS].msgs
-
-
-def _remote_delta(kernel: Kernel, before) -> VerbCost:
-    delta = kernel.stats.delta(before)
-    msgs = delta["smp.shootdown.msgs"] + delta["smp.tlb_shootdown.msgs"]
-    entries = delta["smp.shootdown.entries"] + delta["smp.tlb_shootdown.entries"]
-    return VerbCost(msgs=msgs, entries=entries)
 
 
 def measure_model(
@@ -94,47 +161,26 @@ def measure_model(
 ) -> ConsistencyResult:
     """Measure one model's remote shootdown costs in the §4.1.3 scenario.
 
-    ``n_domains`` domains share one ``pages``-page segment read-write;
-    every CPU references every page under every domain, so each CPU's
-    protection hardware holds whatever that model caches for the sharing
-    set (D PLB entries, one AID-tagged entry, or D ASID-tagged entries
-    per page).  Each verb then runs once, on CPU 0, against its own page
-    so the measurements do not disturb each other.
+    Each verb runs once, on CPU 0, against its own page so the
+    measurements do not disturb each other.
     """
     if pages < 4:
         raise ValueError("the scenario needs at least 4 pages (one per verb)")
-    kernel = Kernel(model, n_frames=n_frames, n_cpus=n_cpus)
-    domains = [kernel.create_domain(f"node{i}") for i in range(n_domains)]
-    shared = kernel.create_segment("shared", pages)
-    for domain in domains:
-        kernel.attach(domain, shared, Rights.RW)
-
-    smp = SMPMachine(kernel)
-    for cpu in range(n_cpus):
-        for domain in domains:
-            for vpn in shared.vpns():
-                smp.touch_on(cpu, domain, kernel.params.vaddr(vpn))
-    # Verbs issue from CPU 0, the paper's "processor making the change".
-    kernel.set_current_cpu(0)
-
-    costs: dict[str, VerbCost] = {}
-
-    before = kernel.stats.snapshot()
-    kernel.set_rights_all_domains(shared.base_vpn, Rights.READ)
-    costs[VERB_ALL_DOMAINS] = _remote_delta(kernel, before)
-
-    before = kernel.stats.snapshot()
-    kernel.set_page_rights(domains[1], shared.base_vpn + 1, Rights.READ)
-    costs[VERB_ONE_DOMAIN] = _remote_delta(kernel, before)
-
-    before = kernel.stats.snapshot()
-    kernel.unmap_page(shared.base_vpn + 2)
-    costs[VERB_UNMAP] = _remote_delta(kernel, before)
-
-    before = kernel.stats.snapshot()
-    kernel.detach(domains[-1], shared)
-    costs[VERB_DETACH] = _remote_delta(kernel, before)
-
+    if n_domains < 2:
+        raise ValueError("the scenario needs at least 2 domains sharing its segment")
+    kernel, domains, shared = _stage(
+        model, n_cpus=n_cpus, n_domains=n_domains, pages=pages, n_frames=n_frames
+    )
+    base = shared.base_vpn
+    verbs = {
+        VERB_ALL_DOMAINS: lambda: kernel.set_rights_all_domains(base, Rights.READ),
+        VERB_ONE_DOMAIN: lambda: kernel.set_page_rights(
+            domains[1], base + 1, Rights.READ
+        ),
+        VERB_UNMAP: lambda: kernel.unmap_page(base + 2),
+        VERB_DETACH: lambda: kernel.detach(domains[-1], shared),
+    }
+    costs = {verb: probe(kernel, op) for verb, op in verbs.items()}
     return ConsistencyResult(model, n_cpus, n_domains, costs)
 
 
@@ -149,11 +195,7 @@ def measure_all(
     """Measure every requested model on identical inputs."""
     return {
         model: measure_model(
-            model,
-            n_cpus=n_cpus,
-            n_domains=n_domains,
-            pages=pages,
-            n_frames=n_frames,
+            model, n_cpus=n_cpus, n_domains=n_domains, pages=pages, n_frames=n_frames
         )
         for model in models
     }
@@ -166,14 +208,19 @@ def consistency_table(
     n_domains: int = 4,
     pages: int = 8,
     n_frames: int = 256,
-) -> str:
-    """The §4.1.3 comparison, rendered: remote msgs/entries per verb."""
+) -> Report:
+    """The §4.1.3 comparison, rendered: remote msgs/entries per verb.
+
+    Its contract: rights-change messages never fall from one model to
+    the next in :data:`MODELS` order (plb, pagegroup, conventional).
+    """
     results = measure_all(
         models, n_cpus=n_cpus, n_domains=n_domains, pages=pages, n_frames=n_frames
     )
     headers = ["verb (on CPU 0)"] + [f"{m} (msgs/entries)" for m in results]
     rows = [
-        [verb] + [results[model].costs[verb].render() for model in results]
+        [verb]
+        + [results[model].costs[verb].render("msgs", "entries") for model in results]
         for verb in VERBS
     ]
     table = format_table(
@@ -187,12 +234,21 @@ def consistency_table(
     headline = ", ".join(
         f"{model}={result.rights_change_msgs}" for model, result in results.items()
     )
-    return (
+    ordered = sorted(results.values(), key=lambda result: MODELS.index(result.model))
+    problems = [
+        f"rights-change msgs out of the paper's order: "
+        f"{low.model}={low.rights_change_msgs} > "
+        f"{high.model}={high.rights_change_msgs}"
+        for low, high in zip(ordered, ordered[1:])
+        if low.rights_change_msgs > high.rights_change_msgs
+    ]
+    text = (
         table
         + "\n\nRemote invalidation messages per shared-page rights change: "
         + headline
         + "\n(paper ordering: plb <= pagegroup <= conventional)"
     )
+    return Report(text, problems)
 
 
 # --------------------------------------------------------------------- #
@@ -203,27 +259,6 @@ BATCH_VERB_RIGHTS = "rights change (all domains, K pages)"
 BATCH_VERB_MOVE = "move K pages to a group"
 BATCH_VERB_UNMAP = "unmap K pages"
 BATCH_VERBS: tuple[str, ...] = (BATCH_VERB_RIGHTS, BATCH_VERB_MOVE, BATCH_VERB_UNMAP)
-
-
-@dataclass(frozen=True)
-class BatchedVerbCost:
-    """Remote traffic one multi-page verb generated, with its cycle bill."""
-
-    msgs: int
-    entries: int
-    cycles: int
-
-    def render(self) -> str:
-        return f"{self.msgs} / {self.entries} / {self.cycles}"
-
-
-def _shootdown_cycles(delta) -> int:
-    """Price a stats delta's shootdown traffic (IPIs + entry updates)."""
-    return sum(
-        count * DEFAULT_COSTS.weight_for(name)
-        for name, count in delta.as_dict().items()
-        if "shootdown" in name
-    )
 
 
 @dataclass
@@ -241,10 +276,10 @@ class BatchedResult:
     model: str
     n_cpus: int
     pages: int
-    batched: dict[str, BatchedVerbCost]
-    legacy: dict[str, BatchedVerbCost]
+    batched: dict[str, Cost]
+    legacy: dict[str, Cost]
     end_state_ok: bool
-    problems: list[str] = field(default_factory=list)
+    problems: list[str]
 
     @property
     def workload_msgs(self) -> tuple[int, int]:
@@ -255,55 +290,27 @@ class BatchedResult:
         )
 
 
-def _stage_batched_kernel(
-    model: str, *, n_cpus: int, n_domains: int, pages: int, n_frames: int, batch: bool
-):
-    """Build and warm one kernel for the group-verb workload."""
-    kernel = Kernel(model, n_frames=n_frames, n_cpus=n_cpus)
-    kernel.bus.batch = batch
-    domains = [kernel.create_domain(f"node{i}") for i in range(n_domains)]
-    shared = kernel.create_segment("shared", pages)
-    for domain in domains:
-        kernel.attach(domain, shared, Rights.RW)
-    smp = SMPMachine(kernel)
-    for cpu in range(n_cpus):
-        for domain in domains:
-            for vpn in shared.vpns():
-                smp.touch_on(cpu, domain, kernel.params.vaddr(vpn))
-    kernel.set_current_cpu(0)
-    return kernel, domains, shared
-
-
-def _run_group_verbs(kernel, domains, shared, pages: int) -> dict[str, BatchedVerbCost]:
-    """The group-verb workload: three K-page verbs on disjoint thirds."""
-    third = pages // 3
+def _run_group_verbs(kernel, domains, shared, k: int) -> dict[str, Cost]:
+    """The group-verb workload: three K-page verbs on disjoint pages."""
     vpns = list(shared.vpns())
-    costs: dict[str, BatchedVerbCost] = {}
-
-    def measure(label, fn):
-        before = kernel.stats.snapshot()
-        fn()
-        delta = kernel.stats.delta(before)
-        cost = _remote_delta(kernel, before)
-        costs[label] = BatchedVerbCost(
-            msgs=cost.msgs, entries=cost.entries, cycles=_shootdown_cycles(delta)
+    costs = {
+        BATCH_VERB_RIGHTS: probe(
+            kernel, lambda: kernel.set_pages_rights_all_domains(vpns[:k], Rights.READ)
         )
-
-    measure(
-        BATCH_VERB_RIGHTS,
-        lambda: kernel.set_pages_rights_all_domains(vpns[:third], Rights.READ),
-    )
+    }
     if kernel.model == "pagegroup":
         group = kernel.create_page_group()
         for domain in domains:
             kernel.grant_group(domain, group)
-        measure(
-            BATCH_VERB_MOVE,
+        costs[BATCH_VERB_MOVE] = probe(
+            kernel,
             lambda: kernel.move_pages_to_group(
-                vpns[third : 2 * third], group, rights=Rights.READ
+                vpns[k : 2 * k], group, rights=Rights.READ
             ),
         )
-    measure(BATCH_VERB_UNMAP, lambda: kernel.unmap_pages(vpns[2 * third :]))
+    costs[BATCH_VERB_UNMAP] = probe(
+        kernel, lambda: kernel.unmap_pages(vpns[2 * k : 3 * k])
+    )
     return costs
 
 
@@ -332,25 +339,25 @@ def measure_batched(
     """Run the group-verb workload batched AND legacy on twin kernels.
 
     Both kernels see the identical scenario; only ``bus.batch`` differs.
-    The differential check then requires identical protection end state
-    and clean structural invariants on both — so the message reduction
-    is demonstrably free of correctness cost.
+    Each verb covers K = ``pages // 3`` pages.  The differential check
+    requires identical protection end state and clean structural
+    invariants on both, so the message reduction is demonstrably free of
+    correctness cost; ``problems`` also names every verb whose legacy
+    run did not send exactly K times the batched messages for the same
+    entries.
     """
     if pages < 6:
         raise ValueError("the group-verb workload needs at least 6 pages")
-    runs: dict[bool, dict[str, BatchedVerbCost]] = {}
+    k = pages // 3
+    runs: dict[bool, dict[str, Cost]] = {}
     ends: dict[bool, dict] = {}
     problems: list[str] = []
     for batch in (True, False):
-        kernel, domains, shared = _stage_batched_kernel(
-            model,
-            n_cpus=n_cpus,
-            n_domains=n_domains,
-            pages=pages,
-            n_frames=n_frames,
-            batch=batch,
+        kernel, domains, shared = _stage(
+            model, n_cpus=n_cpus, n_domains=n_domains, pages=pages, n_frames=n_frames
         )
-        runs[batch] = _run_group_verbs(kernel, domains, shared, pages)
+        kernel.bus.batch = batch
+        runs[batch] = _run_group_verbs(kernel, domains, shared, k)
         ends[batch] = _protection_end_state(kernel, domains, shared)
         label = "batched" if batch else "legacy"
         problems.extend(f"{label}: {text}" for text in check_invariants(kernel))
@@ -361,14 +368,17 @@ def measure_batched(
             if ends[True].get(key) != ends[False].get(key)
         }
         problems.append(f"end-state divergence on {sorted(diff)[:8]}")
+    end_state_ok = not problems
+    for verb, batched in runs[True].items():
+        legacy = runs[False][verb]
+        if (legacy.msgs, legacy.entries) != (k * batched.msgs, batched.entries):
+            problems.append(
+                f"{verb}: legacy sent {legacy.msgs} msgs for {legacy.entries} "
+                f"entries, K={k} x batched is {k * batched.msgs} msgs for "
+                f"{batched.entries}"
+            )
     return BatchedResult(
-        model=model,
-        n_cpus=n_cpus,
-        pages=pages,
-        batched=runs[True],
-        legacy=runs[False],
-        end_state_ok=not problems,
-        problems=problems,
+        model, n_cpus, pages, runs[True], runs[False], end_state_ok, problems
     )
 
 
@@ -379,15 +389,12 @@ def batched_table(
     n_domains: int = 4,
     pages: int = 24,
     n_frames: int = 512,
-    batch: bool = True,
-) -> str:
+) -> Report:
     """The batched-vs-legacy §4.1.3 comparison, rendered.
 
     Every row shows ``msgs / entries / cycles`` per multi-page verb for
     each model, batched against legacy, plus machine-parseable workload
-    lines (the CI smoke greps them) and the differential end-state
-    verdict.  ``batch`` selects which mode the headline lines report —
-    both modes are always measured and verified against each other.
+    lines and the differential end-state verdict.
     """
     results = {
         model: measure_batched(
@@ -404,70 +411,58 @@ def batched_table(
         for model, result in results.items():
             for costs in (result.batched, result.legacy):
                 cost = costs.get(verb)
-                row.append("-" if cost is None else cost.render())
+                row.append(
+                    "-" if cost is None else cost.render("msgs", "entries", "cycles")
+                )
         rows.append(row)
-    third = pages // 3
     table = format_table(
         headers,
         rows,
         title=(
             f"§4.1.3 batched range shootdowns: msgs / entries / cycles per verb "
-            f"(K={third} pages, {n_cpus} CPUs, {n_domains} domains)"
+            f"(K={pages // 3} pages, {n_cpus} CPUs, {n_domains} domains)"
         ),
     )
-    mode = "on" if batch else "off"
     lines = [table, ""]
     for model, result in results.items():
         batched_msgs, legacy_msgs = result.workload_msgs
-        msgs = batched_msgs if batch else legacy_msgs
         lines.append(
-            f"group-verb workload [batch={mode}] model={model}: "
-            f"smp.shootdown.msgs={msgs} "
+            f"group-verb workload [batch=on] model={model}: "
+            f"smp.shootdown.msgs={batched_msgs} "
             f"(batched={batched_msgs}, legacy={legacy_msgs}, "
             f"reduction={legacy_msgs / batched_msgs:.1f}x)"
         )
-    ok = all(result.end_state_ok for result in results.values())
-    if ok:
+    if all(result.end_state_ok for result in results.values()):
         lines.append("end-state check: OK (batched == legacy, invariants clean)")
     else:
-        for model, result in results.items():
-            for problem in result.problems:
-                lines.append(f"end-state check: FAIL [{model}] {problem}")
-    return "\n".join(lines)
+        lines.append("end-state check: FAIL")
+    problems = [
+        f"[{model}] {problem}"
+        for model, result in results.items()
+        for problem in result.problems
+    ]
+    return Report("\n".join(lines), problems)
 
 
 # ---------------------------------------------------------------------- #
 # Cluster × SMP: the N nodes × M CPUs composition matrix
 
 
-@dataclass(frozen=True)
-class ClusterSMPCost:
-    """Cost of one K-page DSM Get-Writable at N nodes × M CPUs.
+@dataclass
+class ClusterSMPResult:
+    """One K-page DSM Get-Writable at N nodes × M CPUs.
 
-    ``wire_msgs`` counts interconnect messages (requests and replies);
     ``holders`` is how many remote nodes had to give up copies, each
-    served by ONE ``invalidate_range`` wire message.  ``ipi_msgs`` /
-    ``ipi_batches`` count the node-local shootdown fan-out summed over
-    every node: when every IPI is a batch, each node applied its whole
-    invalidation as one batched range shootdown per remote CPU — never
-    as K per-page messages.
+    served by ONE ``invalidate_range`` wire message; ``cost`` sums the
+    node-local shootdown fan-out over every node.
     """
 
     nodes: int
     cpus: int
     pages: int
-    wire_msgs: int
     holders: int
-    ipi_msgs: int
-    ipi_batches: int
-
-    @property
-    def fanout_batched(self) -> bool:
-        """True when every node-local IPI carried the whole page batch."""
-        return self.ipi_msgs == self.ipi_batches
-
-    def render(self) -> str:
-        return f"{self.wire_msgs} / {self.ipi_msgs} / {self.ipi_batches}"
+    cost: Cost
+    problems: list[str]
 
 
 def measure_cluster_smp(
@@ -477,7 +472,7 @@ def measure_cluster_smp(
     cpus: int = 4,
     pages: int = 8,
     k_pages: int = 6,
-) -> ClusterSMPCost:
+) -> ClusterSMPResult:
     """Measure a K-page DSM invalidation across the node×CPU composition.
 
     Every non-owner node first acquires read copies of the K pages (so
@@ -488,69 +483,46 @@ def measure_cluster_smp(
     multi-page rights change cost?
 
     ``nodes=1`` is the degenerate single-machine case: no interconnect,
-    just the batched range verb on one SMP kernel (the same verb the
-    DSM invalidation rides).
+    just the batched range verb on the staged one-domain kernel (the
+    same verb the DSM invalidation rides).  ``problems`` names any
+    node-local IPI that was not a batch and any wire traffic other than
+    one request/reply pair per holder.
     """
     if k_pages > pages:
         raise ValueError(f"k_pages ({k_pages}) cannot exceed pages ({pages})")
     if nodes == 1:
-        kernel = Kernel(model, n_frames=256, n_cpus=cpus, n_shards=cpus)
-        smp = SMPMachine(kernel)
-        domain = kernel.create_domain("app")
-        shared = kernel.create_segment("shared", pages)
-        kernel.attach(domain, shared, Rights.RW)
-        vpns = list(shared.vpns())[:k_pages]
-        for cpu in range(cpus):
-            for vpn in shared.vpns():
-                smp.touch_on(cpu, domain, kernel.params.vaddr(vpn))
-        kernel.set_current_cpu(0)
-        before = kernel.merged_stats()
-        kernel.set_pages_rights(domain, vpns, Rights.READ)
-        delta = kernel.merged_stats().delta(before)
-        return ClusterSMPCost(
-            nodes=1,
-            cpus=cpus,
-            pages=k_pages,
-            wire_msgs=0,
-            holders=0,
-            ipi_msgs=delta["smp.shootdown.msgs"] + delta["smp.tlb_shootdown.msgs"],
-            ipi_batches=(
-                delta["smp.shootdown.batches"] + delta["smp.tlb_shootdown.batches"]
-            ),
+        kernel, (domain,), shared = _stage(
+            model, n_cpus=cpus, n_domains=1, pages=pages, n_frames=256, n_shards=cpus
         )
+        vpns = list(shared.vpns())[:k_pages]
+        cost = probe(kernel, lambda: kernel.set_pages_rights(domain, vpns, Rights.READ))
+    else:
+        from repro.cluster.dsm import ClusterDSM
 
-    from repro.cluster.dsm import ClusterDSM
-
-    cluster = ClusterDSM(model, nodes=nodes, pages=pages, n_cpus=cpus)
-    vpns = cluster.vpns[:k_pages]
-    for nid in sorted(cluster.nodes):
-        if nid == 0:
-            continue
-        for vpn in vpns:
-            cluster.get_readable(cluster.nodes[nid], vpn)
-    # Warm every CPU of every holder so each CPU's protection caches
-    # hold entries the invalidation must reach.
-    for nid, node in sorted(cluster.nodes.items()):
-        for cpu in range(node.kernel.n_cpus):
+        cluster = ClusterDSM(model, nodes=nodes, pages=pages, n_cpus=cpus)
+        vpns = cluster.vpns[:k_pages]
+        for nid in sorted(cluster.nodes)[1:]:
             for vpn in vpns:
-                node.smp.touch_on(
-                    cpu, node.domain, cluster.params.vaddr(vpn), AccessType.READ
-                )
-        node.kernel.set_current_cpu(0)
-    before = cluster.merged_stats()
-    cluster.get_writable_range(cluster.nodes[0], vpns)
-    delta = cluster.merged_stats().delta(before)
-    return ClusterSMPCost(
-        nodes=nodes,
-        cpus=cpus,
-        pages=k_pages,
-        wire_msgs=delta["cluster.msg.sent"],
-        holders=nodes - 1,
-        ipi_msgs=delta["smp.shootdown.msgs"] + delta["smp.tlb_shootdown.msgs"],
-        ipi_batches=(
-            delta["smp.shootdown.batches"] + delta["smp.tlb_shootdown.batches"]
-        ),
-    )
+                cluster.get_readable(cluster.nodes[nid], vpn)
+        # Warm every CPU of every holder so each CPU's protection caches
+        # hold entries the invalidation must reach.
+        for _, node in sorted(cluster.nodes.items()):
+            _warm(node.smp, [node.domain], vpns)
+        cost = probe(
+            cluster, lambda: cluster.get_writable_range(cluster.nodes[0], vpns)
+        )
+    holders = nodes - 1
+    problems = []
+    if cost.msgs != cost.batches:
+        problems.append(
+            f"{cost.msgs} IPIs but {cost.batches} batches (per-page fan-out)"
+        )
+    if cost.wire != 2 * holders:
+        problems.append(
+            f"{cost.wire} wire msgs for {holders} holders "
+            "(expected one request/reply pair per holder)"
+        )
+    return ClusterSMPResult(nodes, cpus, k_pages, holders, cost, problems)
 
 
 def cluster_smp_table(
@@ -560,32 +532,34 @@ def cluster_smp_table(
     cpus_axis: Sequence[int] = (1, 2, 4),
     pages: int = 8,
     k_pages: int = 6,
-) -> str:
+) -> Report:
     """The N×M composition matrix, rendered with greppable footer lines.
 
     Each cell reads ``wire / IPIs / batches`` for one K-page DSM
     invalidation at that node×CPU point.  The footer states, per model,
-    whether the fan-out contract held at the largest point: one
-    interconnect message per holder node, and every node-local IPI a
-    single batched range shootdown (``IPIs == batches``).
+    whether the contract held at the largest point; the report's
+    problems cover every cell.
     """
-    results: dict[str, dict[tuple[int, int], ClusterSMPCost]] = {}
-    for model in models:
-        cells = {}
-        for n in nodes_axis:
-            for m in cpus_axis:
-                cells[(n, m)] = measure_cluster_smp(
-                    model, nodes=n, cpus=m, pages=pages, k_pages=k_pages
-                )
-        results[model] = cells
-    headers = ["nodes x cpus"] + list(models)
-    rows = []
-    for n in nodes_axis:
-        for m in cpus_axis:
-            rows.append(
-                [f"{n} x {m}"]
-                + [results[model][(n, m)].render() for model in models]
+    results = {
+        model: {
+            (n, m): measure_cluster_smp(
+                model, nodes=n, cpus=m, pages=pages, k_pages=k_pages
             )
+            for n in nodes_axis
+            for m in cpus_axis
+        }
+        for model in models
+    }
+    headers = ["nodes x cpus"] + list(models)
+    rows = [
+        [f"{n} x {m}"]
+        + [
+            results[model][(n, m)].cost.render("wire", "msgs", "batches")
+            for model in models
+        ]
+        for n in nodes_axis
+        for m in cpus_axis
+    ]
     table = format_table(
         headers,
         rows,
@@ -597,16 +571,22 @@ def cluster_smp_table(
     lines = [table, ""]
     top = (max(nodes_axis), max(cpus_axis))
     for model in models:
-        cost = results[model][top]
-        verdict = "OK" if cost.fanout_batched else "FAIL (per-page IPIs seen)"
+        result = results[model][top]
+        cost = result.cost
         lines.append(
             f"cluster-smp model={model} nodes={top[0]} cpus={top[1]}: "
-            f"wire_msgs={cost.wire_msgs} holders={cost.holders} "
-            f"ipi_msgs={cost.ipi_msgs} ipi_batches={cost.ipi_batches} "
-            f"fanout={verdict}"
+            f"wire_msgs={cost.wire} holders={result.holders} "
+            f"ipi_msgs={cost.msgs} ipi_batches={cost.batches} "
+            f"fanout={'FAIL' if result.problems else 'OK'}"
         )
     lines.append(
         "contract: 1 invalidate_range wire message per holder node; each "
         "node applies it as one batched range shootdown per remote CPU."
     )
-    return "\n".join(lines)
+    problems = [
+        f"[{model} @ {n}x{m}] {problem}"
+        for model, cells in results.items()
+        for (n, m), result in cells.items()
+        for problem in result.problems
+    ]
+    return Report("\n".join(lines), problems)

@@ -321,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pages", type=int, default=8,
         help="pages in the shared segment (default 8, minimum 4)",
     )
-    smp.add_argument(
-        "--no-batch", action="store_true",
-        help="report the group-verb workload with range-shootdown "
-        "batching disabled (legacy one-message-per-page); both modes "
-        "are always measured and differentially compared",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -910,14 +904,16 @@ def _parse_plan(text: str):
     )
 
 
-def cmd_smp(
-    cpus: int,
-    models: Sequence[str],
-    domains: int,
-    pages: int,
-    batch: bool = True,
-) -> int:
-    """The §4.1.3 consistency table."""
+def _contract_status(reports) -> int:
+    """1, with each broken §4.1.3 contract on stderr, if any report has one."""
+    problems = [problem for report in reports for problem in report.problems]
+    for problem in problems:
+        print(f"repro: §4.1.3 contract broken: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def cmd_smp(cpus: int, models: Sequence[str], domains: int, pages: int) -> int:
+    """The §4.1.3 consistency tables; exit 1 if a contract broke."""
     from repro.analysis.consistency import (
         batched_table,
         cluster_smp_table,
@@ -927,33 +923,26 @@ def cmd_smp(
     _validate_parallelism(cpus=cpus)
     if domains < 1:
         raise CLIError("--domains must be >= 1")
+    models = tuple(models)
     try:
-        print(
-            consistency_table(
-                tuple(models), n_cpus=cpus, n_domains=domains, pages=pages
-            )
-        )
+        reports = [
+            consistency_table(models, n_cpus=cpus, n_domains=domains, pages=pages)
+        ]
         if cpus > 1:
-            print()
-            report = batched_table(
-                tuple(models), n_cpus=cpus, n_domains=domains, batch=batch
-            )
-            print(report)
-            if "end-state check: FAIL" in report:
-                return 1
+            reports.append(batched_table(models, n_cpus=cpus, n_domains=domains))
             # Single-node rows of the cluster x SMP matrix: range verbs
             # cost zero wire messages but still fan out node-local IPIs.
-            print()
-            print(
+            reports.append(
                 cluster_smp_table(
-                    tuple(models),
+                    models,
                     nodes_axis=(1,),
                     cpus_axis=tuple(m for m in (1, 2, 4) if m <= cpus),
                 )
             )
     except ValueError as error:
         raise CLIError(str(error))
-    return 0
+    print("\n\n".join(report.text for report in reports))
+    return _contract_status(reports)
 
 
 #: The counters a cluster case's status line leads with (nonzero only).
@@ -984,7 +973,11 @@ def _recovery_percentiles(cycles: Sequence[int]) -> str | None:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    """Cluster DSM chaos: full sweep, or one audited case under --plan."""
+    """Cluster DSM chaos: full sweep, or one audited case under --plan.
+
+    The sweep first prints the N x M consistency matrix, and exits 1 if
+    that matrix broke its §4.1.3 contract.
+    """
     import json
 
     from repro.cluster.chaos import run_cluster_case, run_cluster_sweep
@@ -1051,14 +1044,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     # The N x M consistency matrix: wire messages plus node-local IPIs
     # for a multi-page DSM invalidation at every composed scale up to
     # the requested --nodes/--cpus.
-    print(
-        cluster_smp_table(
-            tuple(args.models),
-            nodes_axis=tuple(n for n in (1, 2, 4) if n <= args.nodes),
-            cpus_axis=tuple(m for m in (1, 2, 4) if m <= args.cpus),
-        )
+    report = cluster_smp_table(
+        tuple(args.models),
+        nodes_axis=tuple(n for n in (1, 2, 4) if n <= args.nodes),
+        cpus_axis=tuple(m for m in (1, 2, 4) if m <= args.cpus),
     )
+    print(report.text)
     print()
+    broken = _contract_status([report])
 
     kinds = {
         "crash": ("node_crash",),
@@ -1126,7 +1119,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if failed:
         print(f"{failed} cluster case(s) diverged", file=sys.stderr)
         return 1
-    return 0
+    return broken
 
 
 def cmd_crash_recover(models: Sequence[str]) -> int:
@@ -1198,10 +1191,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "crash-recover":
         return cmd_crash_recover(args.models)
     elif args.command == "smp":
-        return cmd_smp(
-            args.cpus, args.models, args.domains, args.pages,
-            batch=not args.no_batch,
-        )
+        return cmd_smp(args.cpus, args.models, args.domains, args.pages)
     elif args.command == "serve":
         return cmd_serve(args)
     elif args.command == "cluster":

@@ -147,6 +147,12 @@ class TestSMPCommand:
         assert main(["smp", "--cpus", "2", "--pages", "2"]) == 2
         assert "at least 4 pages" in capsys.readouterr().err
 
+    def test_one_domain_is_a_clean_error(self, capsys):
+        assert main(["smp", "--cpus", "2", "--domains", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error: the scenario needs at least 2 domains" in err
+        assert "Traceback" not in err
+
 
 class TestErrors:
     def test_unknown_workload_exits_cleanly(self, capsys):
