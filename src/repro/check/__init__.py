@@ -16,7 +16,10 @@ through the pager, on any number of CPUs, with or without a fault plan.
 * :mod:`repro.check.harness` — the lockstep harness, divergence
   minimizer and repro-dump machinery.
 * :mod:`repro.check.invariants` — structural coherence checks over the
-  hardware caches, callable mid-run against any live kernel.
+  hardware caches, callable mid-run against any live kernel.  The
+  protection entries are judged by the scrubber's audit walk
+  (:func:`repro.faults.scrub.audit`), so the report and the repair
+  share one rule per model.
 
 See ARCHITECTURE.md §7 and ``python -m repro check --help``.
 """

@@ -68,11 +68,15 @@ class PageGroupCache:
         """Load a group; returns the evicted group, if any."""
         return self._cache.fill(entry.group, entry)
 
-    def drop(self, group: int) -> bool:
+    def invalidate(self, group: int) -> bool:
         """Remove one group (segment detach, Table 1)."""
         return self._cache.invalidate(group)
 
-    def drop_many(self, groups) -> int:
+    def drop(self, group: int) -> bool:
+        """Remove one group without accounting (scrub repair path)."""
+        return self._cache.drop(group)
+
+    def invalidate_many(self, groups) -> int:
         """Remove a batch of groups; returns entries dropped.
 
         The range-shootdown path: a multi-page verb that revokes several

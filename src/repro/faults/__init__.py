@@ -9,7 +9,10 @@ Public surface:
   here; importable from anywhere, including the hardware layer).
 * :mod:`repro.faults.plan` — serializable seeded fault plans and the
   :class:`FaultInjector` that arms them on a kernel.
-* :mod:`repro.faults.scrub` — the periodic cache scrubber.
+* :mod:`repro.faults.scrub` — the audit walk over every cached
+  protection entry (one rule per model, shared with
+  :func:`repro.check.invariants.check_invariants`) and the periodic
+  scrubber that repairs what it finds.
 * :mod:`repro.faults.journal` — intent journal for crash-consistent
   kernel verbs.
 * :mod:`repro.faults.chaos` — the crash-recover sweep.

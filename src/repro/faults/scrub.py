@@ -1,29 +1,205 @@
-"""Periodic scrubber: audit protection caches against authority, repair drift.
+"""The audit walk over cached protection entries, and the scrubber.
 
-Where :mod:`repro.check.invariants` *reports* stale soft state, the
-scrubber *repairs* it — the background task a fault-tolerant SASOS would
-run to bound the lifetime of corrupted or dropped-shootdown entries.
-Every resident protection entry is compared against the authoritative
-tables (attachments, page overrides, the group table, the global
-translation table):
+Protection caches are soft state (§3.2): every resident PLB,
+translation-TLB, AID-TLB, group-holder and ASID-TLB entry must agree
+with the authoritative tables (attachments, page overrides, the group
+table, the global translation table, the running domain's group
+holdings).  :func:`audit` walks one CPU's entries with one rule per
+model and yields each entry with its findings.  Two readers share it:
+:func:`repro.check.invariants.check_invariants` prints each finding's
+message, and :class:`Scrubber` applies each finding's repair — drop the
+entry, or rewrite its rights or AID in place.
 
-* an entry whose owner has no authority at all is dropped;
-* an entry whose payload can be corrected in place (rights, AID) is
-  rewritten to the authoritative value;
-* an entry whose identity is wrong (stale translation, unexpressible
-  superpage) is dropped and left to refault.
-
-Repairs use the stats-free ``drop`` paths — fixing corruption must not
-masquerade as kernel maintenance traffic — and are counted under
-``scrub.checked`` / ``scrub.repairs`` so soak runs surface how much
-divergence the scrubber absorbed.
+The walk charges nothing: it reads frames through the translation
+table's uncharged ``peek``.  Repairs use the stats-free ``drop`` paths
+— fixing corruption must not masquerade as kernel maintenance traffic —
+and are counted under ``scrub.checked`` / ``scrub.repairs`` so soak
+runs surface how much divergence the scrubber absorbed.
 """
 
 from __future__ import annotations
 
-from repro.core.mmu import ConventionalSystem, PageGroupSystem, PLBSystem
+from typing import Iterator, NamedTuple
+
 from repro.core.rights import Rights
 from repro.hardware.registers import GLOBAL_PAGE_GROUP
+
+
+class Finding(NamedTuple):
+    """One way a cached entry disagrees with the authoritative tables.
+
+    ``message`` is what :func:`~repro.check.invariants.check_invariants`
+    reports, or None for a silent repair.  ``field`` names the entry
+    attribute the repair rewrites to ``value``; None drops the entry.
+    """
+
+    message: str | None
+    field: str | None = None
+    value: object = None
+
+
+#: One audited entry: ``(structure, key, entry, findings)``; the repair
+#: path drops by ``structure.drop(key)``.
+Audited = tuple[object, object, object, list[Finding]]
+
+
+def audit(kernel, system) -> Iterator[Audited]:
+    """Every cached protection entry of one CPU's ``system``, with findings."""
+    return _WALKS[kernel.model](kernel, system)
+
+
+def _domain_rights(info, granted: Rights, rewritable: bool, describe) -> Finding:
+    """The under-grant rule, for an entry its domain's tables disagree with.
+
+    ``info`` is the domain's authority on the page (None: none at all).
+    Only excess rights are reported, as ``describe(allowed, excess)``:
+    granting less can cost a refault but never leak a right.  A
+    ``rewritable`` entry takes the tables' rights; otherwise, or when
+    the domain has no authority, the entry is dropped.
+    """
+    allowed = info.rights if info is not None else Rights.NONE
+    excess = granted & ~allowed
+    message = describe(allowed, excess) if excess else None
+    if rewritable and info is not None:
+        return Finding(message, "rights", allowed)
+    return Finding(message)
+
+
+def _plb(kernel, system) -> Iterator[Audited]:
+    rights_for = kernel.rights_for
+    plb = system.plb
+    for key, entry in list(plb.items()):
+        pd_id, unit, level = key
+        rights = entry.rights
+        if level >= 0:
+            pages = range(unit << level, (unit + 1) << level)
+        else:
+            pages = (unit >> -level,)
+        findings = []
+        for vpn in pages:
+            info = rights_for(pd_id, vpn)
+            if info is None or info.rights != rights:
+                # Only a one-page entry can take the page's rights; a wider
+                # or narrower unit refaults at the level the kernel picks.
+                findings.append(_domain_rights(
+                    info, rights, level == 0,
+                    lambda allowed, excess: (
+                        f"plb: entry (pd={pd_id}, unit={unit:#x}, level={level}) "
+                        f"grants {rights.describe()} on vpn {vpn:#x} but tables "
+                        f"allow {allowed.describe()} (excess {excess.describe()})"
+                    ),
+                ))
+        yield plb, key, entry, findings
+
+    peek = kernel.translations.peek
+    tlb = system.tlb
+    for key, entry in list(tlb.items()):
+        level, unit = key
+        findings = []
+        for vpn in range(unit << level, (unit + 1) << level):
+            pfn = peek(vpn)
+            if pfn is None:
+                findings.append(Finding(
+                    f"tlb: entry (level={level}, unit={unit:#x}) covers "
+                    f"non-resident vpn {vpn:#x}"
+                ))
+            elif entry.pfn_for(vpn) != pfn:
+                findings.append(Finding(
+                    f"tlb: entry (level={level}, unit={unit:#x}) maps vpn "
+                    f"{vpn:#x} to pfn {entry.pfn_for(vpn):#x}, table says {pfn:#x}"
+                ))
+        yield tlb, key, entry, findings
+
+
+def _pagegroup(kernel, system) -> Iterator[Audited]:
+    peek = kernel.translations.peek
+    table = kernel.group_table
+    tlb = system.tlb
+    for vpn, entry in list(tlb.items()):
+        findings = []
+        pfn = peek(vpn)
+        if pfn is None:
+            findings.append(Finding(f"pgtlb: entry for non-resident vpn {vpn:#x}"))
+        elif entry.pfn != pfn:
+            findings.append(Finding(
+                f"pgtlb: vpn {vpn:#x} maps to pfn {entry.pfn:#x}, table says {pfn:#x}"
+            ))
+        # The page's one rights field: any difference is reported.
+        aid = table.aid_of(vpn)
+        rights = table.rights_of(vpn)
+        if aid is None or rights is None:
+            # Silent: the group table has no value to name.
+            findings.append(Finding(None))
+        if aid is not None and entry.aid != aid:
+            findings.append(Finding(
+                f"pgtlb: vpn {vpn:#x} tagged aid {entry.aid}, table says {aid}",
+                "aid", aid,
+            ))
+        if rights is not None and entry.rights != rights:
+            findings.append(Finding(
+                f"pgtlb: vpn {vpn:#x} holds rights {entry.rights.describe()}, "
+                f"table says {rights.describe()}",
+                "rights", rights,
+            ))
+        yield tlb, vpn, entry, findings
+
+    # The holder must mirror the *running* domain's holdings; a dropped
+    # group reloads lazily from them on the next group miss.
+    groups = system.groups
+    pd_id = system.current_domain
+    domain = kernel.domains.get(pd_id)
+    for entry in groups.resident_entries():
+        if entry.group == GLOBAL_PAGE_GROUP:
+            continue
+        held = domain.groups.get(entry.group) if domain is not None else None
+        findings = []
+        if held is None:
+            findings.append(Finding(
+                f"groups: holder has group {entry.group} which domain "
+                f"{pd_id} does not hold"
+            ))
+        elif held.write_disable != entry.write_disable:
+            findings.append(Finding(
+                f"groups: group {entry.group} write_disable="
+                f"{entry.write_disable} in holder, {held.write_disable} in "
+                f"domain {pd_id}"
+            ))
+        yield groups, entry.group, entry, findings
+
+
+def _conventional(kernel, system) -> Iterator[Audited]:
+    peek = kernel.translations.peek
+    rights_for = kernel.rights_for
+    tlb = system.tlb
+    for key, entry in list(tlb.items()):
+        asid, vpn = key
+        findings = []
+        pfn = peek(vpn)
+        if pfn is None:
+            findings.append(Finding(
+                f"asidtlb: entry (asid={asid}, vpn={vpn:#x}) for non-resident page"
+            ))
+        elif entry.pfn != pfn:
+            findings.append(Finding(
+                f"asidtlb: (asid={asid}, vpn={vpn:#x}) maps to pfn "
+                f"{entry.pfn:#x}, table says {pfn:#x}"
+            ))
+        pd_id = system.entry_domain(asid)
+        info = rights_for(pd_id, vpn)
+        rights = entry.rights
+        if info is None or info.rights != rights:
+            findings.append(_domain_rights(
+                info, rights, True,
+                lambda allowed, _excess: (
+                    f"asidtlb: (asid={asid}, vpn={vpn:#x}) grants "
+                    f"{rights.describe()} but domain {pd_id}'s tables allow "
+                    f"{allowed.describe()}"
+                ),
+            ))
+        yield tlb, key, entry, findings
+
+
+_WALKS = {"plb": _plb, "pagegroup": _pagegroup, "conventional": _conventional}
 
 
 class Scrubber:
@@ -35,136 +211,30 @@ class Scrubber:
     def scrub(self) -> int:
         """One full pass over every CPU's protection structures.
 
-        Returns total repairs.  On a multiprocessor the scrubber visits
-        each CPU's private hardware in CPU order — a dropped shootdown
-        leaves exactly one CPU stale.
+        Returns total repairs: one per dropped entry, one per rewritten
+        field.  On a multiprocessor the scrubber visits each CPU's
+        private hardware in CPU order — a dropped shootdown leaves
+        exactly one CPU stale.
         """
         kernel = self.kernel
         kernel.stats.inc("scrub.runs")
-        total = 0
+        checked = 0
+        repairs = 0
         with kernel.tracer.span("scrub.run"):
             for ctx in kernel.cpus:
-                total += self._scrub_system(ctx.system)
-        if total:
-            kernel.stats.inc("scrub.repairs", total)
-        return total
-
-    def _scrub_system(self, system) -> int:
-        if isinstance(system, PLBSystem):
-            return self._scrub_plb(system)
-        if isinstance(system, PageGroupSystem):
-            return self._scrub_aid_tlb(system) + self._scrub_holder(system)
-        if isinstance(system, ConventionalSystem):
-            return self._scrub_asid_tlb(system)
-        return 0  # pragma: no cover - no other systems exist
-
-    # ------------------------------------------------------------------ #
-    # PLB system
-
-    def _scrub_plb(self, system: PLBSystem) -> int:
-        kernel = self.kernel
-        repairs = 0
-        for key, entry in list(system.plb.items()):
-            kernel.stats.inc("scrub.checked")
-            if key.level == 0:
-                info = kernel.rights_for(key.pd_id, key.unit)
-                if info is None:
-                    system.plb.drop(key)
-                    repairs += 1
-                elif entry.rights != info.rights:
-                    entry.rights = info.rights
-                    repairs += 1
-                continue
-            # Superpage / sub-page units: valid only when every covered
-            # page agrees with the entry; otherwise drop and refault.
-            if key.level > 0:
-                vpns = range(key.unit << key.level, (key.unit + 1) << key.level)
-            else:
-                vpns = range(key.unit >> -key.level, (key.unit >> -key.level) + 1)
-            expected: set[Rights] = set()
-            for vpn in vpns:
-                info = kernel.rights_for(key.pd_id, vpn)
-                expected.add(info.rights if info is not None else None)
-            if expected != {entry.rights}:
-                system.plb.drop(key)
-                repairs += 1
-        repairs += self._scrub_translation_tlb(system)
-        return repairs
-
-    def _scrub_translation_tlb(self, system: PLBSystem) -> int:
-        kernel = self.kernel
-        repairs = 0
-        for (level, unit), entry in list(system.tlb.items()):
-            kernel.stats.inc("scrub.checked")
-            for vpn in range(unit << level, (unit + 1) << level):
-                pfn = kernel.translations.pfn_for(vpn)
-                if pfn is None or entry.pfn_for(vpn) != pfn:
-                    system.tlb.drop((level, unit))
-                    repairs += 1
-                    break
-        return repairs
-
-    # ------------------------------------------------------------------ #
-    # Page-group system
-
-    def _scrub_aid_tlb(self, system: PageGroupSystem) -> int:
-        kernel = self.kernel
-        repairs = 0
-        for vpn, entry in list(system.tlb.items()):
-            kernel.stats.inc("scrub.checked")
-            pfn = kernel.translations.pfn_for(vpn)
-            if pfn is None or entry.pfn != pfn:
-                system.tlb.drop(vpn)
-                repairs += 1
-                continue
-            aid = kernel.group_table.aid_of(vpn)
-            rights = kernel.group_table.rights_of(vpn)
-            if aid is None or rights is None:
-                system.tlb.drop(vpn)
-                repairs += 1
-                continue
-            if entry.aid != aid:
-                entry.aid = aid
-                repairs += 1
-            if entry.rights != rights:
-                entry.rights = rights
-                repairs += 1
-        return repairs
-
-    def _scrub_holder(self, system: PageGroupSystem) -> int:
-        kernel = self.kernel
-        domain = kernel.domains.get(system.current_domain)
-        repairs = 0
-        for entry in list(system.groups.resident_entries()):
-            if entry.group == GLOBAL_PAGE_GROUP:
-                continue
-            kernel.stats.inc("scrub.checked")
-            held = domain.groups.get(entry.group) if domain is not None else None
-            if held is None or held.write_disable != entry.write_disable:
-                # Drop rather than patch: the holder reloads lazily from
-                # the domain's holdings on the next group miss.
-                system.groups._cache.drop(entry.group)
-                repairs += 1
-        return repairs
-
-    # ------------------------------------------------------------------ #
-    # Conventional system
-
-    def _scrub_asid_tlb(self, system: ConventionalSystem) -> int:
-        kernel = self.kernel
-        repairs = 0
-        for (asid, vpn), entry in list(system.tlb.items()):
-            kernel.stats.inc("scrub.checked")
-            pfn = kernel.translations.pfn_for(vpn)
-            if pfn is None or entry.pfn != pfn:
-                system.tlb.drop((asid, vpn))
-                repairs += 1
-                continue
-            info = kernel.rights_for(system.entry_domain(asid), vpn)
-            if info is None:
-                system.tlb.drop((asid, vpn))
-                repairs += 1
-            elif entry.rights != info.rights:
-                entry.rights = info.rights
-                repairs += 1
+                for structure, key, entry, findings in audit(kernel, ctx.system):
+                    checked += 1
+                    if not findings:
+                        continue
+                    if any(finding.field is None for finding in findings):
+                        structure.drop(key)
+                        repairs += 1
+                        continue
+                    for finding in findings:
+                        setattr(entry, finding.field, finding.value)
+                    repairs += len(findings)
+            if checked:
+                kernel.stats.inc("scrub.checked", checked)
+        if repairs:
+            kernel.stats.inc("scrub.repairs", repairs)
         return repairs

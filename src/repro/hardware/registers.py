@@ -86,10 +86,10 @@ class PIDRegisterFile:
         Returns the slot used.  If the group is already resident its entry
         is refreshed in place (the write-disable bit may have changed).
         """
-        for slot, existing in enumerate(self._slots):
-            if existing is not None and existing.group == entry.group:
-                self.load(slot, entry)
-                return slot
+        slot = self._slot_of(entry.group)
+        if slot is not None:
+            self.load(slot, entry)
+            return slot
         for slot, existing in enumerate(self._slots):
             if existing is None:
                 self.load(slot, entry)
@@ -100,13 +100,27 @@ class PIDRegisterFile:
         self.load(slot, entry)
         return slot
 
+    def invalidate(self, group: int) -> bool:
+        """Clear a group's register if resident (a counted register write)."""
+        slot = self._slot_of(group)
+        if slot is None:
+            return False
+        self.load(slot, None)
+        return True
+
     def drop(self, group: int) -> bool:
-        """Remove a group from the file if resident."""
+        """Clear a group's register without accounting (scrub repair path)."""
+        slot = self._slot_of(group)
+        if slot is None:
+            return False
+        self._slots[slot] = None
+        return True
+
+    def _slot_of(self, group: int) -> int | None:
         for slot, existing in enumerate(self._slots):
             if existing is not None and existing.group == group:
-                self.load(slot, None)
-                return True
-        return False
+                return slot
+        return None
 
     def find(self, group: int) -> PIDEntry | None:
         """The resident entry for ``group``, or None.

@@ -107,6 +107,10 @@ class InvertedPageTable:
     def pfn_for(self, vpn: int) -> int | None:
         return self._find_frame(vpn)
 
+    def peek(self, vpn: int) -> int | None:
+        """:meth:`pfn_for` without accounting (the audit's read)."""
+        return self._walk(vpn)[0]
+
     def is_resident(self, vpn: int) -> bool:
         return self._find_frame(vpn) is not None
 
@@ -147,19 +151,22 @@ class InvertedPageTable:
     # Chain plumbing
 
     def _find_frame(self, vpn: int) -> int | None:
+        pfn, probes = self._walk(vpn)
+        self.stats.inc("ipt.lookup")
+        self.stats.inc("ipt.probes", probes)
+        return pfn
+
+    def _walk(self, vpn: int) -> tuple[int | None, int]:
+        """The frame holding ``vpn`` (or None) and the chain probes taken."""
         index = self._anchors[self._bucket(vpn)]
         probes = 0
         while index != -1:
             probes += 1
             entry = self._entries[index]
             if entry.vpn == vpn:
-                self.stats.inc("ipt.lookup")
-                self.stats.inc("ipt.probes", probes)
-                return index
+                return index, probes
             index = entry.next_index
-        self.stats.inc("ipt.lookup")
-        self.stats.inc("ipt.probes", probes)
-        return None
+        return None, probes
 
     def _unlink(self, vpn: int, pfn: int) -> None:
         bucket = self._bucket(vpn)

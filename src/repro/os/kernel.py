@@ -1187,7 +1187,7 @@ class PageGroupOps(ModelOps):
         pd_id = domain.pd_id
         self.kernel.bus.shootdown(
             verb,
-            lambda system: int(system.groups.drop(aid)),
+            lambda system: int(system.groups.invalidate(aid)),
             predicate=lambda ctx: ctx.system.current_domain == pd_id,
             include_local=include_local,
         )

@@ -175,7 +175,7 @@ class AffinityScheduler:
             return system.plb.purge_domain_range(domain.pd_id, 0, 1 << 52)[1]
         if model == "pagegroup":
             if system.current_domain == domain.pd_id:
-                return system.groups.drop_many(domain.groups.keys())
+                return system.groups.invalidate_many(domain.groups.keys())
             return 0
         asid = domain.pd_id if getattr(system, "asid_tagged", True) else 0
         return system.tlb.invalidate_domain(asid)[1]

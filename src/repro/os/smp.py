@@ -124,8 +124,9 @@ class ShootdownBus:
         self.hook: Callable[[ShootdownMessage], bool] | None = None
         #: When True (the default), :meth:`shootdown_range` coalesces a
         #: multi-page verb into one message per target CPU.  When False
-        #: it sends K one-page messages instead — the ``--no-batch`` A/B
-        #: measurement path.
+        #: it sends K one-page messages instead — the legacy twin that
+        #: :func:`repro.analysis.consistency.measure_batched` prices the
+        #: K-fold batching saving against.
         self.batch = True
 
     def shootdown(
@@ -171,8 +172,8 @@ class ShootdownBus:
 
         One page is no batch: it crosses as a single-page verb's message
         and charges no batch counters.  With ``bus.batch`` False every
-        page crosses that way — K one-page messages, the ``--no-batch``
-        comparison path.
+        page crosses that way — K one-page messages, the legacy twin of
+        :func:`repro.analysis.consistency.measure_batched`.
         """
         pages = tuple(pages)
         if not pages:

@@ -13,6 +13,7 @@ from repro.core.pagegroup import (
     check_group_access,
 )
 from repro.core.rights import AccessType, Rights
+from repro.sim.stats import Stats
 
 
 class TestPageGroupCache:
@@ -45,6 +46,18 @@ class TestPageGroupCache:
         assert cache.drop(5)
         assert not cache.drop(5)
         assert 5 not in cache
+
+    def test_invalidate_is_counted_drop_is_not(self):
+        """``invalidate`` is the Table 1 detach; ``drop`` is the
+        scrubber's uncharged repair path."""
+        stats = Stats()
+        cache = PageGroupCache(4, stats=stats)
+        cache.install(PIDEntry(group=5))
+        cache.install(PIDEntry(group=6))
+        assert cache.invalidate(5)
+        assert cache.drop(6)
+        assert len(cache) == 0
+        assert stats["pgcache.invalidate"] == 1
 
     def test_clear_counts_entries(self):
         cache = PageGroupCache(4)

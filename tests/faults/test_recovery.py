@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check.invariants import check_invariants
 from repro.core.rights import Rights
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, MachineCheck
 from repro.faults.scrub import Scrubber
+from repro.hardware.registers import PIDEntry
 from repro.os.kernel import MCE_DEGRADE_THRESHOLD, Kernel, SegmentationViolation
 from repro.os.pager import UserLevelPager
 from repro.sim.machine import Machine
@@ -56,6 +58,26 @@ class TestScrubber:
         kernel, machine, domain, segment, vaddr = cached_setup(model)
         assert Scrubber(kernel).scrub() == 0
         assert kernel.stats.get("scrub.repairs", 0) == 0
+
+    def test_register_file_holder_is_repaired(self):
+        """The PA-RISC register file is repaired like the group cache: a
+        group the domain does not hold is dropped, charging no write."""
+        kernel = Kernel("pagegroup", system_options={"group_holder": "registers"})
+        machine = Machine(kernel)
+        domain = kernel.create_domain("app")
+        segment = kernel.create_segment("data", 2)
+        kernel.attach(domain, segment, Rights.RW)
+        machine.write(domain, kernel.params.vaddr(segment.base_vpn))
+        kernel.system.groups.install(PIDEntry(group=99))
+        assert check_invariants(kernel) == [
+            f"groups: holder has group 99 which domain {domain.pd_id} does not hold"
+        ]
+        before = kernel.stats.snapshot()
+        assert Scrubber(kernel).scrub() == 1
+        delta = kernel.stats.delta(before).as_dict()
+        assert all(name.startswith("scrub.") for name in delta)
+        assert 99 not in kernel.system.groups
+        assert check_invariants(kernel) == []
 
     def test_repairs_are_not_kernel_maintenance_traffic(self):
         kernel, machine, domain, segment, vaddr = cached_setup("plb")

@@ -50,8 +50,18 @@ class TestPIDFileWrites:
         file = PIDRegisterFile(size=4, stats=stats)
         file.install(PIDEntry(group=1))
         file.install(PIDEntry(group=2))
-        file.drop(1)
-        assert stats["pid.write"] == 3  # two installs + one clear-on-drop
+        file.invalidate(1)
+        assert stats["pid.write"] == 3  # two installs + one clear-on-invalidate
+
+    def test_drop_is_not_counted(self):
+        """``drop`` is the scrubber's repair path: it clears the
+        register without charging a write."""
+        stats = Stats()
+        file = PIDRegisterFile(size=4, stats=stats)
+        file.install(PIDEntry(group=1))
+        assert file.drop(1)
+        assert file.find(1) is None
+        assert stats["pid.write"] == 1
 
     def test_contains(self):
         file = PIDRegisterFile()

@@ -40,8 +40,8 @@ from repro.sim.trace import Ref
 class Env:
     """A kernel mid-flight: two domains sharing a populated segment."""
 
-    def __init__(self, model: str) -> None:
-        self.kernel = Kernel(model, n_frames=64)
+    def __init__(self, model: str, *, inverted_table: bool = False) -> None:
+        self.kernel = Kernel(model, n_frames=64, inverted_table=inverted_table)
         self.d1 = self.kernel.create_domain("d1")
         self.d2 = self.kernel.create_domain("d2")
         self.seg = self.kernel.create_segment("seg", 4, populate=True)
@@ -347,24 +347,33 @@ class TestFaultSites:
         assert delta["faults.injected.disk.transient_write"] == 1
         injector.disarm()
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_clean_scrub_leaves_epoch_alone(self, model):
-        """No repairs -> no invalidation: warm entries survive a clean
-        scrub, and the next reference is still a pure hit."""
-        env = Env(model)
+    @pytest.mark.parametrize(
+        "model, inverted",
+        [pytest.param(model, False, id=model) for model in MODELS]
+        + [pytest.param(model, True, id=f"{model}-inverted") for model in MODELS],
+    )
+    def test_clean_audit_moves_only_scrub_counters(self, model, inverted):
+        """The audit charges nothing: ``check_invariants`` moves no
+        counter and a clean scrub moves only ``scrub.*``, even over an
+        inverted table whose lookups are counted.  Warm entries survive
+        and the next reference is still a pure hit."""
+        env = Env(model, inverted_table=inverted)
         machine = Machine(env.kernel)
-        vaddr = env.kernel.params.vaddr(env.seg.base_vpn)
-        machine.read(env.d1, vaddr)
+        vaddrs = [env.kernel.params.vaddr(vpn) for vpn in env.seg.vpns()]
+        for vaddr in vaddrs:
+            machine.write(env.d1, vaddr)
         before = env.kernel.stats.snapshot()
+        assert check_invariants(env.kernel) == []
+        assert env.kernel.stats.delta(before).as_dict() == {}
         assert Scrubber(env.kernel).scrub() == 0
         delta = env.kernel.stats.delta(before).as_dict()
         assert "scrub.repairs" not in delta
         assert all(key.startswith("scrub.") for key in delta)
-        hit = machine.read(env.d1, vaddr)
+        hit = machine.read(env.d1, vaddrs[0])
         assert hit.result.cache_hit and not hit.faulted
         assert not (hit.result.protection_refill or hit.result.translation_refill)
 
-    def test_repairing_scrub_bumps_epoch(self):
+    def test_repairing_scrub_restores_kernel_answers(self):
         """A scrub that rewrites a corrupted entry ends the epoch the
         corruption opened: the hardware answers per the kernel again."""
         env = Env("plb")
