@@ -160,8 +160,12 @@ class ClusterDSM:
     # Membership
 
     def _boot_node(self, node_id: int, *, populate: bool) -> ClusterNode:
+        # A replacement kernel charges its predecessor's store, so what
+        # the dead node did stays counted.
+        previous = self.nodes.get(node_id)
         node = ClusterNode(
             node_id, self.model, self.pages, populate=populate,
+            stats=previous.kernel.stats if previous is not None else None,
             **self._kernel_options,
         )
         node.kernel.add_protection_handler(self._handler_for(node))
@@ -806,8 +810,13 @@ class ClusterDSM:
     # Aggregated accounting
 
     def merged_stats(self) -> Stats:
-        """Protocol + interconnect stats merged with every node's."""
+        """Protocol + interconnect stats plus every node kernel's store.
+
+        Nodes keep separate stores (each node's fan-out is its own), so
+        this adds them; a rejoined node's kernel charges its
+        predecessor's store, so the total never goes backwards.
+        """
         total = self.stats.snapshot()
         for node in sorted(self.nodes):
-            total.merge(self.nodes[node].kernel.merged_stats())
+            total.merge(self.nodes[node].kernel.stats)
         return total

@@ -2,9 +2,10 @@
 
 The open-loop serve driver (:mod:`repro.serve.driver`) normally runs
 one kernel per model.  With ``--cluster-nodes N`` it runs a
-:class:`ClusterServer` instead: the same virtual-time arrival schedule,
-SLO snapshots and JSONL stream, but each request is a burst of shared-
-page accesses spread across the live nodes of a
+:class:`ClusterServer` instead: the same request loop
+(:class:`~repro.serve.driver.RequestServer`), virtual-time arrival
+schedule, SLO snapshots and JSONL stream, but each request is a burst
+of shared-page accesses spread across the live nodes of a
 :class:`~repro.cluster.dsm.ClusterDSM`, and the armed fault plan
 strikes the *interconnect* (node crashes, partitions, message loss)
 rather than one kernel's caches.
@@ -31,13 +32,13 @@ import random
 
 from repro.cluster.dsm import ClusterDSM
 from repro.cluster.faults import ClusterInjector
-from repro.core.costs import cycles_for
 from repro.core.rights import AccessType
 from repro.faults.errors import ClusterUnavailableError, HardwareFault
 from repro.faults.plan import FaultPlan
 from repro.obs.live import LiveCollector
 from repro.obs.tracer import Tracer
 from repro.os.kernel import SegmentationViolation
+from repro.serve.driver import RequestServer
 
 #: Default arrival rate for the single ``cluster`` workload class.
 CLUSTER_RATE_PER_SEC = 80.0
@@ -102,13 +103,13 @@ class ClusterRequestSource:
         self.cluster.reconcile()
 
 
-class ClusterServer:
-    """Drop-in for :class:`~repro.serve.driver.ModelServer`, cluster-wide.
+class ClusterServer(RequestServer):
+    """The serve loop of :class:`~repro.serve.driver.RequestServer`
+    over an N-node cluster instead of a single kernel.
 
-    Implements the same driver-facing surface (``handle``,
-    ``scrub_tick``, ``finish``, ``run_delta``, ``current_counters``,
-    ``collector``, ``unrecovered``) over an N-node cluster instead of a
-    single kernel.
+    It adds the interconnect's virtual clock to each request's price
+    and the recovery episodes to the summary; a failed attempt retries
+    with no repair beyond the source's own ``recover``.
     """
 
     def __init__(self, model: str, config) -> None:
@@ -139,55 +140,12 @@ class ClusterServer:
             )
             self.injector = ClusterInjector(plan)
             self.injector.arm(self.cluster)
-        self.busy_until_us = 0
-        self.op_index = 0
-        self.unrecovered = 0
-        self._baseline = self.cluster.merged_stats()
-        self.collector.seed_counters(self._baseline.as_dict())
+        self._start(self.cluster)
 
-    # -------------------------------------------------------------- #
-
-    def current_counters(self) -> dict[str, int]:
-        return self.cluster.merged_stats().as_dict()
-
-    def handle(self, t_us: int, klass: str) -> None:
-        """Serve one arrival; interconnect waits bill to the request."""
-        source = self.sources[klass]
-        self.op_index += 1
-        start_us = max(t_us, self.busy_until_us)
-        before = self.cluster.merged_stats()
-        clock_before = self.cluster.net.clock
-        refs = self._execute(source, klass, t_us, start_us)
-        after = self.cluster.merged_stats()
-        # Weighted hardware events across every node, plus the raw
-        # interconnect time this request spent on wires and timeouts.
-        cycles = cycles_for(after.delta(before)) + (
-            self.cluster.net.clock - clock_before
-        )
-        service_us = max(1, -(-cycles // self.config.cycles_per_us))
-        self.busy_until_us = start_us + service_us
-        if refs is not None:
-            self.collector.observe_request(klass, cycles, refs)
-        self.collector.poll(self.busy_until_us, after.as_dict())
-        self.tracer.roots.clear()
-
-    def _execute(
-        self, source, klass: str, t_us: int, start_us: int
-    ) -> int | None:
-        try:
-            with self.tracer.span(f"serve.{klass}", t_us=t_us):
-                return source.execute()
-        except (SegmentationViolation, HardwareFault):
-            source.recover()
-            self.collector.observe_retry(klass, start_us)
-        try:
-            with self.tracer.span(f"serve.{klass}", t_us=t_us, retry=1):
-                return source.execute()
-        except (SegmentationViolation, HardwareFault) as exc:
-            source.recover()
-            self.collector.observe_failure(klass, start_us, type(exc).__name__)
-            self.unrecovered += 1
-            return None
+    def _clock(self) -> int:
+        """The interconnect's virtual clock: a request's wire time and
+        timeouts bill to it."""
+        return self.cluster.net.clock
 
     def scrub_tick(self) -> None:
         """The periodic maintenance pulse: heartbeats, flush, rejoin."""
@@ -230,10 +188,3 @@ class ClusterServer:
             },
             "cluster_nodes": self.config.cluster_nodes,
         }
-
-    def finish(self) -> None:
-        if self.injector is not None:
-            self.injector.disarm()
-
-    def run_delta(self):
-        return self.cluster.merged_stats().delta(self._baseline)

@@ -76,15 +76,6 @@ class PageGroupCache:
         """Remove one group without accounting (scrub repair path)."""
         return self._cache.drop(group)
 
-    def invalidate_many(self, groups) -> int:
-        """Remove a batch of groups; returns entries dropped.
-
-        The range-shootdown path: a multi-page verb that revokes several
-        groups still touches ONE holder entry per group — page-group
-        consistency cost is per group, never per page (§4.1.3).
-        """
-        return sum(1 for group in groups if self._cache.invalidate(group))
-
     def clear(self) -> int:
         """Purge all groups (domain switch); returns entries removed."""
         return self._cache.purge()

@@ -11,6 +11,11 @@ operating-system operations whose costs the paper's Table 1 catalogues:
 segment attach/detach, per-page and per-segment permission changes,
 page-group manipulation, page unmapping and protection-domain switches.
 
+A kernel keeps one :class:`~repro.sim.stats.Stats` store, ``stats``:
+its verbs, the authority and every CPU's hardware charge it.  A tracer
+watching it therefore sees the work of every CPU, and
+:meth:`Kernel.merged_stats` is a plain snapshot of it.
+
 Model-specific behaviour is delegated to a strategy object
 (:class:`PLBOps`, :class:`PageGroupOps`, :class:`ConventionalOps`); each
 strategy performs exactly the hardware-structure manipulations the paper
@@ -90,12 +95,15 @@ class Kernel:
         inverted_table: Back the global translation table with the
             801-style inverted page table (§3.1) instead of the plain
             map — same semantics, adds hash-probe accounting.
-        stats: Shared event sink; created when omitted.  Kernel verbs,
-            authority traffic and CPU 0's hardware charge here; remote
-            CPUs keep private sinks (see :meth:`merged_stats`).
-        tracer: Optional :class:`~repro.obs.tracer.Tracer` watching the
-            shared stats; kernel verbs, fault dispatch and (sampled)
-            references open spans on it.  Defaults to the no-op tracer.
+        stats: The kernel's one event sink; created when omitted.
+            Kernel verbs, authority traffic and every CPU's hardware
+            charge it.  A cluster node rebooted into a dead node's slot
+            passes its predecessor's store, so the node's totals never
+            go backwards.
+        tracer: Optional :class:`~repro.obs.tracer.Tracer` watching
+            ``stats``; kernel verbs, fault dispatch and (sampled)
+            references open spans on it, and a span sees the work of
+            every CPU.  Defaults to the no-op tracer.
         n_cpus: Hardware contexts to build.  Each CPU gets its own
             PLB/TLB/group holder/L1; rights changes reach remote CPUs
             over the shootdown bus.  The default (1) is byte-identical
@@ -164,14 +172,11 @@ class Kernel:
 
         options = dict(system_options or {})
         self.n_cpus = n_cpus
-        #: Per-CPU hardware contexts.  CPU 0 shares the kernel stats so
-        #: single-CPU runs charge exactly where the pre-SMP simulator
-        #: did; remote CPUs keep private sinks.
-        self.cpus: list[CpuContext] = []
-        for cpu_id in range(n_cpus):
-            cpu_stats = self.stats if cpu_id == 0 else Stats()
-            system = self._build_system(model, options, cpu_stats)
-            self.cpus.append(CpuContext(cpu_id, system, cpu_stats))
+        #: Per-CPU hardware contexts, all charging ``self.stats``.
+        self.cpus: list[CpuContext] = [
+            CpuContext(cpu_id, self._build_system(model, options))
+            for cpu_id in range(n_cpus)
+        ]
         self.current_cpu = 0
         #: The *current* CPU's memory system (plain attribute: the
         #: reference path reads it every touch); rebound by set_current_cpu.
@@ -200,7 +205,8 @@ class Kernel:
         for ctx in self.cpus:
             ctx.system.attach_tracer(tracer)
 
-    def _build_system(self, model: str, options: dict, stats: Stats) -> MemorySystem:
+    def _build_system(self, model: str, options: dict) -> MemorySystem:
+        stats = self.stats
         if model == "plb":
             return PLBSystem(self, self, params=self.params, stats=stats, **options)
         if model == "pagegroup":
@@ -220,16 +226,14 @@ class Kernel:
         self.system = self.cpus[cpu_id].system
 
     def merged_stats(self) -> Stats:
-        """All CPUs' counters merged deterministically (CPU order).
+        """A snapshot of ``self.stats``, which every CPU charges.
 
-        With one CPU this equals ``kernel.stats`` exactly; with more it
-        adds the remote contexts' hardware events.
+        The name is shared with :meth:`ClusterDSM.merged_stats
+        <repro.cluster.dsm.ClusterDSM.merged_stats>`, so the consistency
+        probe, the serve loop and the ledger price a kernel and a
+        cluster alike.
         """
-        merged = Stats()
-        merged.merge(self.stats)
-        for ctx in self.cpus[1:]:
-            merged.merge(ctx.stats)
-        return merged
+        return self.stats.snapshot()
 
     # ------------------------------------------------------------------ #
     # Kernel-entry accounting

@@ -175,7 +175,8 @@ class AffinityScheduler:
             return system.plb.purge_domain_range(domain.pd_id, 0, 1 << 52)[1]
         if model == "pagegroup":
             if system.current_domain == domain.pd_id:
-                return system.groups.invalidate_many(domain.groups.keys())
+                invalidate = system.groups.invalidate
+                return sum(1 for group in domain.groups if invalidate(group))
             return 0
         asid = domain.pd_id if getattr(system, "asid_tagged", True) else 0
         return system.tlb.invalidate_domain(asid)[1]

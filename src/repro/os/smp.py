@@ -22,8 +22,9 @@ Two message kinds travel the bus:
 
 Delivery to the issuing CPU is synchronous and free (the local
 invalidate is part of the verb, exactly as on one CPU); remote
-deliveries are cost-accounted on the kernel stats under
-``smp.shootdown.*`` / ``smp.tlb_shootdown.*``.  With one CPU the bus
+deliveries are cost-accounted under ``smp.shootdown.*`` /
+``smp.tlb_shootdown.*`` on the kernel's one stats store, which every
+CPU's hardware charges too.  With one CPU the bus
 degenerates to plain local calls and adds no counters — single-CPU stats
 stay byte-identical to the pre-SMP simulator.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.mmu import MemorySystem
-from repro.sim.stats import Stats
 
 #: Message kinds.
 PROTECTION = "protection"
@@ -41,20 +41,18 @@ TRANSLATION = "translation"
 
 
 class CpuContext:
-    """One CPU's private hardware: memory system (PLB/TLB/holder/L1)
-    and stats sink.
+    """One CPU's private hardware: memory system (PLB/TLB/holder/L1).
 
-    CPU 0 shares the kernel's stats object (so single-CPU runs charge
-    exactly where the pre-SMP simulator did); remote CPUs get their own
-    sink, merged deterministically by ``Kernel.merged_stats``.
+    Counters are not private: every CPU's memory system charges the
+    kernel's one ``stats`` store, so a span or a request priced on that
+    store sees the remote CPUs' work too.
     """
 
-    __slots__ = ("cpu_id", "system", "stats")
+    __slots__ = ("cpu_id", "system")
 
-    def __init__(self, cpu_id: int, system: MemorySystem, stats: Stats) -> None:
+    def __init__(self, cpu_id: int, system: MemorySystem) -> None:
         self.cpu_id = cpu_id
         self.system = system
-        self.stats = stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CpuContext(cpu {self.cpu_id}, {self.system.model_name})"
@@ -230,30 +228,3 @@ class ShootdownBus:
         if hook is not None and message.kind == PROTECTION and hook(message):
             return  # intercepted: dropped, or held for delayed replay
         message.fire()
-
-
-# --------------------------------------------------------------------- #
-# Per-CPU counter views
-
-
-def per_cpu_stats(kernel) -> Stats:
-    """All CPUs' counters in one Stats, remote CPUs prefixed ``cpuN:``.
-
-    CPU 0 shares the kernel's own stats object, so its counters keep the
-    unprefixed single-CPU names; remote CPUs' private sinks are folded in
-    under the same ``cpuN:`` prefix the invariant checker uses.  This is
-    the per-CPU dimension live collectors expose, complementary to
-    :meth:`Kernel.merged_stats` which sums all CPUs namelessly.
-    """
-    out = Stats()
-    for ctx in kernel.cpus:
-        if ctx.stats is kernel.stats:
-            out.inc_many(ctx.stats.as_dict())
-        else:
-            out.inc_many(
-                {
-                    f"cpu{ctx.cpu_id}:{name}": count
-                    for name, count in ctx.stats.as_dict().items()
-                }
-            )
-    return out

@@ -1,12 +1,15 @@
 """The open-loop serve driver: virtual time, continuous chaos, live SLOs.
 
 One :class:`ModelServer` per protection model runs the full duration on
-its own kernel.  Time is *virtual*: a seeded Poisson schedule says when
-requests arrive (microseconds), each request's simulated-cycle cost is
-converted to service time at ``cycles_per_us``, and a single-queue
-server model (start = max(arrival, previous completion)) yields queueing
-delay under load.  No wall clock enters any output, so two runs with the
-same seed produce byte-identical JSONL streams and SLO summaries.
+its own kernel (:class:`~repro.cluster.serve.ClusterServer` serves a
+cluster instead).  Both run one request loop, :class:`RequestServer`,
+so a request is priced in one place.  Time is *virtual*: a seeded
+Poisson schedule says when requests arrive (microseconds), each
+request's simulated-cycle cost is converted to service time at
+``cycles_per_us``, and a single-queue server model (start =
+max(arrival, previous completion)) yields queueing delay under load.
+No wall clock enters any output, so two runs with the same seed
+produce byte-identical JSONL streams and SLO summaries.
 
 Chaos runs continuously: a :class:`~repro.faults.plan.FaultPlan` sized
 to the expected request count is armed for the whole run and ticked once
@@ -23,11 +26,14 @@ sink is the model's :class:`~repro.obs.live.LiveCollector`, so every
 traced verb feeds the per-verb latency sketches at span exit.  The
 reference path stays unwrapped, so live telemetry adds no per-reference
 work; per-reference spans are opt-in through ``repro trace
---sample N``.  Request-level cost is measured
-as the ``merged_stats()`` delta across the request (all CPUs, including
-remote shootdown work), weighted by the standard cycle model.  Span
-forests are dropped after every request — the collector has already
-consumed them — so a long-running server holds no per-request state.
+--sample N``.  Request-level cost is measured as the ``merged_stats()``
+delta across the request, weighted by the standard cycle model.  Every
+CPU charges the kernel's one store, which the tracer watches, so a
+``serve.<class>`` span (remote shootdown work included) costs exactly
+what its request is priced at whenever the request needs no retry.
+Span forests are dropped after every request — the collector has
+already consumed them — so a long-running server holds no per-request
+state.
 """
 
 from __future__ import annotations
@@ -100,8 +106,103 @@ class ServeResult:
         return any(self.unrecovered.values())
 
 
-class ModelServer:
-    """One protection model served under open-loop load."""
+class RequestServer:
+    """The one request loop both servers run; a request is priced here.
+
+    A server's constructor sets ``model``, ``config``, ``collector``,
+    ``tracer``, ``sources`` and ``injector``, then calls :meth:`_start`
+    with its backend: a :class:`~repro.os.kernel.Kernel` or a
+    :class:`~repro.cluster.dsm.ClusterDSM`.
+    """
+
+    #: Request-clock chaos, called with the op index before each
+    #: request; None when the fault plan strikes elsewhere.
+    chaos_tick = None
+
+    def _start(self, backend) -> None:
+        """Take the counter baseline once construction is done.
+
+        Construction is noisy: attaching the workload segments on an
+        SMP kernel broadcasts shootdowns, and arming chaos may touch
+        counters too.  Seeding the collector's watched baseline from
+        the post-construction counters means the first poll reports
+        only movement that requests caused.
+        """
+        self.backend = backend
+        self.busy_until_us = 0
+        self.op_index = 0
+        self.unrecovered = 0
+        self._baseline = backend.merged_stats()
+        self.collector.seed_counters(self._baseline.as_dict())
+
+    def handle(self, t_us: int, klass: str) -> None:
+        """Serve one arrival: tick chaos, execute, retry-or-fail, poll.
+
+        The price is ``cycles_for`` of the backend's ``merged_stats()``
+        delta across both attempts, plus whatever :meth:`_clock`
+        advanced.
+        """
+        source = self.sources[klass]
+        if self.chaos_tick is not None:
+            self.chaos_tick(self.op_index)
+        self.op_index += 1
+        start_us = max(t_us, self.busy_until_us)
+        before = self.backend.merged_stats()
+        clock_before = self._clock()
+        refs = self._execute(source, klass, t_us, start_us)
+        after = self.backend.merged_stats()
+        cycles = cycles_for(after.delta(before)) + self._clock() - clock_before
+        service_us = max(1, -(-cycles // self.config.cycles_per_us))
+        self.busy_until_us = start_us + service_us
+        if refs is not None:
+            self.collector.observe_request(klass, cycles, refs)
+        self.collector.poll(self.busy_until_us, after.as_dict())
+        # Spans were consumed by the collector at exit; drop the forest.
+        self.tracer.roots.clear()
+
+    def _execute(self, source, klass: str, t_us: int, start_us: int) -> int | None:
+        try:
+            with self.tracer.span(f"serve.{klass}", t_us=t_us):
+                return source.execute()
+        except (SegmentationViolation, HardwareFault):
+            source.recover()
+            self._before_retry()
+            self.collector.observe_retry(klass, start_us)
+        try:
+            with self.tracer.span(f"serve.{klass}", t_us=t_us, retry=1):
+                return source.execute()
+        except (SegmentationViolation, HardwareFault) as exc:
+            source.recover()
+            self.collector.observe_failure(klass, start_us, type(exc).__name__)
+            self.unrecovered += 1
+            return None
+
+    def _before_retry(self) -> None:
+        """Repair run between a failed attempt and its retry."""
+
+    def _clock(self) -> int:
+        """Cycles spent outside the counters, as a running clock."""
+        return 0
+
+    def current_counters(self) -> dict[str, int]:
+        """The merged counter view the driver polls between requests."""
+        return self.backend.merged_stats().as_dict()
+
+    def summary_extras(self) -> dict[str, object]:
+        """Server-specific fields merged into the SLO summary."""
+        return {}
+
+    def finish(self) -> None:
+        if self.injector is not None:
+            self.injector.disarm()
+
+    def run_delta(self):
+        """The whole run's counter movement (every CPU and node)."""
+        return self.backend.merged_stats().delta(self._baseline)
+
+
+class ModelServer(RequestServer):
+    """One protection model served under open-loop load on one kernel."""
 
     def __init__(self, model: str, config: ServeConfig) -> None:
         self.model = model
@@ -124,71 +225,16 @@ class ModelServer:
             )
             self.injector = FaultInjector(plan)
             self.injector.arm(self.kernel)
-        self.busy_until_us = 0
-        self.op_index = 0
-        self.unrecovered = 0
-        self._baseline = self.kernel.merged_stats()
-        # Construction is noisy: attaching the workload segments on an
-        # SMP kernel broadcasts shootdowns, and arming chaos may touch
-        # counters too.  Seed the collector's watched baseline from the
-        # post-construction counters so the first poll only reports
-        # movement caused by actual requests, not phantom setup events.
-        self.collector.seed_counters(self._baseline.as_dict())
+            self.chaos_tick = self.injector.tick
+        self._start(self.kernel)
 
-    # -------------------------------------------------------------- #
-
-    def handle(self, t_us: int, klass: str) -> None:
-        """Serve one arrival: tick chaos, execute, retry-or-fail, poll."""
-        source = self.sources[klass]
-        if self.injector is not None:
-            self.injector.tick(self.op_index)
-        self.op_index += 1
-        start_us = max(t_us, self.busy_until_us)
-        before = self.kernel.merged_stats()
-        refs = self._execute(source, klass, t_us, start_us)
-        after = self.kernel.merged_stats()
-        cycles = cycles_for(after.delta(before))
-        service_us = max(1, -(-cycles // self.config.cycles_per_us))
-        self.busy_until_us = start_us + service_us
-        if refs is not None:
-            self.collector.observe_request(klass, cycles, refs)
-        self.collector.poll(self.busy_until_us, after.as_dict())
-        # Spans were consumed by the collector at exit; drop the forest.
-        self.tracer.roots.clear()
-
-    def _execute(self, source, klass: str, t_us: int, start_us: int) -> int | None:
-        try:
-            with self.tracer.span(f"serve.{klass}", t_us=t_us):
-                return source.execute()
-        except (SegmentationViolation, HardwareFault):
-            source.recover()
-            self.scrubber.scrub()
-            self.collector.observe_retry(klass, start_us)
-        try:
-            with self.tracer.span(f"serve.{klass}", t_us=t_us, retry=1):
-                return source.execute()
-        except (SegmentationViolation, HardwareFault) as exc:
-            source.recover()
-            self.collector.observe_failure(klass, start_us, type(exc).__name__)
-            self.unrecovered += 1
-            return None
-
-    def current_counters(self) -> dict[str, int]:
-        """The merged counter view the driver polls between requests."""
-        return self.kernel.merged_stats().as_dict()
+    def _before_retry(self) -> None:
+        self.scrubber.scrub()
 
     def scrub_tick(self) -> None:
         if self.injector is not None:
             self.injector.flush_delayed()
         self.scrubber.scrub()
-
-    def finish(self) -> None:
-        if self.injector is not None:
-            self.injector.disarm()
-
-    def run_delta(self):
-        """The whole run's counter movement (all CPUs)."""
-        return self.kernel.merged_stats().delta(self._baseline)
 
 
 # ------------------------------------------------------------------- #
@@ -271,9 +317,7 @@ def run_serve(
         server.finish()
 
         summary = collector.slo_summary(duration)
-        extras = getattr(server, "summary_extras", None)
-        if extras is not None:
-            summary.update(extras())
+        summary.update(server.summary_extras())
         result.summaries[model] = summary
         result.stats[model] = server.run_delta()
         result.unrecovered[model] = server.unrecovered

@@ -50,7 +50,8 @@ class Machine:
         cpu: The :class:`~repro.os.smp.CpuContext` this machine drives
             (defaults to the kernel's current CPU — CPU 0 on a
             single-CPU kernel).  A machine is pinned: every touch runs
-            on its CPU's hardware and charges its CPU's stats.
+            on its CPU's hardware.  Every CPU charges the kernel's one
+            ``stats`` store, so :meth:`run` returns the kernel's delta.
     """
 
     #: A reference that faults more than this many times is wedged: the
@@ -67,11 +68,6 @@ class Machine:
         #: here so a workload's reference stream can be saved and
         #: replayed on another model.
         self._trace_log: list[TraceOp] | None = None
-
-    @property
-    def stats(self) -> Stats:
-        """The pinned CPU's stats (the kernel stats on a 1-CPU kernel)."""
-        return self.cpu.stats
 
     def record_trace(self, sink: list[TraceOp] | None = None) -> list[TraceOp]:
         """Start recording every reference; returns the sink list."""
@@ -154,22 +150,23 @@ class Machine:
             raise TypeError(f"not a trace op: {op!r}")
 
     def run(self, trace: Iterable[TraceOp]) -> Stats:
-        """Replay a trace; returns the stats accumulated by the run."""
-        before = self.stats.snapshot()
+        """Replay a trace; returns the kernel's counter delta."""
+        stats = self.kernel.stats
+        before = stats.snapshot()
         for op in trace:
             self.step(op)
-        return self.stats.delta(before)
+        return stats.delta(before)
 
 
 class SMPMachine:
     """Interleaves per-CPU reference streams over one SMP kernel.
 
     One :class:`Machine` per :class:`~repro.os.smp.CpuContext`, all
-    sharing the kernel (and its authority).  :meth:`run` round-robins
-    the CPUs in fixed quanta — CPU 0 runs ``quantum`` ops, then CPU 1,
-    ... — so a run is *deterministic*: the same shards and quantum
-    produce the same interleaving, the same shootdown traffic and the
-    same merged counters on every run.
+    sharing the kernel (and its authority and stats store).
+    :meth:`run` round-robins the CPUs in fixed quanta — CPU 0 runs
+    ``quantum`` ops, then CPU 1, ... — so a run is *deterministic*: the
+    same shards and quantum produce the same interleaving, the same
+    shootdown traffic and the same counters on every run.
     """
 
     def __init__(self, kernel: Kernel, *, quantum: int = 32) -> None:
@@ -196,11 +193,12 @@ class SMPMachine:
     def run(
         self, shards: Sequence[Iterable[TraceOp]], *, quantum: int | None = None
     ) -> Stats:
-        """Interleave one trace shard per CPU; returns the merged delta.
+        """Interleave one trace shard per CPU; returns the kernel's delta.
 
         ``shards[k]`` replays on CPU ``k`` (at most one shard per CPU).
         Round-robin with a fixed quantum: deterministic interleaving,
-        deterministic merged stats (kernel + remote CPUs, in CPU order).
+        deterministic counters.  Every CPU charges ``kernel.stats``, so
+        the delta holds the whole run's work on every CPU.
         """
         kernel = self.kernel
         if len(shards) > kernel.n_cpus:
@@ -211,7 +209,7 @@ class SMPMachine:
         quantum = self.quantum if quantum is None else quantum
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1, got {quantum}")
-        before = kernel.merged_stats()
+        before = kernel.stats.snapshot()
         streams = [iter(shard) for shard in shards]
         live = list(range(len(streams)))
         while live:
@@ -229,7 +227,7 @@ class SMPMachine:
                 if not exhausted:
                     still_live.append(idx)
             live = still_live
-        return kernel.merged_stats().delta(before)
+        return kernel.stats.delta(before)
 
     def run_affine(
         self,
@@ -254,7 +252,7 @@ class SMPMachine:
         quantum = self.quantum if quantum is None else quantum
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1, got {quantum}")
-        before = kernel.merged_stats()
+        before = kernel.stats.snapshot()
         streams = {}
         for domain, trace in tasks:
             if domain.pd_id in streams:
@@ -286,4 +284,4 @@ class SMPMachine:
                 # never surfaces it (cannot happen with a well-formed
                 # scheduler); bail rather than spin.
                 break
-        return kernel.merged_stats().delta(before)
+        return kernel.stats.delta(before)

@@ -124,6 +124,24 @@ class TestRejoin:
         assert reader.stamp(vpn) is not None
         assert cluster.stats["cluster.rejoins"] == 1
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rejoin_keeps_the_dead_nodes_counters(self, model):
+        """The replacement kernel charges its predecessor's store, so
+        the cluster's totals never go backwards across a rejoin."""
+        cluster = ClusterDSM(model, nodes=3, pages=4, seed=1, n_cpus=2)
+        for node_id in sorted(cluster.nodes):
+            for vpn in cluster.vpns:
+                touch(cluster, node_id, vpn)
+        store = cluster.nodes[2].kernel.stats
+        before = cluster.merged_stats()
+        assert cluster.crash_node(2)
+        for _ in range(HEARTBEAT_MISS_LIMIT + 2):
+            cluster.tick()
+        assert 2 in cluster.dead
+        cluster.rejoin(2)
+        cluster.merged_stats().assert_monotonic(before)
+        assert cluster.nodes[2].kernel.stats is store
+
     def test_rejoining_a_live_member_is_rejected(self, cluster):
         from repro.faults.errors import ClusterConfigError
 

@@ -1,22 +1,22 @@
 """SMP × observability: tracers and collectors on multi-CPU kernels.
 
-The per-CPU dimension of live telemetry rests on two merge views:
-``Kernel.merged_stats()`` (all CPUs summed, nameless) and
-``per_cpu_stats()`` (CPU 0 unprefixed, remote CPUs under ``cpuN:``).
-These tests pin their consistency with single-CPU semantics while a
-tracer + live collector are attached.
+Every CPU of a kernel charges one store, ``kernel.stats``, which the
+tracer watches; ``Kernel.merged_stats()`` is a snapshot of it.  These
+tests pin that identity while a tracer + live collector are attached:
+a span costs what the merged delta across it costs, on any number of
+CPUs.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.costs import cycles_for
 from repro.core.rights import Rights
 from repro.obs.live import LiveCollector
 from repro.obs.tracer import Tracer
 from repro.os.kernel import MODELS, Kernel
-from repro.os.smp import per_cpu_stats
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, SMPMachine
 
 
 def _drive_two_cpus(model: str, *, traced: bool):
@@ -44,30 +44,25 @@ def _drive_two_cpus(model: str, *, traced: bool):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_merged_stats_equals_per_cpu_stats_sum(model):
+    """On 2 CPUs the merged view is the kernel's one store, and it holds
+    CPU 1's references as well as CPU 0's."""
     kernel, _ = _drive_two_cpus(model, traced=True)
-    merged = kernel.merged_stats().as_dict()
-    per_cpu = per_cpu_stats(kernel).as_dict()
-    # Strip the cpuN: prefixes and re-sum: must reproduce merged exactly.
-    resummed: dict[str, int] = {}
-    for name, count in per_cpu.items():
-        bare = name.split(":", 1)[1] if name.startswith("cpu") and ":" in name else name
-        resummed[bare] = resummed.get(bare, 0) + count
-    assert resummed == merged
+    assert kernel.merged_stats().as_dict() == kernel.stats.as_dict()
+    # 3 rounds x 2 CPUs x 8 pages of reads, then CPU 0's one write.
+    assert kernel.stats["refs"] == 3 * 2 * 8 + 1
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_cpu0_counters_stay_unprefixed(model):
+    """Every CPU's memory system charges ``kernel.stats``: no CPU keeps a
+    private store, and no counter carries a ``cpuN:`` prefix."""
     kernel, _ = _drive_two_cpus(model, traced=True)
-    per_cpu = per_cpu_stats(kernel).as_dict()
-    kernel_counts = kernel.stats.as_dict()
-    unprefixed = {
-        name: count for name, count in per_cpu.items()
-        if not (name.startswith("cpu") and ":" in name)
-    }
-    assert unprefixed == kernel_counts
-    # Remote CPU counters all carry the invariant-checker prefix.
-    remote = {name for name in per_cpu if name not in unprefixed}
-    assert remote and all(name.startswith("cpu1:") for name in remote)
+    for ctx in kernel.cpus:
+        assert ctx.system.stats is kernel.stats
+        assert not hasattr(ctx, "stats")
+    assert not any(
+        name.startswith("cpu") and ":" in name for name in kernel.stats.as_dict()
+    )
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -79,8 +74,38 @@ def test_single_cpu_per_cpu_view_is_the_kernel_stats(model):
     machine = Machine(kernel)
     for p in range(4):
         machine.read(dom, (seg.base_vpn + p) * kernel.params.page_size)
-    assert per_cpu_stats(kernel).as_dict() == kernel.stats.as_dict()
+    assert kernel.cpus[0].system.stats is kernel.stats
     assert kernel.merged_stats().as_dict() == kernel.stats.as_dict()
+
+
+@pytest.mark.parametrize(
+    ("model", "cycles"), (("plb", 852), ("pagegroup", 1052), ("conventional", 852))
+)
+def test_span_sees_remote_cpu_work(model, cycles):
+    """A span around a 4-page rights change on CPU 0 and four reads on
+    CPU 1 costs exactly the merged delta across it.  With a private
+    store per remote CPU the span missed CPU 1's references and read
+    832, 932 and 832 cycles."""
+    kernel = Kernel(model, n_cpus=2)
+    tracer = Tracer(kernel.stats, sample_every=0)
+    kernel.attach_tracer(tracer)
+    domain = kernel.create_domain("app")
+    segment = kernel.create_segment("data", 4)
+    kernel.attach(domain, segment, Rights.RW)
+    smp = SMPMachine(kernel)
+    vaddrs = [kernel.params.vaddr(vpn) for vpn in segment.vpns()]
+    for cpu in (0, 1):
+        for vaddr in vaddrs:
+            smp.touch_on(cpu, domain, vaddr)
+    kernel.set_current_cpu(0)
+    before = kernel.merged_stats()
+    with tracer.span("probe"):
+        kernel.set_pages_rights(domain, list(segment.vpns()), Rights.READ)
+        for vaddr in vaddrs:
+            smp.touch_on(1, domain, vaddr)
+    span = tracer.roots[-1]
+    assert span.name == "probe"
+    assert span.cycles == cycles_for(kernel.merged_stats().delta(before)) == cycles
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -147,9 +147,34 @@ class TestAffinityScheduler:
         assert domains[0] in sched.domains_on(1)
         assert domains[0] not in sched.domains_on(0)
 
-    def test_migration_bumps_the_old_cpus_epoch(self):
-        """Migration ends the domain's protection epoch on the CPU it
-        leaves: the entries cached there are swept, so the next
+    @pytest.mark.parametrize("holder", ("cache", "registers"))
+    def test_migrate_sweeps_either_group_holder(self, holder):
+        """Migration sweeps the domain's groups out of the old CPU's
+        holder with the Table 1 ``invalidate`` that the LRU cache and
+        the register file both define, and charges one entry each."""
+        from repro.core.rights import Rights
+        from repro.os.scheduler import AffinityScheduler
+        from repro.sim.machine import SMPMachine
+
+        kernel = Kernel(
+            "pagegroup", n_frames=64, n_cpus=2,
+            system_options={"group_holder": holder},
+        )
+        domain = kernel.create_domain("d0")
+        segment = kernel.create_segment("data", 4)
+        kernel.attach(domain, segment, Rights.RW)
+        sched = AffinityScheduler(kernel, [domain])
+        sched.run_to(domain)
+        SMPMachine(kernel).touch_on(0, domain, kernel.params.vaddr(segment.base_vpn))
+        groups = kernel.cpus[0].system.groups
+        assert all(group in groups for group in domain.groups)
+        assert sched.migrate(domain, 1) == len(domain.groups) == 1
+        assert not any(group in groups for group in domain.groups)
+        assert kernel.stats["sched.migration.refill_entries"] == 1
+
+    def test_migration_sweeps_the_old_cpus_entries(self):
+        """Migration ends the domain's cached protection state on the
+        CPU it leaves: the entries cached there are swept, so the next
         reference on the old CPU refills instead of hitting them."""
         from repro.core.rights import Rights
         from repro.sim.machine import SMPMachine

@@ -30,9 +30,14 @@ class TestTopology:
             Kernel("plb", n_cpus=0)
 
     def test_cpu0_shares_the_kernel_stats(self):
+        """Every CPU, not just CPU 0, charges the kernel's one store."""
         kernel = smp_kernel()
-        assert kernel.cpus[0].stats is kernel.stats
-        assert kernel.cpus[1].stats is not kernel.stats
+        for ctx in kernel.cpus:
+            assert ctx.system.stats is kernel.stats
+        domain, segment = shared_setup(kernel)
+        refs = kernel.stats["refs"]
+        SMPMachine(kernel).touch_on(1, domain, kernel.params.vaddr(segment.base_vpn))
+        assert kernel.stats["refs"] == refs + 1
 
     def test_set_current_cpu_rebinds_the_system(self):
         kernel = smp_kernel()

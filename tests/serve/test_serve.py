@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.os.kernel import MODELS
 from repro.serve.driver import DEFAULT_RATES, ModelServer, ServeConfig, run_serve
 from repro.serve.exporters import render_prometheus
 from repro.workloads.openloop import ArrivalProcess, arrival_schedule
@@ -97,6 +98,21 @@ class TestTelemetrySurface:
         verbs = result.summaries["plb"]["latency_cycles_per_verb"]
         assert any(name.startswith("kernel.") for name in verbs)
         assert "mem.access" not in verbs
+
+    def test_request_spans_cost_what_requests_are_priced_on_two_cpus(self):
+        """Without chaos no request retries, so each ``serve.<class>``
+        span covers exactly its priced request: the span sketch equals
+        the per-class sketch, remote CPUs' work included."""
+        result = run_serve(
+            ServeConfig(duration_ms=300, seed=7, models=MODELS, cpus=2)
+        )
+        for model in MODELS:
+            summary = result.summaries[model]
+            per_class = summary["latency_cycles_per_class"]
+            per_verb = summary["latency_cycles_per_verb"]
+            assert per_class
+            for klass, sketch in per_class.items():
+                assert per_verb[f"serve.{klass}"] == sketch, (model, klass)
 
     @pytest.mark.parametrize("model", ("plb", "pagegroup", "conventional"))
     def test_every_cpu_keeps_an_unwrapped_reference_path(self, model):

@@ -234,12 +234,12 @@ class TestRunSharded:
 
     def test_no_factory_runs_on_self(self):
         """No fresh kernels: the shards replay on the machine's own
-        kernel, whose merged stats advance by exactly the returned delta,
-        CPU 0's share landing on the kernel's own stats."""
+        kernel, and the run's whole delta, every CPU's share of it,
+        lands on the kernel's one store."""
         kernel, smp, domain, segment = self._smp()
         shards = self._shards(kernel, domain, segment)
-        before = kernel.merged_stats()
-        merged = smp.run(shards)
-        assert merged["refs"] == sum(len(shard) for shard in shards)
-        assert kernel.merged_stats().delta(before).as_dict() == merged.as_dict()
-        assert kernel.stats["refs"] == len(shards[0])
+        before = kernel.stats.snapshot()
+        delta = smp.run(shards)
+        assert delta["refs"] == sum(len(shard) for shard in shards)
+        assert kernel.stats.delta(before).as_dict() == delta.as_dict()
+        assert kernel.merged_stats().as_dict() == kernel.stats.as_dict()
