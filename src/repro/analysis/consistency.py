@@ -81,8 +81,8 @@ class Report(NamedTuple):
 def probe(system, op: Callable[[], object]) -> Cost:
     """Run ``op`` and cost it from one ``system.merged_stats()`` delta.
 
-    ``system`` is a :class:`Kernel` or a ``ClusterDSM``, whose merged
-    stats hold every node's kernel.
+    ``system`` is a :class:`Kernel` or a ``ClusterDSM``, whose one
+    store every node's kernel charges.
     """
     before = system.merged_stats()
     op()

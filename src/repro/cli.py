@@ -605,6 +605,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.cluster_pages < 1:
         raise CLIError("--cluster-pages must be >= 1")
+    _refuse_blind_plan(plan, [args.seed], cluster=args.cluster_nodes > 0)
     config = ServeConfig(
         duration_ms=args.duration,
         seed=args.seed,
@@ -730,6 +731,8 @@ def cmd_trace(name: str, model: str, out: str, fmt: str, sample: int) -> str:
 def cmd_profile(name: str, model: str, top: int, n_shards: int = 1) -> str:
     from repro.obs.metrics import attributed_cycles, hotspots
 
+    if top < 1:
+        raise CLIError("--top must be >= 1")
     _, _, tracer, _, spans, delta = _run_traced(
         name, model, n_shards=n_shards
     )
@@ -832,8 +835,11 @@ def cmd_check(
             + ", ".join(sorted(SCENARIOS))
         )
     _validate_parallelism(cpus=cpus)
+    if n_ops < 1:
+        raise CLIError("--ops must be >= 1")
     plan = _parse_plan(plan_text)
     seeds = _parse_seeds(seed_text)
+    _refuse_blind_plan(plan, seeds, cluster=False)
     failed = 0
     for seed in seeds:
         result = run_check(
@@ -904,6 +910,32 @@ def _parse_plan(text: str):
     )
 
 
+def _refuse_blind_plan(spec, seeds: Sequence[int], *, cluster: bool) -> None:
+    """Refuse a --plan none of whose events strikes the system that runs.
+
+    ``spec`` is what :func:`_parse_plan` returns (a preset is generated
+    at each seed); a plan with no events passes.
+    """
+    from repro.faults import FaultInjector, FaultPlan
+
+    system, sites = "a kernel", FaultInjector.SITES
+    if cluster:
+        from repro.cluster.faults import ClusterInjector
+
+        system, sites = "a cluster", ClusterInjector.SITES
+    if isinstance(spec, str):
+        plans = [FaultPlan.generate(spec, seed) for seed in seeds]
+    else:
+        plans = [spec] if spec is not None else []
+    for plan in plans:
+        struck = sorted({event.site for event in plan.events})
+        if struck and set(struck).isdisjoint(sites):
+            raise CLIError(
+                f"fault plan {plan.name!r} strikes only {', '.join(struck)}, "
+                f"which {system} lacks (it has {', '.join(sites)})"
+            )
+
+
 def _contract_status(reports) -> int:
     """1, with each broken §4.1.3 contract on stderr, if any report has one."""
     problems = [problem for report in reports for problem in report.problems]
@@ -959,16 +991,15 @@ _CLUSTER_LINE_COUNTERS = (
 
 def _recovery_percentiles(cycles: Sequence[int]) -> str | None:
     """``p50/p99/max`` of declare-dead recovery times, in cycles."""
+    from repro.cluster import recovery_percentile
+
     if not cycles:
         return None
     ordered = sorted(cycles)
-
-    def pct(q: float) -> int:
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
     return (
-        f"{len(ordered)} episodes, cycles p50={pct(0.50)} "
-        f"p99={pct(0.99)} max={ordered[-1]}"
+        f"{len(ordered)} episodes, "
+        f"cycles p50={recovery_percentile(ordered, 0.50)} "
+        f"p99={recovery_percentile(ordered, 0.99)} max={ordered[-1]}"
     )
 
 
@@ -1001,6 +1032,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.plan is not None:
         plan_spec = _parse_plan(args.plan)
+        _refuse_blind_plan(plan_spec, seeds, cluster=True)
         failed = 0
         for model in args.models:
             for seed in seeds:

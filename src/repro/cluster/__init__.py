@@ -30,7 +30,7 @@ from repro.cluster.chaos import (
     run_cluster_case,
     run_cluster_sweep,
 )
-from repro.cluster.dsm import ClusterDSM, LeaseEntry
+from repro.cluster.dsm import ClusterDSM, LeaseEntry, recovery_percentile
 from repro.cluster.faults import ClusterInjector
 from repro.cluster.interconnect import Interconnect
 from repro.cluster.messages import MESSAGE_KINDS, Message
@@ -44,6 +44,7 @@ __all__ = [
     "stamp_page",
     "ClusterDSM",
     "LeaseEntry",
+    "recovery_percentile",
     "ClusterInjector",
     "GoldCluster",
     "ClusterChaosResult",

@@ -43,7 +43,7 @@ accounts for the one page whose fetch may have raced the crash.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cluster.interconnect import Interconnect
 from repro.cluster.messages import Message
@@ -68,6 +68,14 @@ BACKOFF_BASE_CYCLES = 800
 
 #: Default exclusive-ownership lease, cycles of virtual network time.
 DEFAULT_LEASE_CYCLES = 20_000
+
+
+def recovery_percentile(ordered: Sequence[int], q: float) -> int:
+    """The ``q`` quantile of sorted recovery episodes (0 when none),
+    for both ``repro cluster`` and cluster serve."""
+    if not ordered:
+        return 0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class LeaseEntry(PageDirectoryEntry):
@@ -104,6 +112,7 @@ class ClusterDSM:
         self.lease_cycles = lease_cycles
         self.max_retries = max_retries
         self.auto_rejoin = auto_rejoin
+        #: The cluster's one store (see :meth:`merged_stats`).
         self.stats = Stats()
         self.net = Interconnect(self.stats, latency_cycles=latency_cycles)
         self._kernel_options = dict(kernel_options)
@@ -160,13 +169,9 @@ class ClusterDSM:
     # Membership
 
     def _boot_node(self, node_id: int, *, populate: bool) -> ClusterNode:
-        # A replacement kernel charges its predecessor's store, so what
-        # the dead node did stays counted.
-        previous = self.nodes.get(node_id)
         node = ClusterNode(
             node_id, self.model, self.pages, populate=populate,
-            stats=previous.kernel.stats if previous is not None else None,
-            **self._kernel_options,
+            stats=self.stats, **self._kernel_options,
         )
         node.kernel.add_protection_handler(self._handler_for(node))
         node.kernel.add_page_fault_handler(self._handler_for(node))
@@ -278,8 +283,8 @@ class ClusterDSM:
                 for vpn in msg.vpns:
                     self._valid[vpn].discard(nid)
                 if node.kernel.n_cpus > 1:
-                    node.stats.inc("cluster.smp.invalidate_batches")
-                    node.stats.inc(
+                    self.stats.inc("cluster.smp.invalidate_batches")
+                    self.stats.inc(
                         "cluster.smp.invalidate_pages", len(msg.vpns)
                     )
                 return Message(
@@ -807,16 +812,11 @@ class ClusterDSM:
         return repaired
 
     # -------------------------------------------------------------- #
-    # Aggregated accounting
+    # Accounting
 
     def merged_stats(self) -> Stats:
-        """Protocol + interconnect stats plus every node kernel's store.
-
-        Nodes keep separate stores (each node's fan-out is its own), so
-        this adds them; a rejoined node's kernel charges its
-        predecessor's store, so the total never goes backwards.
-        """
-        total = self.stats.snapshot()
-        for node in sorted(self.nodes):
-            total.merge(self.nodes[node].kernel.stats)
-        return total
+        """A snapshot of ``self.stats``, which every node kernel (a
+        rejoined one too), the protocol and the interconnect charge;
+        named like :meth:`Kernel.merged_stats
+        <repro.os.kernel.Kernel.merged_stats>`."""
+        return self.stats.snapshot()

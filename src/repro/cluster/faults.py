@@ -35,6 +35,9 @@ from repro.faults.plan import FaultPlan
 class ClusterInjector:
     """Replays a fault plan against a cluster's interconnect."""
 
+    #: The sites a cluster has, so the only ones this injector strikes.
+    SITES = ("cluster",)
+
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.cluster = None
@@ -43,7 +46,7 @@ class ClusterInjector:
         self._events = [
             (pos, event)
             for pos, event in enumerate(plan.events)
-            if event.site == "cluster"
+            if event.site in self.SITES
         ]
 
     def arm(self, cluster) -> None:

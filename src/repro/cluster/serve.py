@@ -20,17 +20,20 @@ What this measures — the headline robustness numbers:
   while recovery runs, so the summary's sustained rates show what the
   cluster kept serving through the failures.
 
-Request service time folds in the interconnect's virtual clock: cycles
-spent waiting out timeouts and retries during a request are charged to
-that request, which is how a node death shows up as a latency spike in
-the p99/p999 sketches before the handoff brings service time back down.
+A request is priced from its one ``serve.cluster`` span, which watches
+the cluster's one store, plus the interconnect's virtual clock: cycles
+spent on the wire and waiting out timeouts and retries during a request
+are charged to that request, which is how a node death shows up as a
+latency spike in the p99/p999 sketches before the handoff brings
+service time back down.  Wire time is not a counter, so a request's
+span equals its price minus the wire time it waited.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.cluster.dsm import ClusterDSM
+from repro.cluster.dsm import ClusterDSM, recovery_percentile
 from repro.cluster.faults import ClusterInjector
 from repro.core.rights import AccessType
 from repro.faults.errors import ClusterUnavailableError, HardwareFault
@@ -162,29 +165,16 @@ class ClusterServer(RequestServer):
         these are the honest recovery-time percentiles.
         """
         episodes = sorted(self.cluster.recovery_cycles)
-
-        def pct(q: float) -> int:
-            if not episodes:
-                return 0
-            rank = min(len(episodes) - 1, int(q * len(episodes)))
-            return episodes[rank]
-
+        cycles = {
+            name: recovery_percentile(episodes, q)
+            for name, q in (("min", 0.0), ("max", 1.0), ("p50", 0.5), ("p99", 0.99))
+        }
         us = self.config.cycles_per_us
         return {
             "cluster_recovery": {
                 "episodes": len(episodes),
-                "cycles": {
-                    "min": episodes[0] if episodes else 0,
-                    "max": episodes[-1] if episodes else 0,
-                    "p50": pct(0.50),
-                    "p99": pct(0.99),
-                },
-                "us": {
-                    "min": -(-episodes[0] // us) if episodes else 0,
-                    "max": -(-episodes[-1] // us) if episodes else 0,
-                    "p50": -(-pct(0.50) // us),
-                    "p99": -(-pct(0.99) // us),
-                },
+                "cycles": cycles,
+                "us": {name: -(-value // us) for name, value in cycles.items()},
             },
             "cluster_nodes": self.config.cluster_nodes,
         }

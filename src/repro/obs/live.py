@@ -16,8 +16,8 @@ provides the streaming equivalents:
   tracer exactly like :class:`~repro.obs.metrics.Metrics` (it has
   ``observe_span``), accepts whole-request observations from the serve
   driver, and derives an *event stream* (fault injected / recovered,
-  shootdown, scrubber repair) by polling counter deltas on the kernel's
-  merged stats.  Recovery time under fault is measured by pairing each
+  shootdown, scrubber repair) by polling counter deltas on the served
+  backend's store.  Recovery time under fault is measured by pairing each
   injection timestamp with the next recovery event, in virtual time.
 
 Nothing here touches the kernel unless explicitly attached: the batch
@@ -244,7 +244,7 @@ class LiveCollector:
       driver once per completed request with the request's attributed
       simulated-cycle cost.
     * ``poll(now_us, counters)`` — called by the driver after each
-      request with the kernel's merged counter view; deltas on watched
+      request with the backend's live counters; deltas on watched
       counters become timestamped events, and inject→recover pairs feed
       the recovery-time sketch.
     """

@@ -97,9 +97,8 @@ class Kernel:
             map — same semantics, adds hash-probe accounting.
         stats: The kernel's one event sink; created when omitted.
             Kernel verbs, authority traffic and every CPU's hardware
-            charge it.  A cluster node rebooted into a dead node's slot
-            passes its predecessor's store, so the node's totals never
-            go backwards.
+            charge it.  A DSM cluster passes its one store to every
+            node kernel, a rejoined node's included.
         tracer: Optional :class:`~repro.obs.tracer.Tracer` watching
             ``stats``; kernel verbs, fault dispatch and (sampled)
             references open spans on it, and a span sees the work of
@@ -229,9 +228,9 @@ class Kernel:
         """A snapshot of ``self.stats``, which every CPU charges.
 
         The name is shared with :meth:`ClusterDSM.merged_stats
-        <repro.cluster.dsm.ClusterDSM.merged_stats>`, so the consistency
-        probe, the serve loop and the ledger price a kernel and a
-        cluster alike.
+        <repro.cluster.dsm.ClusterDSM.merged_stats>`, a snapshot of the
+        cluster's one store, so the consistency probe, the kernel
+        oracle and the ledger cost a kernel and a cluster alike.
         """
         return self.stats.snapshot()
 

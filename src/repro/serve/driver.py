@@ -26,14 +26,14 @@ sink is the model's :class:`~repro.obs.live.LiveCollector`, so every
 traced verb feeds the per-verb latency sketches at span exit.  The
 reference path stays unwrapped, so live telemetry adds no per-reference
 work; per-reference spans are opt-in through ``repro trace
---sample N``.  Request-level cost is measured as the ``merged_stats()``
-delta across the request, weighted by the standard cycle model.  Every
-CPU charges the kernel's one store, which the tracer watches, so a
-``serve.<class>`` span (remote shootdown work included) costs exactly
-what its request is priced at whenever the request needs no retry.
-Span forests are dropped after every request — the collector has
-already consumed them — so a long-running server holds no per-request
-state.
+--sample N``.  A request is one ``serve.<class>`` span, covering both
+attempts and the repair between them, priced from that span: its
+weighted cycles plus whatever the server's clock advanced (a cluster's
+wire time).  Every CPU charges the kernel's one store, which the tracer
+watches, so on a kernel each span sketch equals its per-class sketch,
+retries included.  Span forests are dropped after every request — the
+collector has already consumed them — so a long-running server holds no
+per-request state.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO
 
-from repro.core.costs import cycles_for
 from repro.faults.errors import HardwareFault
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.scrub import Scrubber
@@ -112,7 +111,8 @@ class RequestServer:
     A server's constructor sets ``model``, ``config``, ``collector``,
     ``tracer``, ``sources`` and ``injector``, then calls :meth:`_start`
     with its backend: a :class:`~repro.os.kernel.Kernel` or a
-    :class:`~repro.cluster.dsm.ClusterDSM`.
+    :class:`~repro.cluster.dsm.ClusterDSM`; its one store,
+    ``backend.stats``, is what the tracer watches.
     """
 
     #: Request-clock chaos, called with the op index before each
@@ -128,49 +128,49 @@ class RequestServer:
         the post-construction counters means the first poll reports
         only movement that requests caused.
         """
+        if self.tracer.stats is not backend.stats:
+            # A request is priced from its span.
+            raise ValueError("the request tracer must watch the backend's store")
         self.backend = backend
         self.busy_until_us = 0
         self.op_index = 0
         self.unrecovered = 0
-        self._baseline = backend.merged_stats()
-        self.collector.seed_counters(self._baseline.as_dict())
+        self._baseline = backend.stats.snapshot()
+        self.collector.seed_counters(backend.stats.counts_view())
 
     def handle(self, t_us: int, klass: str) -> None:
         """Serve one arrival: tick chaos, execute, retry-or-fail, poll.
 
-        The price is ``cycles_for`` of the backend's ``merged_stats()``
-        delta across both attempts, plus whatever :meth:`_clock`
-        advanced.
+        One ``serve.<class>`` span covers both attempts and the repair
+        between them; the price is its cycles plus whatever
+        :meth:`_clock` advanced.
         """
         source = self.sources[klass]
         if self.chaos_tick is not None:
             self.chaos_tick(self.op_index)
         self.op_index += 1
         start_us = max(t_us, self.busy_until_us)
-        before = self.backend.merged_stats()
         clock_before = self._clock()
-        refs = self._execute(source, klass, t_us, start_us)
-        after = self.backend.merged_stats()
-        cycles = cycles_for(after.delta(before)) + self._clock() - clock_before
+        with self.tracer.span(f"serve.{klass}", t_us=t_us) as span:
+            refs = self._execute(source, klass, start_us)
+        cycles = span.cycles + self._clock() - clock_before
         service_us = max(1, -(-cycles // self.config.cycles_per_us))
         self.busy_until_us = start_us + service_us
         if refs is not None:
             self.collector.observe_request(klass, cycles, refs)
-        self.collector.poll(self.busy_until_us, after.as_dict())
+        self.collector.poll(self.busy_until_us, self.backend.stats.counts_view())
         # Spans were consumed by the collector at exit; drop the forest.
         self.tracer.roots.clear()
 
-    def _execute(self, source, klass: str, t_us: int, start_us: int) -> int | None:
+    def _execute(self, source, klass: str, start_us: int) -> int | None:
         try:
-            with self.tracer.span(f"serve.{klass}", t_us=t_us):
-                return source.execute()
+            return source.execute()
         except (SegmentationViolation, HardwareFault):
             source.recover()
             self._before_retry()
             self.collector.observe_retry(klass, start_us)
         try:
-            with self.tracer.span(f"serve.{klass}", t_us=t_us, retry=1):
-                return source.execute()
+            return source.execute()
         except (SegmentationViolation, HardwareFault) as exc:
             source.recover()
             self.collector.observe_failure(klass, start_us, type(exc).__name__)
@@ -184,10 +184,6 @@ class RequestServer:
         """Cycles spent outside the counters, as a running clock."""
         return 0
 
-    def current_counters(self) -> dict[str, int]:
-        """The merged counter view the driver polls between requests."""
-        return self.backend.merged_stats().as_dict()
-
     def summary_extras(self) -> dict[str, object]:
         """Server-specific fields merged into the SLO summary."""
         return {}
@@ -198,7 +194,7 @@ class RequestServer:
 
     def run_delta(self):
         """The whole run's counter movement (every CPU and node)."""
-        return self.backend.merged_stats().delta(self._baseline)
+        return self.backend.stats.delta(self._baseline)
 
 
 class ModelServer(RequestServer):
@@ -312,7 +308,7 @@ def run_serve(
             server.scrub_tick()
         # Drain counter movement from the final scrub into the event
         # stream, then close the run with a snapshot at the boundary.
-        collector.poll(duration, server.current_counters())
+        collector.poll(duration, server.backend.stats.counts_view())
         fire_snapshot(duration)
         server.finish()
 

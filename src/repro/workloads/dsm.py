@@ -17,7 +17,8 @@ The protection verbs come straight from Table 1:
 
 Every node is a full kernel+machine of the same protection model; the
 coherence messages are modelled as counters (``dsm.msg.*``) plus page
-copies through physical memory.
+copies through physical memory.  The protocol and every node kernel
+charge the cluster's one store, ``DSMCluster.stats``.
 """
 
 from __future__ import annotations
@@ -157,10 +158,6 @@ class DSMNode:
         if not self.kernel.translations.is_resident(vpn):
             self.kernel.populate_page(vpn)
 
-    @property
-    def stats(self) -> Stats:
-        return self.kernel.stats
-
 
 class DSMCluster:
     """A directory-based shared-VM cluster of SASOS nodes."""
@@ -177,10 +174,13 @@ class DSMCluster:
         if nodes < 2:
             raise ClusterConfigError("a DSM cluster needs at least two nodes")
         self.model = model
-        self.nodes = [DSMNode(i, model, pages, **kernel_options) for i in range(nodes)]
+        self.stats = Stats()
+        self.nodes = [
+            DSMNode(i, model, pages, stats=self.stats, **kernel_options)
+            for i in range(nodes)
+        ]
         self.pages = pages
         self.gen = TraceGenerator(seed, self.nodes[0].kernel.params)
-        self.stats = Stats()
         self.directory: dict[int, PageDirectoryEntry] = {
             vpn: PageDirectoryEntry(owner=0)
             for vpn in self.nodes[0].segment.vpns()
@@ -190,26 +190,13 @@ class DSMCluster:
         self._valid: dict[int, set[int]] = {vpn: {0} for vpn in self.directory}
         for node in self.nodes:
             node.kernel.add_protection_handler(self._handler_for(node))
-            node.kernel.add_page_fault_handler(self._page_handler_for(node))
+            node.kernel.add_page_fault_handler(self._handler_for(node))
 
     # ------------------------------------------------------------------ #
     # Coherence protocol
 
     def _handler_for(self, node: DSMNode):
-        def handle(fault: ProtectionFault) -> bool:
-            vpn = node.kernel.params.vpn(fault.vaddr)
-            if vpn not in self.directory:
-                return False
-            if fault.access is AccessType.WRITE:
-                self.get_writable(node, vpn)
-            else:
-                self.get_readable(node, vpn)
-            return True
-
-        return handle
-
-    def _page_handler_for(self, node: DSMNode):
-        def handle(fault: PageFault) -> bool:
+        def handle(fault: ProtectionFault | PageFault) -> bool:
             vpn = node.kernel.params.vpn(fault.vaddr)
             if vpn not in self.directory:
                 return False
@@ -240,7 +227,7 @@ class DSMCluster:
             self._fetch_copy(node, vpn, entry.owner)
         if entry.state is CopyState.EXCLUSIVE and entry.owner != node.node_id:
             # Demote the writer to a shared copy.
-            self._set_rights_on(entry.owner, vpn, Rights.READ)
+            self.nodes[entry.owner]._set_local_rights(vpn, Rights.READ)
             self.stats.inc("dsm.msg.demote")
         entry.state = CopyState.SHARED
         entry.copyset.add(node.node_id)
@@ -281,9 +268,6 @@ class DSMCluster:
         node.kernel.memory.write_page(dst_pfn, data)
         self._valid[vpn].add(node.node_id)
 
-    def _set_rights_on(self, node_id: int, vpn: int, rights: Rights) -> None:
-        self.nodes[node_id]._set_local_rights(vpn, rights)
-
     def _invalidate_on(self, node_id: int, vpn: int) -> None:
         """Table 1 "Invalidate": remote machine kills the local copy."""
         self.stats.inc("dsm.msg.invalidate")
@@ -300,14 +284,14 @@ class DSMCluster:
         The classic migratory sharing pattern: pages follow the active
         node, generating get-writable + invalidate traffic.
         """
-        before = self._snapshot()
+        before = self.stats.snapshot()
         for round_no in range(rounds):
             for node in self.nodes:
                 for ref in self.gen.refs(
                     node.domain.pd_id, node.segment, refs_per_round
                 ):
                     node.machine.touch(node.domain, ref.vaddr, ref.access)
-        return self._delta(before)
+        return self.stats.delta(before)
 
     def run_producer_consumer(self, *, iterations: int = 10, region_pages: int = 8) -> Stats:
         """Node 0 writes a region; every other node reads it back.
@@ -316,7 +300,7 @@ class DSMCluster:
         pattern where a page's copyset grows and the per-copy costs of
         the two models diverge.
         """
-        before = self._snapshot()
+        before = self.stats.snapshot()
         producer = self.nodes[0]
         params = producer.kernel.params
         pages = list(producer.segment.vpns())[:region_pages]
@@ -326,7 +310,7 @@ class DSMCluster:
             for consumer in self.nodes[1:]:
                 for vpn in pages:
                     consumer.machine.read(consumer.domain, params.vaddr(vpn))
-        return self._delta(before)
+        return self.stats.delta(before)
 
     def run_false_sharing(self, *, rounds: int = 20, pages: int = 4) -> Stats:
         """Two nodes write disjoint halves of the same pages.
@@ -337,7 +321,7 @@ class DSMCluster:
         protection units ("large page sizes ... causing an increase in
         false sharing for distributed virtual memory systems").
         """
-        before = self._snapshot()
+        before = self.stats.snapshot()
         a, b = self.nodes[0], self.nodes[1]
         params = a.kernel.params
         half = params.page_size // 2
@@ -346,7 +330,7 @@ class DSMCluster:
             for vpn in target_pages:
                 a.machine.write(a.domain, params.vaddr(vpn, 0))
                 b.machine.write(b.domain, params.vaddr(vpn, half))
-        return self._delta(before)
+        return self.stats.delta(before)
 
     def run_split_pages(self, *, rounds: int = 20, pages: int = 4) -> Stats:
         """The same work as :meth:`run_false_sharing` on disjoint pages.
@@ -354,7 +338,7 @@ class DSMCluster:
         The control: with each node's data on its own pages, coherence
         traffic stops after warm-up.
         """
-        before = self._snapshot()
+        before = self.stats.snapshot()
         a, b = self.nodes[0], self.nodes[1]
         params = a.kernel.params
         all_pages = list(a.segment.vpns())
@@ -365,23 +349,4 @@ class DSMCluster:
                 a.machine.write(a.domain, params.vaddr(vpn, 0))
             for vpn in b_pages:
                 b.machine.write(b.domain, params.vaddr(vpn, 0))
-        return self._delta(before)
-
-    # ------------------------------------------------------------------ #
-    # Aggregated accounting
-
-    def _snapshot(self) -> list[Stats]:
-        return [self.stats.snapshot()] + [node.stats.snapshot() for node in self.nodes]
-
-    def _delta(self, before: list[Stats]) -> Stats:
-        total = self.stats.delta(before[0])
-        for node, prior in zip(self.nodes, before[1:]):
-            total.merge(node.stats.delta(prior))
-        return total
-
-    def total_stats(self) -> Stats:
-        """Protocol stats merged with every node's hardware stats."""
-        total = self.stats.snapshot()
-        for node in self.nodes:
-            total.merge(node.stats)
-        return total
+        return self.stats.delta(before)

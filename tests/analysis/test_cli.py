@@ -126,6 +126,20 @@ class TestParallelismValidation:
         assert "--domains must be >= 1" in capsys.readouterr().err
 
 
+class TestCountValidation:
+    """A count below 1 is refused, not run as an empty or clipped run."""
+
+    @pytest.mark.parametrize("ops", ("0", "-3"))
+    def test_check_ops_below_one(self, ops, capsys):
+        assert main(["check", "fuzz", "--ops", ops, "--seed", "0"]) == 2
+        assert "--ops must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ("0", "-2"))
+    def test_profile_top_below_one(self, top, capsys):
+        assert main(["profile", "gc", "--model", "plb", "--top", top]) == 2
+        assert "--top must be >= 1" in capsys.readouterr().err
+
+
 class TestSMPCommand:
     def test_prints_the_consistency_table(self, capsys):
         assert main(["smp", "--cpus", "2", "--domains", "2",
@@ -311,9 +325,50 @@ class TestChaosCommand:
         assert main(["check", "fuzz", "--plan", "gremlins", "--seed", "0"]) == 2
         assert "unknown --plan" in capsys.readouterr().err
 
+    def test_cluster_plan_cannot_strike_a_kernel(self, capsys):
+        assert main(["check", "fuzz", "--plan", "cluster-lossy", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: fault plan 'cluster-lossy'")
+        assert "which a kernel lacks" in err
+
+    def test_cluster_plan_file_cannot_strike_a_kernel(self, tmp_path, capsys):
+        import json
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"events": [{"site": "cluster", "kind": "msg_drop", "at": 3}]}
+        ))
+        assert main(["check", "fuzz", "--plan", str(plan), "--seed", "0"]) == 2
+        assert "which a kernel lacks" in capsys.readouterr().err
+
+    def test_plan_file_with_no_events_runs(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"events": []}')
+        assert main(["check", "fuzz", "--models", "plb", "--plan", str(plan),
+                     "--seed", "0", "--ops", "40"]) == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_unknown_scenario_exits_cleanly(self, capsys):
         assert main(["check", "bogus", "--seed", "0"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+
+class TestClusterCommand:
+    def test_kernel_plan_cannot_strike_a_cluster(self, capsys):
+        assert main(["cluster", "--plan", "mixed", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: fault plan 'mixed'")
+        assert "which a cluster lacks" in err
+
+    def test_kernel_plan_file_cannot_strike_a_cluster(self, tmp_path, capsys):
+        import json
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"events": [{"site": "disk", "kind": "bitrot", "at": 0}]}
+        ))
+        assert main(["cluster", "--plan", str(plan), "--seed", "0"]) == 2
+        assert "which a cluster lacks" in capsys.readouterr().err
 
 
 class TestCrashRecoverCommand:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.dsm import HEARTBEAT_MISS_LIMIT, ClusterDSM
+from repro.cluster.dsm import HEARTBEAT_MISS_LIMIT, ClusterDSM, recovery_percentile
 from repro.cluster.node import stamp_page
 from repro.core.rights import AccessType
 from repro.os.kernel import MODELS
@@ -126,13 +126,12 @@ class TestRejoin:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_rejoin_keeps_the_dead_nodes_counters(self, model):
-        """The replacement kernel charges its predecessor's store, so
-        the cluster's totals never go backwards across a rejoin."""
+        """The replacement kernel charges the cluster's one store, like
+        every node, so the totals never go backwards across a rejoin."""
         cluster = ClusterDSM(model, nodes=3, pages=4, seed=1, n_cpus=2)
         for node_id in sorted(cluster.nodes):
             for vpn in cluster.vpns:
                 touch(cluster, node_id, vpn)
-        store = cluster.nodes[2].kernel.stats
         before = cluster.merged_stats()
         assert cluster.crash_node(2)
         for _ in range(HEARTBEAT_MISS_LIMIT + 2):
@@ -140,7 +139,7 @@ class TestRejoin:
         assert 2 in cluster.dead
         cluster.rejoin(2)
         cluster.merged_stats().assert_monotonic(before)
-        assert cluster.nodes[2].kernel.stats is store
+        assert cluster.nodes[2].kernel.stats is cluster.stats
 
     def test_rejoining_a_live_member_is_rejected(self, cluster):
         from repro.faults.errors import ClusterConfigError
@@ -155,3 +154,12 @@ class TestRejoin:
             cluster.tick()
         assert 3 not in cluster.dead
         assert cluster.nodes[3].alive
+
+
+def test_recovery_percentile_is_the_nearest_rank_below():
+    """``repro cluster`` and cluster serve share this one rank rule."""
+    episodes = [10, 20, 30, 40]
+    assert recovery_percentile([], 0.5) == 0
+    assert recovery_percentile(episodes, 0.0) == 10
+    assert recovery_percentile(episodes, 0.5) == 30
+    assert recovery_percentile(episodes, 0.99) == 40

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.cluster.serve import ClusterServer
+from repro.os.kernel import MODELS
 from repro.serve.driver import ServeConfig, run_serve
+from repro.workloads.openloop import arrival_schedule
 
 
 def cluster_config(**overrides):
@@ -55,3 +60,28 @@ class TestClusterServe:
         assert "cluster" not in summary
         assert "cluster_recovery" not in summary
         assert "cluster_nodes" not in summary
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_request_is_priced_from_its_span_plus_wire_time(self, model):
+        """Every node charges the cluster's one store, so the
+        ``serve.cluster`` span sees all of a request's counted work; its
+        price adds only the wire time the interconnect clock advanced
+        inside ``handle`` (no scrub ticks run here)."""
+        config = ServeConfig(
+            duration_ms=200, seed=5, cpus=2, plan="cluster-lossy",
+            rates={"cluster": 320.0}, cluster_nodes=4,
+        )
+        server = ClusterServer(model, config)
+        net = server.cluster.net
+        wire = 0
+        for t_us, klass in arrival_schedule(
+            config.rates, config.seed, config.duration_us
+        ):
+            clock = net.clock
+            server.handle(t_us, klass)
+            wire += net.clock - clock
+        assert server.unrecovered == 0
+        priced = server.collector.request_sketches["cluster"].total
+        spans = server.collector.verb_sketches["serve.cluster"].total
+        assert wire > 0
+        assert priced - spans == wire

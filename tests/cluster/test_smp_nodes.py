@@ -43,51 +43,40 @@ class TestSMPNodeComposition:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_invalidate_range_is_one_batch_per_remote_cpu(self, model):
-        """A K-page acquisition costs each holder node one batched
-        range shootdown per remote CPU — the page factor collapses."""
-        cpus, k_pages = 4, 6
-        cluster = ClusterDSM(model, nodes=3, pages=8, n_cpus=cpus)
+        """A K-page acquisition costs each node one batched range
+        shootdown per remote CPU — the page factor collapses.  Every
+        node charges the cluster's one store, so the whole fan-out
+        shows in one delta."""
+        nodes, cpus, k_pages = 3, 4, 6
+        cluster = ClusterDSM(model, nodes=nodes, pages=8, n_cpus=cpus)
         warm_all_cpus(cluster)
         requester = cluster.nodes[0]
         requester.kernel.set_current_cpu(0)
         vpns = cluster.vpns[:k_pages]
 
-        stats_before = {
-            node.node_id: node.stats.as_dict()
-            for node in cluster.nodes.values()
-        }
+        before = cluster.stats.snapshot()
         cluster.get_writable_range(requester, vpns)
+        delta = cluster.stats.delta(before)
 
-        for node in cluster.nodes.values():
-            before = stats_before[node.node_id]
-            after = node.stats.as_dict()
-
-            def delta(name: str) -> int:
-                return after.get(name, 0) - before.get(name, 0)
-
-            ipi_msgs = (
-                delta("smp.shootdown.msgs") + delta("smp.tlb_shootdown.msgs")
-            )
-            batches = (
-                delta("smp.shootdown.batches")
-                + delta("smp.tlb_shootdown.batches")
-            )
-            # One batched message per remote CPU; never K per-page IPIs.
-            assert ipi_msgs == cpus - 1, (node.node_id, ipi_msgs)
-            assert batches == ipi_msgs
-            if node is not requester:
-                assert delta("cluster.smp.invalidate_batches") == 1
-                assert delta("cluster.smp.invalidate_pages") == k_pages
+        ipi_msgs = delta["smp.shootdown.msgs"] + delta["smp.tlb_shootdown.msgs"]
+        batches = (
+            delta["smp.shootdown.batches"] + delta["smp.tlb_shootdown.batches"]
+        )
+        # One batched message per remote CPU on every node; never K
+        # per-page IPIs.
+        assert ipi_msgs == nodes * (cpus - 1)
+        assert batches == ipi_msgs
+        # One invalidate_range per holder node (the requester holds
+        # its own copies).
+        assert delta["cluster.smp.invalidate_batches"] == nodes - 1
+        assert delta["cluster.smp.invalidate_pages"] == (nodes - 1) * k_pages
 
     def test_single_cpu_node_charges_no_smp_counters(self):
         cluster = ClusterDSM("plb", nodes=2, pages=4, n_cpus=1)
         warm_all_cpus(cluster)
         cluster.get_writable_range(cluster.nodes[0], cluster.vpns[:3])
-        for node in cluster.nodes.values():
-            counters = node.stats.as_dict()
-            assert not any(
-                k.startswith("cluster.smp.") for k in counters
-            ), counters
+        counters = cluster.stats.as_dict()
+        assert not any(k.startswith("cluster.smp.") for k in counters), counters
 
     @pytest.mark.parametrize("model", MODELS)
     def test_touch_home_routes_to_shard_home_cpu(self, model):

@@ -49,6 +49,20 @@ class TestServeCommand:
         capsys.readouterr()
         assert main(["serve", "--rates", "bogus=3"]) == 2
 
+    def test_serve_refuses_a_plan_that_cannot_strike(self, capsys):
+        """A cluster preset on a kernel, or a kernel preset on a
+        cluster, would inject nothing: both are refused."""
+        assert main([
+            "serve", "--duration", "300", "--seed", "1",
+            "--plan", "cluster-lossy",
+        ]) == 2
+        assert "which a kernel lacks" in capsys.readouterr().err
+        assert main([
+            "serve", "--duration", "300", "--seed", "1",
+            "--cluster-nodes", "3", "--plan", "mixed",
+        ]) == 2
+        assert "which a cluster lacks" in capsys.readouterr().err
+
     def test_serve_rejects_degenerate_knobs(self, capsys):
         assert main(["serve", "--duration", "0"]) == 2
         capsys.readouterr()

@@ -114,6 +114,31 @@ class TestTelemetrySurface:
             for klass, sketch in per_class.items():
                 assert per_verb[f"serve.{klass}"] == sketch, (model, klass)
 
+    def test_a_retried_request_is_one_span_priced_from_it(self):
+        """A request is one span across both attempts and the scrub
+        between them, and it is priced from that span, so the span
+        sketch equals the per-class sketch with retries too."""
+        result = run_serve(
+            ServeConfig(
+                duration_ms=300, seed=6, models=MODELS, cpus=2, plan="mixed"
+            )
+        )
+        for model in MODELS:
+            summary = result.summaries[model]
+            assert summary["faults"]["request_retries"] >= 1, model
+            per_verb = summary["latency_cycles_per_verb"]
+            for klass, sketch in summary["latency_cycles_per_class"].items():
+                assert per_verb[f"serve.{klass}"] == sketch, (model, klass)
+
+    def test_the_tracer_must_watch_the_backends_store(self):
+        from repro.obs.tracer import Tracer
+        from repro.sim.stats import Stats
+
+        server = ModelServer("plb", ServeConfig(duration_ms=10))
+        server.tracer = Tracer(Stats())
+        with pytest.raises(ValueError, match="store"):
+            server._start(server.kernel)
+
     @pytest.mark.parametrize("model", ("plb", "pagegroup", "conventional"))
     def test_every_cpu_keeps_an_unwrapped_reference_path(self, model):
         server = ModelServer(model, ServeConfig(cpus=2, plan="mixed"))
