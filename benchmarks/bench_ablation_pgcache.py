@@ -10,10 +10,6 @@ capacities, for both the register file and the LRU cache.
 
 from __future__ import annotations
 
-import dataclasses
-
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table
 from repro.os.kernel import Kernel
@@ -38,33 +34,24 @@ def run_rpc(holder: str, capacity: int):
     return RPCWorkload(kernel, RPC).run()
 
 
-@pytest.mark.parametrize("holder", ["registers", "cache"])
-def test_txn_holders(benchmark, holder):
-    report = benchmark.pedantic(lambda: run_txn(holder, 4), rounds=1, iterations=1)
-    assert report.commits == TXN.transactions
-
-
-def test_report_pgcache_ablation(benchmark):
-    def sweep():
-        rows = []
-        for capacity in CAPACITIES:
-            for holder in ("registers", "cache"):
-                if holder == "registers" and capacity > 8:
-                    continue  # real hardware stops at a few registers
-                txn = run_txn(holder, capacity)
-                rpc = run_rpc(holder, capacity)
-                rows.append(
-                    [
-                        holder,
-                        capacity,
-                        txn.stats["group_reload"],
-                        rpc.stats["group_reload"],
-                        rpc.stats["pid.replace"],
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_pgcache_ablation():
+    rows = []
+    for capacity in CAPACITIES:
+        for holder in ("registers", "cache"):
+            if holder == "registers" and capacity > 8:
+                continue  # real hardware stops at a few registers
+            txn = run_txn(holder, capacity)
+            assert txn.commits == TXN.transactions
+            rpc = run_rpc(holder, capacity)
+            rows.append(
+                [
+                    holder,
+                    capacity,
+                    txn.stats["group_reload"],
+                    rpc.stats["group_reload"],
+                    rpc.stats["pid.replace"],
+                ]
+            )
     benchout.record(
         "Ablation: page-group holder (4-register PA-RISC file vs "
         "Wilkes & Sears LRU cache)",

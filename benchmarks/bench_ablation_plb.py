@@ -10,8 +10,6 @@ capacity over a page-group TLB of the same area.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table
 from repro.core.costs import entries_for_budget, pagegroup_tlb_entry_bits, plb_entry_bits
@@ -28,34 +26,23 @@ def run_gc_with_plb(entries: int, ways: int | None):
     return ConcurrentGC(kernel, CONFIG).run()
 
 
-@pytest.mark.parametrize("entries", [16, 128])
-def test_plb_size_points(benchmark, entries):
-    report = benchmark.pedantic(
-        lambda: run_gc_with_plb(entries, None), rounds=1, iterations=1
-    )
-    assert report.collections == CONFIG.collections
-
-
-def test_report_plb_ablation(benchmark):
-    def sweep():
-        rows = []
-        for entries in ENTRY_SWEEP:
-            for ways in WAY_SWEEP:
-                report = run_gc_with_plb(entries, ways)
-                stats = report.stats
-                lookups = stats["plb.hit"] + stats["plb.miss"]
-                rows.append(
-                    [
-                        entries,
-                        "full" if ways is None else ways,
-                        f"{stats['plb.miss'] / lookups * 100:.2f}%",
-                        stats["plb.fill"],
-                        stats["plb.eviction"],
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_plb_ablation():
+    rows = []
+    for entries in ENTRY_SWEEP:
+        for ways in WAY_SWEEP:
+            report = run_gc_with_plb(entries, ways)
+            assert report.collections == CONFIG.collections
+            stats = report.stats
+            lookups = stats["plb.hit"] + stats["plb.miss"]
+            rows.append(
+                [
+                    entries,
+                    "full" if ways is None else ways,
+                    f"{stats['plb.miss'] / lookups * 100:.2f}%",
+                    stats["plb.fill"],
+                    stats["plb.eviction"],
+                ]
+            )
     # Equal-silicon comparison point.
     budget = pagegroup_tlb_entry_bits() * 64
     bonus_entries = entries_for_budget(plb_entry_bits(), budget)

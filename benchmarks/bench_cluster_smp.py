@@ -33,7 +33,6 @@ import pytest
 from repro.analysis import benchout
 from repro.analysis.consistency import measure_cluster_smp
 from repro.analysis.report import format_table
-from repro.obs.export import RunReport
 
 AXES = [1, 2, 4]
 MODELS = ["plb", "pagegroup", "conventional"]
@@ -43,70 +42,42 @@ K_PAGES = 6
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("cpus", AXES)
 @pytest.mark.parametrize("nodes", AXES)
-def test_cluster_smp_invalidation(benchmark, model, nodes, cpus):
-    result = benchmark.pedantic(
-        lambda: measure_cluster_smp(
-            model, nodes=nodes, cpus=cpus, k_pages=K_PAGES
-        ),
-        rounds=1, iterations=1,
-    )
+def test_cluster_smp_invalidation(model, nodes, cpus):
+    result = measure_cluster_smp(model, nodes=nodes, cpus=cpus, k_pages=K_PAGES)
     assert not result.problems
     assert result.holders == nodes - 1
     # One batched range shootdown per remote CPU of every participant.
     assert result.cost.msgs == nodes * (cpus - 1)
 
 
-def test_report_cluster_smp(benchmark):
-    def sweep():
-        rows = []
-        reports = []
-        for nodes in AXES:
-            for cpus in AXES:
-                per_model = {}
-                for model in MODELS:
-                    result = measure_cluster_smp(
-                        model, nodes=nodes, cpus=cpus, k_pages=K_PAGES
-                    )
-                    per_model[model] = result
-                    cost = result.cost
-                    reports.append(
-                        RunReport(
-                            title="cluster-smp",
-                            model=model,
-                            counters={
-                                "cluster.wire_msgs": cost.wire,
-                                "cluster.holders": result.holders,
-                                "smp.ipi_msgs": cost.msgs,
-                                "smp.ipi_batches": cost.batches,
-                            },
-                            cycles_total=0,
-                            cycles_breakdown={},
-                            params={"nodes": nodes, "cpus": cpus,
-                                    "k_pages": K_PAGES},
-                            summary={"problems": result.problems},
-                        )
-                    )
-                # The DSM layer sits above the protection model: all
-                # three models must pay identical costs.
-                first = per_model[MODELS[0]]
-                assert all(
-                    (r.cost.wire, r.cost.msgs, r.cost.batches)
-                    == (first.cost.wire, first.cost.msgs, first.cost.batches)
-                    for r in per_model.values()
+def test_report_cluster_smp():
+    rows = []
+    for nodes in AXES:
+        for cpus in AXES:
+            per_model = {
+                model: measure_cluster_smp(
+                    model, nodes=nodes, cpus=cpus, k_pages=K_PAGES
                 )
-                rows.append(
-                    [
-                        f"{nodes} x {cpus}",
-                        first.cost.wire,
-                        first.holders,
-                        first.cost.msgs,
-                        first.cost.batches,
-                        "FAIL" if first.problems else "OK",
-                    ]
-                )
-        return rows, reports
-
-    rows, reports = benchmark.pedantic(sweep, rounds=1, iterations=1)
+                for model in MODELS
+            }
+            # The DSM layer sits above the protection model: all three
+            # models must pay identical costs.
+            first = per_model[MODELS[0]]
+            assert all(
+                (r.cost.wire, r.cost.msgs, r.cost.batches)
+                == (first.cost.wire, first.cost.msgs, first.cost.batches)
+                for r in per_model.values()
+            )
+            rows.append(
+                [
+                    f"{nodes} x {cpus}",
+                    first.cost.wire,
+                    first.holders,
+                    first.cost.msgs,
+                    first.cost.batches,
+                    "FAIL" if first.problems else "OK",
+                ]
+            )
     benchout.record(
         "Cluster x SMP: one wire message per holder node, one batched "
         f"range shootdown per remote CPU (K={K_PAGES}-page acquisition)",
@@ -123,7 +94,6 @@ def test_report_cluster_smp(benchmark):
             title="DSM invalidation cost at composed scales "
             "(all models identical; page factor K absent on both axes)",
         ),
-        reports=reports,
     )
     # Direction: wire cost grows with nodes only, IPI cost with the
     # product of participants and remote CPUs — never with K.

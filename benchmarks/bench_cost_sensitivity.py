@@ -33,34 +33,30 @@ def rpc_stats():
     return run_stats()
 
 
-def test_event_counts_fixed(benchmark):
-    stats = benchmark.pedantic(run_stats, rounds=1, iterations=1)
+def test_event_counts_fixed():
+    stats = run_stats()
     # The counts themselves never depend on the cost table.
     assert stats["plb"]["group_reload"] == 0
     assert stats["pagegroup"]["group_reload"] > 0
 
 
-def test_report_cost_sensitivity(benchmark, rpc_stats):
-    def sweep():
-        rows = []
-        for trap in (50, 150, 300, 600):
-            for reload_cost in (20, 100, 400):
-                costs = CycleCosts(kernel_trap=trap, group_reload_trap=reload_cost)
-                plb = cycles_for(rpc_stats["plb"], costs)
-                pagegroup = cycles_for(rpc_stats["pagegroup"], costs)
-                rows.append(
-                    [
-                        trap,
-                        reload_cost,
-                        plb,
-                        pagegroup,
-                        f"{pagegroup / plb:.2f}x",
-                        "plb" if plb <= pagegroup else "pagegroup",
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_cost_sensitivity(rpc_stats):
+    rows = []
+    for trap in (50, 150, 300, 600):
+        for reload_cost in (20, 100, 400):
+            costs = CycleCosts(kernel_trap=trap, group_reload_trap=reload_cost)
+            plb = cycles_for(rpc_stats["plb"], costs)
+            pagegroup = cycles_for(rpc_stats["pagegroup"], costs)
+            rows.append(
+                [
+                    trap,
+                    reload_cost,
+                    plb,
+                    pagegroup,
+                    f"{pagegroup / plb:.2f}x",
+                    "plb" if plb <= pagegroup else "pagegroup",
+                ]
+            )
     benchout.record(
         "Ablation: cycle-weight sensitivity (RPC workload)",
         format_table(

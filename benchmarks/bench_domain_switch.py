@@ -12,8 +12,6 @@ but leaves the PLB switch at one register write.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table, ratio
 from repro.core.costs import cycles_for
@@ -30,47 +28,35 @@ def run_rpc(model: str, private_segments: int, **system_options):
     return RPCWorkload(kernel, config).run()
 
 
-@pytest.mark.parametrize("model", ["plb", "pagegroup", "conventional"])
-@pytest.mark.parametrize("segments", SWEEP)
-def test_rpc_switches(benchmark, model, segments):
-    report = benchmark.pedantic(
-        lambda: run_rpc(model, segments), rounds=1, iterations=1
-    )
-    assert report.calls == 60
-
-
-def test_report_domain_switch(benchmark):
-    def sweep():
-        rows = []
-        for segments in SWEEP:
-            configs = [
-                ("plb", run_rpc("plb", segments)),
-                ("pagegroup/lazy", run_rpc("pagegroup", segments)),
-                ("pagegroup/eager", run_rpc("pagegroup", segments, eager_reload=True)),
-                ("conventional/tagged", run_rpc("conventional", segments)),
-                ("conventional/untagged",
-                 run_rpc("conventional", segments, asid_tagged=False)),
-            ]
-            for label, report in configs:
-                switches = report.switches
-                stats = report.stats
-                rows.append(
-                    [
-                        f"{segments} groups",
-                        label,
-                        switches,
-                        round(ratio(stats["pdid.write"], switches), 2),
-                        round(ratio(stats["group_reload"]
-                                    + stats["group_eager_load"], switches), 2),
-                        round(ratio(stats["pgcache.purge_removed"]
-                                    + stats["pid.write"], switches), 2),
-                        round(ratio(stats["asidtlb.purge_removed"], switches), 2),
-                        round(ratio(cycles_for(stats), switches)),
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_domain_switch():
+    rows = []
+    for segments in SWEEP:
+        configs = [
+            ("plb", run_rpc("plb", segments)),
+            ("pagegroup/lazy", run_rpc("pagegroup", segments)),
+            ("pagegroup/eager", run_rpc("pagegroup", segments, eager_reload=True)),
+            ("conventional/tagged", run_rpc("conventional", segments)),
+            ("conventional/untagged",
+             run_rpc("conventional", segments, asid_tagged=False)),
+        ]
+        for label, report in configs:
+            assert report.calls == 60
+            switches = report.switches
+            stats = report.stats
+            rows.append(
+                [
+                    f"{segments} groups",
+                    label,
+                    switches,
+                    round(ratio(stats["pdid.write"], switches), 2),
+                    round(ratio(stats["group_reload"]
+                                + stats["group_eager_load"], switches), 2),
+                    round(ratio(stats["pgcache.purge_removed"]
+                                + stats["pid.write"], switches), 2),
+                    round(ratio(stats["asidtlb.purge_removed"], switches), 2),
+                    round(ratio(cycles_for(stats), switches)),
+                ]
+            )
     benchout.record(
         "Section 4.1.4: Domain-switch cost under RPC (sweep: groups per domain)",
         format_table(

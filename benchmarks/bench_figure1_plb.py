@@ -2,43 +2,33 @@
 
 Regenerates the figure's numbers (52-bit VPN, 16-bit PD-ID, 3-bit
 rights for 64-bit addresses and 4 Kbyte pages) from the machine
-parameters and benchmarks the PLB's lookup path.
+parameters, across several address geometries.  The paper row itself is
+asserted in ``tests/integration/test_paper_claims.py``.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.analysis import benchout
 from repro.analysis.figures import figure1_fields, render_figure1
 from repro.analysis.report import format_table
 from repro.core.params import MachineParams
-from repro.core.plb import ProtectionLookasideBuffer
-from repro.core.rights import Rights
 
 
-def test_figure1_field_widths(benchmark):
+def test_figure1_field_widths():
     """Recompute the figure's field widths across address geometries."""
-
-    def compute():
-        rows = []
-        for va_bits, page_bits in [(64, 12), (64, 13), (52, 12), (48, 12)]:
-            params = MachineParams(va_bits=va_bits, page_bits=page_bits)
-            fields = figure1_fields(params)
-            rows.append(
-                [
-                    f"{va_bits}-bit VA, {1 << (page_bits - 10)}K pages",
-                    fields.vpn_bits,
-                    fields.pd_id_bits,
-                    fields.rights_bits,
-                    fields.entry_bits,
-                ]
-            )
-        return rows
-
-    rows = benchmark(compute)
-    paper_row = rows[0]
-    assert paper_row[1:] == [52, 16, 3, 71]
+    rows = []
+    for va_bits, page_bits in [(64, 12), (64, 13), (52, 12), (48, 12)]:
+        params = MachineParams(va_bits=va_bits, page_bits=page_bits)
+        fields = figure1_fields(params)
+        rows.append(
+            [
+                f"{va_bits}-bit VA, {1 << (page_bits - 10)}K pages",
+                fields.vpn_bits,
+                fields.pd_id_bits,
+                fields.rights_bits,
+                fields.entry_bits,
+            ]
+        )
     benchout.record(
         "Figure 1: PLB organization and field widths",
         render_figure1()
@@ -49,19 +39,3 @@ def test_figure1_field_widths(benchmark):
             title="Field widths vs machine geometry (paper row first)",
         ),
     )
-
-
-@pytest.mark.parametrize("entries,ways", [(64, 64), (128, 128), (128, 4)])
-def test_plb_lookup_throughput(benchmark, entries, ways):
-    """Time the PLB probe path (the per-reference critical operation)."""
-    plb = ProtectionLookasideBuffer(entries, ways)
-    for vpn in range(entries):
-        plb.fill(1, vpn << 12, Rights.RW)
-    addresses = [(vpn % entries) << 12 for vpn in range(1024)]
-
-    def probe_all():
-        for vaddr in addresses:
-            plb.lookup(1, vaddr)
-
-    benchmark(probe_all)
-    assert plb.stats["plb.miss"] == 0

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table, ratio
 from repro.core.costs import cycles_for
@@ -27,39 +25,26 @@ CONFIG = FileServerConfig(
 )
 
 
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("mode", ["copy", "share"])
-def test_fileserver(benchmark, model, mode):
-    config = dataclasses.replace(CONFIG, mode=mode)
-    report = benchmark.pedantic(
-        lambda: FileServer(Kernel(model), config).run(), rounds=1, iterations=1
-    )
-    assert report.requests == CONFIG.requests
-
-
-def test_report_fileserver(benchmark):
-    def run_all():
-        rows = []
-        for mode in ("copy", "share"):
-            config = dataclasses.replace(CONFIG, mode=mode)
-            for model in MODELS:
-                report = FileServer(Kernel(model), config).run()
-                stats = report.stats
-                rows.append(
-                    [
-                        mode,
-                        model,
-                        report.requests,
-                        stats["refs"],
-                        report.attaches + report.client_attaches,
-                        report.detaches,
-                        stats["domain_switch"],
-                        round(ratio(cycles_for(stats), report.requests)),
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_report_fileserver():
+    rows = []
+    for mode in ("copy", "share"):
+        config = dataclasses.replace(CONFIG, mode=mode)
+        for model in MODELS:
+            report = FileServer(Kernel(model), config).run()
+            assert report.requests == CONFIG.requests
+            stats = report.stats
+            rows.append(
+                [
+                    mode,
+                    model,
+                    report.requests,
+                    stats["refs"],
+                    report.attaches + report.client_attaches,
+                    report.detaches,
+                    stats["domain_switch"],
+                    round(ratio(cycles_for(stats), report.requests)),
+                ]
+            )
     benchout.record(
         "Macro-workload: file server, copy vs pass-by-reference (§2.1)",
         format_table(

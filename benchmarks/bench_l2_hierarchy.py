@@ -12,14 +12,12 @@ the L1 miss traffic the L2 absorbs.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table
 from repro.core.rights import Rights
 from repro.os.kernel import Kernel
 from repro.sim.machine import Machine
-from repro.workloads.tracegen import RefPattern, TraceGenerator
+from repro.workloads.tracegen import TraceGenerator
 
 L1 = 16 * 1024
 REFS = 6_000
@@ -58,36 +56,24 @@ def run_hierarchy(l2_bytes: int | None):
     return kernel.stats
 
 
-@pytest.mark.parametrize("l2_kb", [None, 64])
-def test_hierarchy_points(benchmark, l2_kb):
-    stats = benchmark.pedantic(
-        lambda: run_hierarchy(l2_kb * 1024 if l2_kb else None),
-        rounds=1, iterations=1,
-    )
-    assert stats["refs"] == REFS
-
-
-def test_report_l2_hierarchy(benchmark):
-    def sweep():
-        rows = []
-        for l2_kb in (None, 32, 64, 256):
-            stats = run_hierarchy(l2_kb * 1024 if l2_kb else None)
-            refs = stats["refs"]
-            l1_misses = stats["dcache.miss"]
-            l2_lookups = stats["l2cache.hit"] + stats["l2cache.miss"]
-            l2_rate = stats["l2cache.hit"] / l2_lookups if l2_lookups else 0.0
-            rows.append(
-                [
-                    "no L2" if l2_kb is None else f"{l2_kb} KB L2",
-                    refs,
-                    f"{stats['tlb.off_chip_access'] / refs * 100:.2f}%",
-                    f"{l1_misses / refs * 100:.2f}%",
-                    f"{l2_rate * 100:.1f}%",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_l2_hierarchy():
+    rows = []
+    for l2_kb in (None, 32, 64, 256):
+        stats = run_hierarchy(l2_kb * 1024 if l2_kb else None)
+        refs = stats["refs"]
+        assert refs == REFS
+        l1_misses = stats["dcache.miss"]
+        l2_lookups = stats["l2cache.hit"] + stats["l2cache.miss"]
+        l2_rate = stats["l2cache.hit"] / l2_lookups if l2_lookups else 0.0
+        rows.append(
+            [
+                "no L2" if l2_kb is None else f"{l2_kb} KB L2",
+                refs,
+                f"{stats['tlb.off_chip_access'] / refs * 100:.2f}%",
+                f"{l1_misses / refs * 100:.2f}%",
+                f"{l2_rate * 100:.1f}%",
+            ]
+        )
     benchout.record(
         "Section 3.2.1: Two-level hierarchy (VIVT L1, TLB at the L2 controller)",
         format_table(

@@ -13,8 +13,6 @@ Paper predictions (Section 4.3):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table
 from repro.core.rights import AccessType, Rights
@@ -48,21 +46,10 @@ def run_superpage(levels: tuple[int, ...], plb_entries: int = 32):
     return kernel, kernel.stats.delta(before)
 
 
-@pytest.mark.parametrize("levels", [(0,), (4, 0)])
-def test_superpage_configs(benchmark, levels):
-    kernel, stats = benchmark.pedantic(
-        lambda: run_superpage(levels), rounds=1, iterations=1
-    )
-    assert stats["refs"] > 0
-
-
-def test_report_superpage_protection(benchmark):
-    def run_both():
-        return run_superpage((0,)), run_superpage((4, 0))
-
-    (base_kernel, base), (super_kernel, superpage) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+def test_report_superpage_protection():
+    base_kernel, base = run_superpage((0,))
+    super_kernel, superpage = run_superpage((4, 0))
+    assert base["refs"] > 0 and superpage["refs"] > 0
     rows = [
         [
             "page-grain (base)",
@@ -95,7 +82,7 @@ def test_report_superpage_protection(benchmark):
     assert superpage["plb.miss"] < base["plb.miss"]
 
 
-def test_report_subpage_locking(benchmark):
+def test_report_subpage_locking():
     """Sub-page protection removes transactional false sharing.
 
     Runs the lock protocol directly against the PLB structure at page
@@ -131,12 +118,8 @@ def test_report_subpage_locking(benchmark):
             plb.fill(pd, vaddr, Rights.RW, level=level)
         return conflicts, grants
 
-    def run_both():
-        return run(0, 4096), run(-5, 128)
-
-    (page_conflicts, page_grants), (sub_conflicts, sub_grants) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+    page_conflicts, page_grants = run(0, 4096)
+    sub_conflicts, sub_grants = run(-5, 128)
     benchout.record(
         "Section 4.3: Sub-page (128 B) protection for transactional locks",
         format_table(

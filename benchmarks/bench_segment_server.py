@@ -10,8 +10,6 @@ the paper only sketches.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table, ratio
 from repro.os.kernel import MODELS, Kernel
@@ -43,34 +41,25 @@ def run_log(model: str, appenders: int):
     return log, kernel.stats.delta(before)
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_log_workload(benchmark, model):
-    log, stats = benchmark.pedantic(lambda: run_log(model, 2), rounds=1, iterations=1)
-    # (LOG_PAGES-1) pages of records fill pages 0..14: frontier ends on
-    # the last written page.
-    assert log.frontier == LOG_PAGES - 2
-
-
-def test_report_segment_server(benchmark):
-    def sweep():
-        rows = []
-        for appenders in (1, 2, 4):
-            for model in MODELS:
-                log, stats = run_log(model, appenders)
-                seals = stats["segserver.log_page_sealed"]
-                rows.append(
-                    [
-                        appenders,
-                        model,
-                        seals,
-                        round(ratio(stats["plb.update"]
-                                    + stats["kernel.syscall.set_page_rights"], seals), 1),
-                        round(ratio(stats["pgtlb.update"], seals), 1),
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_segment_server():
+    rows = []
+    for appenders in (1, 2, 4):
+        for model in MODELS:
+            log, stats = run_log(model, appenders)
+            # (LOG_PAGES-1) pages of records fill pages 0..14: the
+            # frontier ends on the last written page.
+            assert log.frontier == LOG_PAGES - 2
+            seals = stats["segserver.log_page_sealed"]
+            rows.append(
+                [
+                    appenders,
+                    model,
+                    seals,
+                    round(ratio(stats["plb.update"]
+                                + stats["kernel.syscall.set_page_rights"], seals), 1),
+                    round(ratio(stats["pgtlb.update"], seals), 1),
+                ]
+            )
     benchout.record(
         "Section 6: Append-only-log segment server, per-seal costs",
         format_table(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table
 from repro.os.kernel import MODELS, Kernel
@@ -24,42 +22,26 @@ CONFIG = SharedLibraryConfig(
 )
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_shared_library(benchmark, model):
-    def run():
-        workload = SharedLibraryWorkload(
-            Kernel(model, system_options={"tlb_entries": 4096}), CONFIG
-        )
-        workload.run()
-        return workload
-
-    workload = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert workload.report.fetches > 0
-
-
-def test_report_shared_library(benchmark):
-    def sweep():
-        rows = []
-        for n_domains in (2, 4, 8):
-            config = dataclasses.replace(CONFIG, domains=n_domains)
-            for model in MODELS:
-                workload = SharedLibraryWorkload(
-                    Kernel(model, system_options={"tlb_entries": 4096}), config
-                )
-                report = workload.run()
-                rows.append(
-                    [
-                        n_domains,
-                        model,
-                        report.fetches,
-                        workload.library_translation_entries(),
-                        report.stats["plb.fill"],
-                        report.stats["group_reload"],
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_shared_library():
+    rows = []
+    for n_domains in (2, 4, 8):
+        config = dataclasses.replace(CONFIG, domains=n_domains)
+        for model in MODELS:
+            workload = SharedLibraryWorkload(
+                Kernel(model, system_options={"tlb_entries": 4096}), config
+            )
+            report = workload.run()
+            assert report.fetches > 0
+            rows.append(
+                [
+                    n_domains,
+                    model,
+                    report.fetches,
+                    workload.library_translation_entries(),
+                    report.stats["plb.fill"],
+                    report.stats["group_reload"],
+                ]
+            )
     benchout.record(
         "Section 2.1: Shared libraries, sweep of executing domains "
         f"({CONFIG.libraries} libs x {CONFIG.library_pages} pages)",

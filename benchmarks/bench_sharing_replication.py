@@ -13,8 +13,6 @@ TLB content and page-table storage across the three systems.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table
 from repro.core.conventional import duplication_report
@@ -41,40 +39,29 @@ def run_sharing(model: str, n_domains: int):
     return kernel, domains
 
 
-@pytest.mark.parametrize("model", ["plb", "pagegroup", "conventional"])
-@pytest.mark.parametrize("n_domains", [2, 8])
-def test_sharing(benchmark, model, n_domains):
-    kernel, _ = benchmark.pedantic(
-        lambda: run_sharing(model, n_domains), rounds=1, iterations=1
-    )
-    assert kernel.stats["refs"] == 2 * n_domains * PAGES
-
-
-def test_report_replication(benchmark):
-    def sweep():
-        rows = []
-        for n_domains in SWEEP:
-            plb_kernel, _ = run_sharing("plb", n_domains)
-            pg_kernel, _ = run_sharing("pagegroup", n_domains)
-            conv_kernel, conv_domains = run_sharing("conventional", n_domains)
-            conv_tlb = conv_kernel.system.tlb
-            duplication = duplication_report(
-                {d.pd_id: conv_kernel.linear_tables[d.pd_id] for d in conv_domains}
-            )
-            rows.append(
-                [
-                    n_domains,
-                    len(plb_kernel.system.tlb),  # translation-only TLB
-                    len(plb_kernel.system.plb),  # PLB replicates (small entries)
-                    len(pg_kernel.system.tlb),  # AID-tagged TLB
-                    len(conv_tlb),  # ASID-tagged TLB replicates
-                    conv_kernel.stats["asidtlb.fill"],
-                    duplication["duplicated_entries"],
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_replication():
+    rows = []
+    for n_domains in SWEEP:
+        plb_kernel, _ = run_sharing("plb", n_domains)
+        pg_kernel, _ = run_sharing("pagegroup", n_domains)
+        conv_kernel, conv_domains = run_sharing("conventional", n_domains)
+        for kernel in (plb_kernel, pg_kernel, conv_kernel):
+            assert kernel.stats["refs"] == 2 * n_domains * PAGES
+        conv_tlb = conv_kernel.system.tlb
+        duplication = duplication_report(
+            {d.pd_id: conv_kernel.linear_tables[d.pd_id] for d in conv_domains}
+        )
+        rows.append(
+            [
+                n_domains,
+                len(plb_kernel.system.tlb),  # translation-only TLB
+                len(plb_kernel.system.plb),  # PLB replicates (small entries)
+                len(pg_kernel.system.tlb),  # AID-tagged TLB
+                len(conv_tlb),  # ASID-tagged TLB replicates
+                conv_kernel.stats["asidtlb.fill"],
+                duplication["duplicated_entries"],
+            ]
+        )
     benchout.record(
         "Section 3.1: TLB replication under sharing "
         f"({PAGES} shared pages, sweep: sharing domains)",
@@ -101,31 +88,27 @@ def test_report_replication(benchmark):
     assert rows[-1][6] == (SWEEP[-1] - 1) * PAGES
 
 
-def test_report_inverted_page_table(benchmark):
+def test_report_inverted_page_table():
     """§3.1's pointer to the 801: a single shared translation table,
     sized by physical memory rather than the 64-bit virtual space."""
     from repro.core.rights import Rights as R
     from repro.os.inverted import InvertedPageTable
     from repro.sim.machine import Machine as M
 
-    def run():
-        kernel = Kernel("plb", n_frames=256)
-        kernel.translations = InvertedPageTable(256, stats=kernel.stats)
-        machine = M(kernel)
-        domain = kernel.create_domain("d")
-        # Segments scattered across the address space.
-        segments = []
-        for index in range(4):
-            kernel.create_segment(f"gap{index}", 1 << (10 + index), populate=False)
-            segment = kernel.create_segment(f"s{index}", 8)
-            kernel.attach(domain, segment, R.RW)
-            segments.append(segment)
-        for segment in segments:
-            for vpn in segment.vpns():
-                machine.read(domain, kernel.params.vaddr(vpn))
-        return kernel
-
-    kernel = benchmark.pedantic(run, rounds=1, iterations=1)
+    kernel = Kernel("plb", n_frames=256)
+    kernel.translations = InvertedPageTable(256, stats=kernel.stats)
+    machine = M(kernel)
+    domain = kernel.create_domain("d")
+    # Segments scattered across the address space.
+    segments = []
+    for index in range(4):
+        kernel.create_segment(f"gap{index}", 1 << (10 + index), populate=False)
+        segment = kernel.create_segment(f"s{index}", 8)
+        kernel.attach(domain, segment, R.RW)
+        segments.append(segment)
+    for segment in segments:
+        for vpn in segment.vpns():
+            machine.read(domain, kernel.params.vaddr(vpn))
     ipt = kernel.translations
     span_pages = kernel.allocator.allocated_through - 0x100
     linear_bits = span_pages * 30  # a linear table over the same span
@@ -140,20 +123,16 @@ def test_report_inverted_page_table(benchmark):
     assert ipt.mean_probe_length < 4.0
 
 
-def test_sparse_address_space_linear_table_waste(benchmark):
+def test_sparse_address_space_linear_table_waste():
     """§3.1's sparsity charge: a linear table must span the extent."""
-
-    def build():
-        kernel = Kernel("conventional")
-        domain = kernel.create_domain("d")
-        # Small segments scattered by the allocator across the space.
-        for index in range(6):
-            kernel.create_segment(f"pad{index}", 1 << (index + 4), populate=False)
-            segment = kernel.create_segment(f"s{index}", 2)
-            kernel.attach(domain, segment, Rights.RW)
-        return kernel.linear_tables[domain.pd_id]
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
+    kernel = Kernel("conventional")
+    domain = kernel.create_domain("d")
+    # Small segments scattered by the allocator across the space.
+    for index in range(6):
+        kernel.create_segment(f"pad{index}", 1 << (index + 4), populate=False)
+        segment = kernel.create_segment(f"s{index}", 2)
+        kernel.attach(domain, segment, Rights.RW)
+    table = kernel.linear_tables[domain.pd_id]
     waste = table.span_entries / table.mapped_entries
     benchout.record(
         "Section 3.1: Linear page table sparsity waste",

@@ -30,7 +30,6 @@ import pytest
 from repro.analysis import benchout
 from repro.analysis.consistency import measure_batched
 from repro.analysis.report import format_table
-from repro.obs.export import RunReport
 
 CPUS = [2, 4, 8]
 MODELS = ["plb", "pagegroup", "conventional"]
@@ -39,67 +38,33 @@ PAGES = 24
 
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("cpus", CPUS)
-def test_batched_shootdowns(benchmark, model, cpus):
-    result = benchmark.pedantic(
-        lambda: measure_batched(model, n_cpus=cpus, pages=PAGES),
-        rounds=1, iterations=1,
-    )
+def test_batched_shootdowns(model, cpus):
+    result = measure_batched(model, n_cpus=cpus, pages=PAGES)
     assert not result.problems
     batched_msgs, legacy_msgs = result.workload_msgs
     # One message per remote CPU per verb: the page factor K collapses.
     assert batched_msgs < legacy_msgs
 
 
-def test_report_shootdown_batching(benchmark):
-    def sweep():
-        rows = []
-        reports = []
-        for cpus in CPUS:
-            for model in MODELS:
-                result = measure_batched(model, n_cpus=cpus, pages=PAGES)
-                assert not result.problems
-                batched_msgs, legacy_msgs = result.workload_msgs
-                batched_entries = sum(
-                    c.entries for c in result.batched.values()
-                )
-                batched_cycles = sum(c.cycles for c in result.batched.values())
-                legacy_cycles = sum(c.cycles for c in result.legacy.values())
-                rows.append(
-                    [
-                        f"{cpus} CPUs",
-                        model,
-                        batched_msgs,
-                        legacy_msgs,
-                        batched_entries,
-                        batched_cycles,
-                        legacy_cycles,
-                        f"{legacy_msgs / batched_msgs:.1f}x",
-                    ]
-                )
-                reports.append(
-                    RunReport(
-                        title="shootdown-batch",
-                        model=model,
-                        counters={
-                            "smp.shootdown.msgs": batched_msgs,
-                            "smp.shootdown.msgs.legacy": legacy_msgs,
-                            "smp.shootdown.entries": batched_entries,
-                        },
-                        cycles_total=batched_cycles,
-                        cycles_breakdown={
-                            "batched": batched_cycles,
-                            "legacy": legacy_cycles,
-                        },
-                        params={"n_cpus": cpus, "pages": PAGES},
-                        summary={
-                            "reduction": round(legacy_msgs / batched_msgs, 2),
-                            "end_state_ok": result.end_state_ok,
-                        },
-                    )
-                )
-        return rows, reports
-
-    rows, reports = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_report_shootdown_batching():
+    rows = []
+    for cpus in CPUS:
+        for model in MODELS:
+            result = measure_batched(model, n_cpus=cpus, pages=PAGES)
+            assert not result.problems
+            batched_msgs, legacy_msgs = result.workload_msgs
+            rows.append(
+                [
+                    f"{cpus} CPUs",
+                    model,
+                    batched_msgs,
+                    legacy_msgs,
+                    sum(c.entries for c in result.batched.values()),
+                    sum(c.cycles for c in result.batched.values()),
+                    sum(c.cycles for c in result.legacy.values()),
+                    f"{legacy_msgs / batched_msgs:.1f}x",
+                ]
+            )
     benchout.record(
         "Section 4.1.3: Batched range shootdowns vs per-page loops "
         "(group-verb workload, K=8 pages)",
@@ -119,7 +84,6 @@ def test_report_shootdown_batching(benchmark):
             "(paper: consistency cost scales with processors, "
             "not with pages per verb)",
         ),
-        reports=reports,
     )
     # Direction: the absolute message saving grows with the CPU count.
     eight = [row for row in rows if row[0] == "8 CPUs"]

@@ -15,8 +15,8 @@ from repro.analysis import benchout
 from repro.analysis.summary import render_summary, run_summary
 
 
-def test_report_summary(benchmark):
-    rows = benchmark.pedantic(run_summary, rounds=1, iterations=1)
+def test_report_summary():
+    rows = run_summary()
     benchout.record(
         "Capstone: cross-workload weighted-cycles summary",
         render_summary(rows),

@@ -7,34 +7,23 @@ checkpointed page is one PLB update versus one page-group move.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table, ratio
 from repro.analysis.table1 import run_checkpoint
-from repro.os.kernel import MODELS, Kernel
-from repro.workloads.checkpoint import CheckpointConfig, ConcurrentCheckpoint
+from repro.workloads.checkpoint import CheckpointConfig
 
 CONFIG = CheckpointConfig(
     segment_pages=48, checkpoints=3, refs_per_checkpoint=900, seed=23
 )
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_checkpoint_workload(benchmark, model):
-    def run():
-        return ConcurrentCheckpoint(Kernel(model), CONFIG).run()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.pages_checkpointed == CONFIG.segment_pages * CONFIG.checkpoints
-
-
-def test_report_table1_ckpt(benchmark):
-    result = benchmark.pedantic(lambda: run_checkpoint(CONFIG), rounds=1, iterations=1)
+def test_report_table1_ckpt():
+    result = run_checkpoint(CONFIG)
     rows = []
     for model, stats in result.stats_by_model.items():
         summary = result.summary_by_model[model]
         pages = summary["pages_checkpointed"]
+        assert pages == CONFIG.segment_pages * CONFIG.checkpoints
         rows.append(
             [
                 model,
@@ -65,7 +54,6 @@ def test_report_table1_ckpt(benchmark):
             rows,
             title="Restrict-access and checkpoint-page costs",
         ),
-        reports=result.run_reports,
     )
     disk = {s["disk.write"] for s in result.stats_by_model.values()}
     assert len(disk) == 1  # identical checkpoint work across models

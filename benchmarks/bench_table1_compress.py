@@ -8,33 +8,22 @@ Li trade) is identical for both.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table, ratio
 from repro.analysis.table1 import run_compression
-from repro.os.kernel import MODELS, Kernel
-from repro.workloads.compression import CompressionConfig, CompressionPaging
+from repro.workloads.compression import CompressionConfig
 
 CONFIG = CompressionConfig(
     segment_pages=64, resident_budget=24, refs=2_500, zipf_s=0.9, seed=5
 )
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_compression_workload(benchmark, model):
-    def run():
-        return CompressionPaging(Kernel(model, n_frames=4096), CONFIG).run()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.page_outs > 0 and report.page_ins > 0
-
-
-def test_report_table1_compress(benchmark):
-    result = benchmark.pedantic(lambda: run_compression(CONFIG), rounds=1, iterations=1)
+def test_report_table1_compress():
+    result = run_compression(CONFIG)
     rows = []
     for model, stats in result.stats_by_model.items():
         summary = result.summary_by_model[model]
+        assert summary["page_outs"] > 0 and summary["page_ins"] > 0
         paging_ops = summary["page_outs"] + summary["page_ins"]
         rows.append(
             [
@@ -66,7 +55,6 @@ def test_report_table1_compress(benchmark):
             rows,
             title="Paging-operation costs (cache flush is per line, §4.1.3)",
         ),
-        reports=result.run_reports,
     )
     ratios = {s["compression_ratio"] for s in result.summary_by_model.values()}
     assert len(ratios) == 1

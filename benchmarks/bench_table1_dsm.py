@@ -7,8 +7,6 @@ protocol traffic itself (fetches, invalidates) is model-independent.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table, ratio
 from repro.analysis.table1 import run_dsm
@@ -19,36 +17,15 @@ NODES = 4
 PAGES = 24
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_dsm_migratory(benchmark, model):
-    def run():
-        cluster = DSMCluster(model, nodes=NODES, pages=PAGES, seed=7)
-        return cluster.run_migratory(rounds=2, refs_per_round=250)
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert stats["dsm.msg.invalidate"] > 0
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_dsm_producer_consumer(benchmark, model):
-    def run():
-        cluster = DSMCluster(model, nodes=NODES, pages=PAGES, seed=7)
-        return cluster.run_producer_consumer(iterations=6, region_pages=8)
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert stats["dsm.get_readable"] > 0
-
-
-def test_report_table1_dsm(benchmark):
-    def run_both():
-        return (
-            run_dsm(models=MODELS, nodes=NODES, pages=PAGES,
-                    pattern="migratory", rounds=2, refs_per_round=250),
-            run_dsm(models=MODELS, nodes=NODES, pages=PAGES,
-                    pattern="producer_consumer", rounds=2),
-        )
-
-    migratory, producer = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_report_table1_dsm():
+    migratory = run_dsm(models=MODELS, nodes=NODES, pages=PAGES,
+                        pattern="migratory", rounds=2, refs_per_round=250)
+    producer = run_dsm(models=MODELS, nodes=NODES, pages=PAGES,
+                       pattern="producer_consumer", rounds=2)
+    for stats in migratory.stats_by_model.values():
+        assert stats["dsm.msg.invalidate"] > 0
+    for stats in producer.stats_by_model.values():
+        assert stats["dsm.get_readable"] > 0
     for result in (migratory, producer):
         rows = []
         for model, stats in result.stats_by_model.items():
@@ -92,18 +69,14 @@ def test_report_table1_dsm(benchmark):
     assert len(fetches) == 1
 
 
-def test_report_false_sharing(benchmark):
+def test_report_false_sharing():
     """§4.3's DSM complaint: page granularity manufactures sharing."""
-
-    def run_both():
-        fs_cluster = DSMCluster("plb", nodes=2, pages=8, seed=7)
-        sp_cluster = DSMCluster("plb", nodes=2, pages=8, seed=7)
-        return (
-            fs_cluster.run_false_sharing(rounds=15, pages=3),
-            sp_cluster.run_split_pages(rounds=15, pages=3),
-        )
-
-    false_sharing, split = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    false_sharing = DSMCluster("plb", nodes=2, pages=8, seed=7).run_false_sharing(
+        rounds=15, pages=3
+    )
+    split = DSMCluster("plb", nodes=2, pages=8, seed=7).run_split_pages(
+        rounds=15, pages=3
+    )
     rows = [
         ["disjoint halves of shared pages (false sharing)",
          false_sharing["dsm.msg.invalidate"], false_sharing["dsm.msg.fetch"],

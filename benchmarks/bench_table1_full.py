@@ -11,8 +11,8 @@ from repro.analysis import benchout
 from repro.analysis.table1 import full_table1
 
 
-def test_report_full_table1(benchmark):
-    text = benchmark.pedantic(full_table1, rounds=1, iterations=1)
+def test_report_full_table1():
+    text = full_table1()
     benchout.record("Table 1 — complete, measured, in paper order", text)
     # One section per application class (plus attach/detach and RPC).
     for marker in (

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.analysis import benchout
 from repro.analysis.report import format_table, ratio
 from repro.analysis.table1 import run_txn
-from repro.os.kernel import MODELS, Kernel
-from repro.workloads.txn import TransactionalVM, TxnConfig
+from repro.os.kernel import MODELS
+from repro.workloads.txn import TxnConfig
 
 CONFIG = TxnConfig(
     db_pages=48, transactions=12, touches_per_txn=20, concurrent=2,
@@ -25,35 +23,11 @@ CONFIG = TxnConfig(
 )
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_txn_workload(benchmark, model):
-    def run():
-        return TransactionalVM(Kernel(model), CONFIG).run()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.commits == CONFIG.transactions
-
-
-@pytest.mark.parametrize("strategy", ["domain", "page"])
-def test_txn_pagegroup_strategy(benchmark, strategy):
-    config = dataclasses.replace(CONFIG, lock_strategy=strategy)
-
-    def run():
-        return TransactionalVM(Kernel("pagegroup"), config).run()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.commits == CONFIG.transactions
-
-
-def test_report_table1_txn(benchmark):
-    def run_all():
-        domain_result = run_txn(CONFIG, models=MODELS)
-        page_result = run_txn(
-            dataclasses.replace(CONFIG, lock_strategy="page"), models=("pagegroup",)
-        )
-        return domain_result, page_result
-
-    domain_result, page_result = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_report_table1_txn():
+    domain_result = run_txn(CONFIG, models=MODELS)
+    page_result = run_txn(
+        dataclasses.replace(CONFIG, lock_strategy="page"), models=("pagegroup",)
+    )
     rows = []
     sources = [("pagegroup/domain-groups", domain_result, "pagegroup"),
                ("pagegroup/page-groups", page_result, "pagegroup"),
@@ -62,6 +36,7 @@ def test_report_table1_txn(benchmark):
     for label, result, model in sources:
         stats = result.stats_by_model[model]
         summary = result.summary_by_model[model]
+        assert summary["commits"] == CONFIG.transactions
         locks = summary["read_locks"] + summary["write_locks"]
         rows.append(
             [
@@ -91,7 +66,6 @@ def test_report_table1_txn(benchmark):
             rows,
             title="Lock representation costs (§4.1.2's two strategies)",
         ),
-        reports=domain_result.run_reports + page_result.run_reports,
     )
     # Direction check: the page-per-group strategy avoids alternation...
     assert page_result.summary_by_model["pagegroup"]["group_alternations"] == 0

@@ -1,13 +1,11 @@
-"""Benchmark-suite plumbing: print registered reports after the run.
+"""Paper-claim suite plumbing: print the registered reports after the run.
 
-Set ``REPRO_BENCH_REPORT=<path>`` to also dump the structured RunReport
-JSON for offline analysis.  ``tools/check_bench_regression.py`` does not
-read it: each of its guards measures its own cells.
+Each bench records its artifact with ``benchout.record``; this hook
+prints them all, in registration order, under one REPRODUCTION REPORTS
+banner in pytest's terminal summary.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.analysis import benchout
 
@@ -25,8 +23,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"--- {title} ---")
         for line in text.splitlines():
             terminalreporter.write_line(line)
-    out = os.environ.get("REPRO_BENCH_REPORT")
-    if out:
-        count = benchout.write_run_reports(out)
-        terminalreporter.write_line("")
-        terminalreporter.write_line(f"wrote {count} structured run reports -> {out}")

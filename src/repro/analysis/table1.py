@@ -15,7 +15,7 @@ of them together in the paper's row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.report import comparison_table, format_table
@@ -55,15 +55,14 @@ COMMON_COUNTERS: list[tuple[str, str]] = [
 
 @dataclass
 class Table1Result:
-    """One application class, measured across models."""
+    """One application class, measured across models: each model's
+    counters and workload summary, rendered as Table 1 rows by
+    :meth:`render` and priced by :meth:`cycles`."""
 
     title: str
     stats_by_model: dict[str, Stats]
     #: Workload-level summary per model (same inputs, so normally equal).
     summary_by_model: dict[str, dict[str, object]]
-    #: Machine-readable per-model reports (``repro.obs.export.RunReport``),
-    #: ready to hand to ``benchout.record(..., reports=...)``.
-    run_reports: list = field(default_factory=list)
 
     def render(self, extra_counters: Sequence[tuple[str, str]] = ()) -> str:
         counters = list(extra_counters) + COMMON_COUNTERS
@@ -91,25 +90,15 @@ def _run_matrix(
     kernel_options: dict | None = None,
     summarize: Callable[[object], dict[str, object]] | None = None,
 ) -> Table1Result:
-    from repro.obs.export import build_run_report
-
     stats_by_model: dict[str, Stats] = {}
     summary_by_model: dict[str, dict[str, object]] = {}
-    run_reports = []
     for model in models:
         kernel = Kernel(model, **(kernel_options or {}))
         workload = build(kernel)
         report = workload.run()  # type: ignore[attr-defined]
         stats_by_model[model] = report.stats
-        summary = summarize(report) if summarize else {}
-        summary_by_model[model] = summary
-        run_reports.append(
-            build_run_report(
-                title, model, report.stats,
-                params=kernel.params, summary=summary,
-            )
-        )
-    return Table1Result(title, stats_by_model, summary_by_model, run_reports)
+        summary_by_model[model] = summarize(report) if summarize else {}
+    return Table1Result(title, stats_by_model, summary_by_model)
 
 
 # --------------------------------------------------------------------- #

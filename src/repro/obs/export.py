@@ -9,9 +9,8 @@ Stats counters):
   simulated cycle clock as the microsecond axis; the file loads directly
   in ``chrome://tracing`` or Perfetto.
 * **RunReport** — the machine-readable record of one run (model,
-  parameters, counters, cycle totals, span tree, metrics) that benches
-  emit through :mod:`repro.analysis.benchout` and the regression checker
-  diffs against its committed baseline.
+  parameters, counters, cycle totals, span tree, metrics) that
+  ``repro trace --format report`` and ``repro serve --report-out`` write.
 """
 
 from __future__ import annotations

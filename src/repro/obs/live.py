@@ -241,8 +241,10 @@ class LiveCollector:
       sketches are keyed by span name, so Table 1 verbs land under their
       ``kernel.*`` names.
     * ``observe_request(klass, cycles, refs)`` — called by the serve
-      driver once per completed request with the request's attributed
-      simulated-cycle cost.
+      driver once per arrival with the request's attributed
+      simulated-cycle cost; ``refs`` is None for a request that failed
+      after its retry, which enters its class sketch (its cycles were
+      spent) but not the completed-request counters.
     * ``poll(now_us, counters)`` — called by the driver after each
       request with the backend's live counters; deltas on watched
       counters become timestamped events, and inject→recover pairs feed
@@ -286,11 +288,13 @@ class LiveCollector:
             sketch = self.verb_sketches[span.name] = LatencySketch()
         sketch.add(span.cycles)
 
-    def observe_request(self, klass: str, cycles: int, refs: int) -> None:
+    def observe_request(self, klass: str, cycles: int, refs: int | None) -> None:
         sketch = self.request_sketches.get(klass)
         if sketch is None:
             sketch = self.request_sketches[klass] = LatencySketch()
         sketch.add(cycles)
+        if refs is None:
+            return
         self.requests.add()
         self.refs.add(refs)
         per_class = self.request_classes.get(klass)

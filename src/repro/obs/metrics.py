@@ -18,7 +18,7 @@ module adds the two aggregate shapes the flat multiset cannot express:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.sim.stats import Stats
 
@@ -274,9 +274,3 @@ def hotspots(spans: Iterable["Span"]) -> list[HotspotRow]:
 def attributed_cycles(spans: Iterable["Span"]) -> int:
     """Total cycles attributed to a forest of top-level spans."""
     return sum(span.cycles for span in spans)
-
-
-def counters_view(stats: Stats | Mapping[str, int]) -> dict[str, int]:
-    """A plain sorted dict of counters, for reports and exporters."""
-    items = stats.items() if isinstance(stats, Stats) else sorted(stats.items())
-    return dict(items)

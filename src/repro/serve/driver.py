@@ -31,9 +31,11 @@ attempts and the repair between them, priced from that span: its
 weighted cycles plus whatever the server's clock advanced (a cluster's
 wire time).  Every CPU charges the kernel's one store, which the tracer
 watches, so on a kernel each span sketch equals its per-class sketch,
-retries included.  Span forests are dropped after every request — the
-collector has already consumed them — so a long-running server holds no
-per-request state.
+retries and unrecovered requests included: a failed request's cycles
+were spent, so it is priced like any other, though only completed
+requests count as requests.  Span forests are dropped after every
+request — the collector has already consumed them — so a long-running
+server holds no per-request state.
 """
 
 from __future__ import annotations
@@ -156,8 +158,7 @@ class RequestServer:
         cycles = span.cycles + self._clock() - clock_before
         service_us = max(1, -(-cycles // self.config.cycles_per_us))
         self.busy_until_us = start_us + service_us
-        if refs is not None:
-            self.collector.observe_request(klass, cycles, refs)
+        self.collector.observe_request(klass, cycles, refs)
         self.collector.poll(self.busy_until_us, self.backend.stats.counts_view())
         # Spans were consumed by the collector at exit; drop the forest.
         self.tracer.roots.clear()

@@ -177,9 +177,6 @@ class SMPMachine:
         #: One pinned machine per CPU, in CPU order.
         self.machines = [Machine(kernel, cpu=ctx) for ctx in kernel.cpus]
 
-    def machine_for(self, cpu_id: int) -> Machine:
-        return self.machines[cpu_id]
-
     def touch_on(
         self,
         cpu_id: int,

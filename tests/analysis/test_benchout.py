@@ -35,38 +35,6 @@ class TestRegistry:
         assert benchout.all_reports() == []
 
 
-class TestStructuredReports:
-    def _report(self, model="plb", cycles=100):
-        from repro.obs.export import RunReport
-
-        return RunReport(
-            title="t", model=model, counters={"refs": 1},
-            cycles_total=cycles, cycles_breakdown={},
-        )
-
-    def test_single_report_attaches(self):
-        benchout.record("a", "b", reports=self._report())
-        assert [r.model for r in benchout.run_reports()] == ["plb"]
-
-    def test_report_lists_flatten_in_order(self):
-        benchout.record("a", "b", reports=[self._report("plb"),
-                                           self._report("pagegroup")])
-        benchout.record("c", "d")
-        benchout.record("e", "f", reports=[self._report("conventional")])
-        assert [r.model for r in benchout.run_reports()] == [
-            "plb", "pagegroup", "conventional",
-        ]
-
-    def test_write_run_reports_json(self, tmp_path):
-        import json
-
-        benchout.record("a", "b", reports=self._report(cycles=7))
-        path = tmp_path / "reports.json"
-        assert benchout.write_run_reports(str(path)) == 1
-        data = json.loads(path.read_text())
-        assert data["reports"][0]["cycles_total"] == 7
-
-
 class TestRegressionChecker:
     def test_check_flags_growth_and_missing_cells(self):
         import importlib.util

@@ -153,6 +153,17 @@ class TestReplacement:
         assert len(plb) == 4
         assert plb.occupancy == 1.0
 
+    @pytest.mark.parametrize("entries,ways", [(64, 64), (128, 128), (128, 4)])
+    def test_filled_pages_never_miss(self, entries, ways):
+        """A PLB filled with as many consecutive pages as it has entries
+        holds them all, set-associative too: probing them never misses."""
+        plb = ProtectionLookasideBuffer(entries, ways)
+        for vpn in range(entries):
+            plb.fill(1, vaddr(vpn), Rights.RW)
+        for vpn in range(1024):
+            assert plb.lookup(1, vaddr(vpn % entries)) == Rights.RW
+        assert plb.stats["plb.miss"] == 0
+
 
 class TestSuperpageProtection:
     """Section 4.3: protection units larger than a translation page."""

@@ -71,14 +71,13 @@ class TestServeCommand:
         assert main(["serve", "--rates", "rpc=-1"]) == 2
 
 
-class TestBenchReportOut:
-    """Serve mode is the throughput bench: ``--report-out`` writes its
-    per-model RunReports in the benchout ``{"reports": [...]}`` format
-    that regression tooling reads."""
+class TestReportOut:
+    """``--report-out`` writes the per-model SLO RunReports as one
+    ``{"reports": [...]}`` JSON document."""
 
     ARGS = ["serve", "--duration", "100", "--seed", "7"]
 
-    def test_bench_writes_structured_throughput_reports(self, tmp_path, capsys):
+    def test_writes_structured_throughput_reports(self, tmp_path, capsys):
         out = tmp_path / "serve.json"
         assert main(
             self.ARGS + ["--models", "plb,conventional", "--report-out", str(out)]
@@ -90,14 +89,12 @@ class TestBenchReportOut:
         ]
         for report in data["reports"]:
             assert report["summary"]["sustained_refs_per_sec"] > 0
-            # The counters themselves ride along for regression tooling.
+            # Each report carries the run's counters too.
             assert report["counters"]["refs"] > 0
 
-    def test_bench_registers_reports_with_benchout(self, tmp_path, capsys):
-        """The same reports, registered with benchout, dump to exactly
-        the document the CLI wrote."""
-        from repro.analysis import benchout
-        from repro.analysis.slo import build_slo_reports, format_slo_summary
+    def test_file_holds_the_runs_slo_reports(self, tmp_path, capsys):
+        """The file is exactly the SLO reports of an identical run."""
+        from repro.analysis.slo import build_slo_reports
         from repro.serve.driver import ServeConfig, run_serve
 
         out = tmp_path / "serve.json"
@@ -105,14 +102,6 @@ class TestBenchReportOut:
         capsys.readouterr()
         result = run_serve(ServeConfig(duration_ms=100, seed=7))
         reports = build_slo_reports(result.summaries, result.stats)
-        benchout.clear()
-        try:
-            benchout.record(
-                "serve", format_slo_summary(result.summaries), reports=reports
-            )
-            assert benchout.run_reports() == reports
-            dumped = tmp_path / "benchout.json"
-            assert benchout.write_run_reports(str(dumped)) == len(reports)
-        finally:
-            benchout.clear()
-        assert json.loads(dumped.read_text()) == json.loads(out.read_text())
+        assert json.loads(out.read_text()) == {
+            "reports": [report.to_dict() for report in reports]
+        }

@@ -130,6 +130,23 @@ class TestTelemetrySurface:
             for klass, sketch in summary["latency_cycles_per_class"].items():
                 assert per_verb[f"serve.{klass}"] == sketch, (model, klass)
 
+    def test_an_unrecovered_request_is_priced_in_its_class_sketch(self):
+        """A request that fails after its retry spent its cycles too:
+        its class sketch takes it, so the span sketch still equals the
+        class sketch, while ``requests`` counts completed ones only."""
+        result = run_serve(
+            ServeConfig(
+                duration_ms=400, seed=2, models=("plb",),
+                plan="unrecoverable", rates={"rpc": 150.0},
+            )
+        )
+        summary = result.summaries["plb"]
+        unrecovered = result.unrecovered["plb"]
+        assert unrecovered > 0
+        sketch = summary["latency_cycles_per_class"]["rpc"]
+        assert summary["latency_cycles_per_verb"]["serve.rpc"] == sketch
+        assert sketch["count"] == summary["requests"] + unrecovered
+
     def test_the_tracer_must_watch_the_backends_store(self):
         from repro.obs.tracer import Tracer
         from repro.sim.stats import Stats

@@ -51,12 +51,7 @@ def measure_table1() -> tuple[dict, list[str]]:
     from repro.analysis.summary import QUICK_RUNS
     from repro.os.kernel import MODELS
 
-    matrix = {}
-    for name, runner in QUICK_RUNS:
-        result = runner(tuple(MODELS))
-        matrix[name] = {
-            report.model: report.cycles_total for report in result.run_reports
-        }
+    matrix = {name: runner(tuple(MODELS)).cycles() for name, runner in QUICK_RUNS}
     return matrix, []
 
 
