@@ -8,7 +8,6 @@
 * ``entry-sizes`` — the §3.2.1/§4 bit-cost tables.
 * ``workload <name>`` — run one application class on one model and dump
   its stats (names: attach, gc, dsm, txn, checkpoint, compression, rpc).
-  ``--jobs N`` fans the models across worker processes.
 * ``trace <name>`` — run one application class on one model with the
   span tracer on and export the trace (Chrome ``trace_event`` by
   default; also JSONL and RunReport JSON).
@@ -99,37 +98,11 @@ class CLIError(Exception):
     """A user-facing command error: printed to stderr, exit status 2."""
 
 
-def _validate_parallelism(
-    *,
-    jobs: int | None = None,
-    cpus: int | None = None,
-    models: Sequence[str] | None = None,
-    jobs_fan_out_models: bool = False,
-) -> None:
-    """One validation path for the CLI's parallelism knobs.
-
-    ``--jobs`` always means *worker processes*; ``--cpus`` always means
-    *simulated CPUs inside one kernel*.  When ``jobs_fan_out_models`` is
-    set (the ``workload`` command), ``--jobs`` parallelizes across the
-    requested models, so asking for workers with a single model is a
-    contradiction we reject instead of silently running sequentially.
-    """
-    if jobs is not None and jobs < 1:
-        raise CLIError("--jobs must be >= 1")
-    if cpus is not None and cpus < 1:
+def _validate_parallelism(*, cpus: int) -> None:
+    """One validation path for ``--cpus``: simulated CPUs inside one
+    kernel."""
+    if cpus < 1:
         raise CLIError("--cpus must be >= 1")
-    if (
-        jobs_fan_out_models
-        and jobs is not None
-        and jobs > 1
-        and models is not None
-        and len(models) < 2
-    ):
-        raise CLIError(
-            f"--jobs {jobs} parallelizes across models, but only "
-            f"{len(models)} model was requested; add models "
-            "(e.g. --models plb,pagegroup) or drop --jobs"
-        )
 
 
 def _workload_factories():
@@ -212,12 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--models", type=_parse_models, default=MODELS,
         help="comma-separated subset of: " + ",".join(MODELS),
-    )
-    workload.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run each model's workload in its own process (N workers); "
-        "results are merged in model order, so output is identical to "
-        "--jobs 1",
     )
 
     trace = sub.add_parser(
@@ -472,47 +439,13 @@ def cmd_entry_sizes() -> str:
     )
 
 
-def _workload_worker(payload: tuple[str, str]):
-    """Run one (workload, model) cell in a worker process.
-
-    Returns plain picklable pieces (title, counter dict, summary) that the
-    parent reassembles into a :class:`Table1Result` in model order, so
-    parallel output is byte-identical to the sequential run.
-    """
-    name, model = payload
-    if name == "dsm":
-        result = run_dsm(models=(model,))
-    else:
-        result = WORKLOADS[name](models=(model,))
-    return (
-        model,
-        result.title,
-        result.stats_by_model[model].as_dict(),
-        result.summary_by_model[model],
-    )
-
-
-def cmd_workload(name: str, models: Sequence[str], jobs: int = 1) -> str:
+def cmd_workload(name: str, models: Sequence[str]) -> str:
     if name != "dsm" and name not in WORKLOADS:
         raise CLIError(
             f"unknown workload {name!r}; choose from: "
             + ", ".join(sorted(WORKLOADS) + ["dsm"])
         )
-    _validate_parallelism(jobs=jobs, models=models, jobs_fan_out_models=True)
-    if jobs > 1:
-        import multiprocessing
-
-        from repro.analysis.table1 import Table1Result
-        from repro.sim.stats import Stats
-
-        with multiprocessing.get_context().Pool(min(jobs, len(models))) as pool:
-            cells = pool.map(_workload_worker, [(name, model) for model in models])
-        result = Table1Result(
-            cells[0][1],
-            {model: Stats(counts) for model, _, counts, _ in cells},
-            {model: summary for model, _, _, summary in cells},
-        )
-    elif name == "dsm":
+    if name == "dsm":
         result = run_dsm(models=models)
     else:
         result = WORKLOADS[name](models=models)
@@ -688,7 +621,6 @@ def _run_traced(
     with tracer.span(f"run.{name}", model=model):
         summary = workload.run()
     spans = tracer.finish()
-    metrics.finish()
     delta = kernel.stats.delta(before)
     return kernel, summary, tracer, metrics, spans, delta
 
@@ -1208,7 +1140,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("\n" + banner + "\nCross-workload summary\n" + banner)
         print(render_summary(run_summary(models=args.models)))
     elif args.command == "workload":
-        print(cmd_workload(args.name, args.models, args.jobs))
+        print(cmd_workload(args.name, args.models))
     elif args.command == "trace":
         print(cmd_trace(args.name, args.model, args.out, args.format, args.sample))
     elif args.command == "profile":

@@ -11,16 +11,15 @@ weighted cycles actually went.
   ``with tracer.span("kernel.detach", ...)`` attributes the Stats delta
   accumulated inside it to that span; spans nest, hot-path spans can be
   sampled 1-in-N, and a disabled tracer costs nothing.
-* :mod:`repro.obs.metrics` — histograms of per-span cycle costs, an
-  interval timeline bucketing counters per K references, and hotspot
-  aggregation for the ``profile`` CLI.
+* :mod:`repro.obs.metrics` — histograms of per-span cycle costs and
+  hotspot aggregation for the ``profile`` CLI.
 * :mod:`repro.obs.export` — JSONL event logs, Chrome ``trace_event``
   files (loadable in ``chrome://tracing`` / Perfetto) and the
   machine-readable :class:`~repro.obs.export.RunReport`.
 """
 
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
-from repro.obs.metrics import Histogram, Metrics, Timeline, hotspots
+from repro.obs.metrics import Histogram, Metrics, hotspots
 from repro.obs.export import (
     RunReport,
     build_run_report,
@@ -37,7 +36,6 @@ __all__ = [
     "Tracer",
     "Histogram",
     "Metrics",
-    "Timeline",
     "hotspots",
     "RunReport",
     "build_run_report",

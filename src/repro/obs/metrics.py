@@ -1,15 +1,10 @@
-"""Metrics over traced runs: histograms, interval timelines, hotspots.
+"""Metrics over traced runs: histograms and hotspots.
 
 Monotonic counters already live in :class:`~repro.sim.stats.Stats`; this
-module adds the two aggregate shapes the flat multiset cannot express:
-
-* :class:`Histogram` — power-of-two-bucketed distributions, used for
-  per-span cycle costs (how expensive is one ``kernel.detach``, and how
-  heavy is the tail?).
-* :class:`Timeline` — an interval series that buckets counter deltas
-  per K simulated references, so PLB-miss curves and domain-switch
-  spikes can be plotted over simulated time instead of vanishing into
-  an end-of-run total.
+module adds the aggregate shape the flat multiset cannot express:
+:class:`Histogram`, power-of-two-bucketed distributions used for
+per-span cycle costs (how expensive is one ``kernel.detach``, and how
+heavy is the tail?).
 
 :func:`hotspots` aggregates recorded spans by name into the table the
 ``python -m repro profile`` command prints.
@@ -17,7 +12,7 @@ module adds the two aggregate shapes the flat multiset cannot express:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.sim.stats import Stats
@@ -111,101 +106,20 @@ class Histogram:
 
 
 # --------------------------------------------------------------------- #
-# Interval timeline
-
-
-@dataclass
-class TimelineBucket:
-    """Counter movement inside one reference interval."""
-
-    start_ref: int
-    end_ref: int
-    counts: dict[str, int] = field(default_factory=dict)
-
-
-class Timeline:
-    """Buckets counter deltas per ``bucket_refs`` simulated references.
-
-    ``observe()`` is cheap when the current bucket is still open (one
-    counter read); when the ``refs`` counter crosses a bucket boundary
-    the accumulated delta is sealed into a :class:`TimelineBucket`.  The
-    tracer calls ``observe()`` at every span boundary, which is frequent
-    enough that buckets land within one span of their true edge.
-    """
-
-    def __init__(self, stats: Stats, bucket_refs: int = 1024) -> None:
-        if bucket_refs < 1:
-            raise ValueError("bucket_refs must be >= 1")
-        self.stats = stats
-        self.bucket_refs = bucket_refs
-        self.buckets: list[TimelineBucket] = []
-        self._bucket_start_ref = stats["refs"]
-        self._counts_at_start = stats.as_dict()
-
-    def observe(self) -> None:
-        refs = self.stats["refs"]
-        if refs - self._bucket_start_ref >= self.bucket_refs:
-            self._seal(refs)
-
-    def _seal(self, refs: int) -> None:
-        counts = self.stats.as_dict()
-        start = self._counts_at_start
-        delta = {
-            name: count - start.get(name, 0)
-            for name, count in counts.items()
-            if count != start.get(name, 0)
-        }
-        self.buckets.append(
-            TimelineBucket(start_ref=self._bucket_start_ref, end_ref=refs, counts=delta)
-        )
-        self._bucket_start_ref = refs
-        self._counts_at_start = counts
-
-    def finish(self) -> list[TimelineBucket]:
-        """Seal the final partial bucket (if it saw any references)."""
-        refs = self.stats["refs"]
-        if refs > self._bucket_start_ref:
-            self._seal(refs)
-        return self.buckets
-
-    def series(self, counter: str) -> list[int]:
-        """One counter's per-bucket deltas, ready to plot."""
-        return [bucket.counts.get(counter, 0) for bucket in self.buckets]
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "bucket_refs": self.bucket_refs,
-            "buckets": [
-                {
-                    "start_ref": bucket.start_ref,
-                    "end_ref": bucket.end_ref,
-                    "counts": bucket.counts,
-                }
-                for bucket in self.buckets
-            ],
-        }
-
-
-# --------------------------------------------------------------------- #
 # The metrics registry
 
 
 class Metrics:
-    """Per-span histograms plus an optional reference timeline.
+    """Per-span histograms.
 
     The tracer feeds ``observe_span`` once per recorded span; counters
     stay in the shared Stats object and are merely re-exported here so
-    exporters have one façade over all three shapes.
+    exporters have one façade over both shapes.
     """
 
-    def __init__(
-        self, stats: Stats, *, timeline_bucket_refs: int | None = None
-    ) -> None:
+    def __init__(self, stats: Stats) -> None:
         self.stats = stats
         self.histograms: dict[str, Histogram] = {}
-        self.timeline: Timeline | None = (
-            Timeline(stats, timeline_bucket_refs) if timeline_bucket_refs else None
-        )
 
     def histogram(self, name: str) -> Histogram:
         histogram = self.histograms.get(name)
@@ -219,23 +133,14 @@ class Metrics:
 
     def observe_span(self, span: "Span") -> None:
         self.histogram(span.name).add(span.cycles)
-        if self.timeline is not None:
-            self.timeline.observe()
-
-    def finish(self) -> None:
-        if self.timeline is not None:
-            self.timeline.finish()
 
     def as_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {
+        return {
             "histograms": {
                 name: histogram.as_dict()
                 for name, histogram in sorted(self.histograms.items())
             }
         }
-        if self.timeline is not None:
-            out["timeline"] = self.timeline.as_dict()
-        return out
 
 
 # --------------------------------------------------------------------- #

@@ -158,8 +158,6 @@ class _SpanHandle:
         span = self._span
         popped = tracer._stack.pop()
         assert popped is span, "span exit out of order"
-        if tracer.debug:
-            Stats(counts).assert_monotonic(Stats(self._enter_counts))
         enter = self._enter_counts
         span.delta = {
             name: count - enter.get(name, 0)
@@ -189,7 +187,6 @@ class Tracer:
         seed: Seed for the sampling RNG — fixed seed, fixed decisions.
         metrics: Optional :class:`~repro.obs.metrics.Metrics` fed one
             observation per recorded span.
-        debug: Assert counter monotonicity at every span exit.
     """
 
     active = True
@@ -202,7 +199,6 @@ class Tracer:
         sample_every: int = 1,
         seed: int = 0,
         metrics: "Any | None" = None,
-        debug: bool = False,
     ) -> None:
         if sample_every < 0:
             raise ValueError("sample_every must be >= 0")
@@ -210,7 +206,6 @@ class Tracer:
         self.costs = costs
         self.sample_every = sample_every
         self.metrics = metrics
-        self.debug = debug
         self.roots: list[Span] = []
         #: Spans opened with ``sample=True`` that were not recorded.
         self.sampled_out = 0

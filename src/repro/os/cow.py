@@ -72,6 +72,7 @@ class CopyOnWriteManager:
         copy = kernel.create_segment(
             name, source.n_pages, group_rights=Rights.READ, populate=False
         )
+        shared: list[int] = []
         for index, src_vpn in enumerate(source.vpns()):
             pfn = kernel.translations.pfn_for(src_vpn)
             if pfn is None:
@@ -85,16 +86,14 @@ class CopyOnWriteManager:
             self._shares[copy_vpn] = group
             kernel.translations.map(copy_vpn, pfn)
             kernel.stats.inc("cow.pages_shared")
+            shared.append(src_vpn)
             # Sharing makes both sides read-only for every holder.
-            if kernel.model == "pagegroup":
-                kernel.group_table.set_rights(src_vpn, Rights.READ)
             self._demote_all_domains(src_vpn)
         if kernel.model == "pagegroup":
-            # The source group's pages become read-only while shared;
-            # update resident TLB entries.
-            for src_vpn in source.vpns():
-                if src_vpn in self._shares:
-                    kernel.system.tlb.update(src_vpn, rights=Rights.READ)  # type: ignore[attr-defined]
+            # The source pages' one global rights field goes read-only
+            # while shared; the range shootdown rewrites every CPU's
+            # resident TLB entries.
+            kernel.set_pages_rights_global(shared, Rights.READ)
         return copy
 
     def _demote_all_domains(self, vpn: int) -> None:

@@ -48,7 +48,7 @@ from repro.core.rights import Rights
 from repro.faults.errors import MachineCheck
 from repro.hardware.registers import PIDEntry
 from repro.obs.tracer import NULL_TRACER
-from repro.os.authority import ShardedAuthority
+from repro.os.authority import Authority
 from repro.os.domain import ProtectionDomain
 from repro.os.segment import VirtualSegment
 from repro.os.smp import TRANSLATION, CpuContext, ShootdownBus
@@ -108,8 +108,8 @@ class Kernel:
             over the shootdown bus.  The default (1) is byte-identical
             to the pre-SMP simulator.
         n_shards: Authority shards (VPN-range home shards, see
-            :class:`~repro.os.authority.ShardedAuthority`).  The
-            default (1) is byte-identical to the monolithic authority.
+            :class:`~repro.os.authority.Authority`).  The default (1)
+            charges no shard counters.
     """
 
     def __init__(
@@ -134,7 +134,7 @@ class Kernel:
         self.stats = stats if stats is not None else Stats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Shared OS state: the tables every CPU's hardware refills from.
-        self.authority = ShardedAuthority(
+        self.authority = Authority(
             n_frames=n_frames,
             params=params,
             stats=self.stats,
@@ -152,8 +152,6 @@ class Kernel:
         self.allocator = self.authority.allocator
         self.domains = self.authority.domains
         self.segments = self.authority.segments
-        self._segment_bases = self.authority.segment_bases
-        self._segments_by_base = self.authority.segments_by_base
         self.linear_tables = self.authority.linear_tables
         self._contiguous = self.authority.contiguous
 

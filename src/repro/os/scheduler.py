@@ -14,7 +14,10 @@ CPU whose protection caches they warmed — moving a domain means its
 PLB entries / group holdings / ASID-tagged TLB replicas on the old CPU
 are dead weight and the new CPU starts cold, so a migration is an
 explicit verb with an explicit, model-specific refill cost, not an
-accident of rotation order.
+accident of rotation order.  Only
+:meth:`~repro.sim.machine.SMPMachine.run_affine` and the tests drive
+it: a DSM node places each reference by page instead
+(``DSMNode.cpu_for`` → ``touch_home``).
 """
 
 from __future__ import annotations

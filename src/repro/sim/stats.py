@@ -136,8 +136,7 @@ class Stats:
 
         Counters are event counts and must only grow; a decrease means a
         snapshot was taken on one Stats object and compared against
-        another, or :meth:`clear` ran mid-measurement.  The tracer calls
-        this in debug mode at every span exit.
+        another, or :meth:`clear` ran mid-measurement.
         """
         decreased = {
             name: self._counts.get(name, 0) - count

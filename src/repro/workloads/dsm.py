@@ -35,7 +35,6 @@ from repro.faults.errors import (
 )
 from repro.os.domain import ProtectionDomain
 from repro.os.kernel import Kernel
-from repro.os.scheduler import AffinityScheduler
 from repro.os.segment import VirtualSegment
 from repro.sim.machine import SMPMachine
 from repro.sim.stats import Stats
@@ -106,15 +105,6 @@ class DSMNode:
         if not populate:
             for vpn in self.segment.vpns():
                 self._set_local_rights(vpn, Rights.NONE)
-        #: Affinity placement: the request domain is pinned to the
-        #: shared segment's shard-home CPU, so its verbs run where the
-        #: authority shard (and the warmed protection cache) lives.
-        #: Construction charges nothing; single-CPU nodes place on 0.
-        self.scheduler = AffinityScheduler(
-            self.kernel,
-            [self.domain],
-            placement={self.domain.pd_id: self.cpu_for(self.segment.base_vpn)},
-        )
 
     def _set_local_rights(self, vpn: int, rights: Rights) -> None:
         """Apply a coherence decision to one page's local protection."""

@@ -93,25 +93,25 @@ class TestCommands:
 
 
 class TestParallelismValidation:
-    """One validation path for --jobs (worker processes) and --cpus
-    (simulated CPUs): consistent, explicit error messages."""
+    """One validation path for --cpus (simulated CPUs), and no worker
+    processes: ``workload`` has no --jobs flag."""
 
     def test_workload_jobs_below_one(self, capsys):
-        assert main(["workload", "rpc", "--jobs", "0"]) == 2
-        assert "--jobs must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["workload", "rpc", "--jobs", "0"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 0" in capsys.readouterr().err
 
     def test_workload_jobs_with_single_model_is_explicit(self, capsys):
-        """--jobs fans out across models; with one model it used to run
-        silently sequentially — now it is a contradiction we reject."""
-        assert main(["workload", "rpc", "--models", "plb", "--jobs", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "parallelizes across models" in err
-        assert "--models plb,pagegroup" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["workload", "rpc", "--models", "plb", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_bench_jobs_below_one(self, capsys):
         """There is no ``bench`` command (the ledger under
         ``benchmarks/ledger`` is the host-time measure), so the parser
-        refuses it before any ``--jobs`` validation: exit 2."""
+        refuses it: exit 2."""
         with pytest.raises(SystemExit) as exit_info:
             main(["bench", "--models", "plb", "--jobs", "0"])
         assert exit_info.value.code == 2

@@ -88,9 +88,6 @@ class TestSMPNodeComposition:
             node.touch_home(addr, AccessType.READ)
             home = node.cpu_for(vpn)
             assert home == node.kernel.authority.shard_of(vpn) % 4
-            assert node.scheduler.cpu_for(node.domain) == node.cpu_for(
-                node.segment.base_vpn
-            )
 
 
 class TestSMPNodeChaos:

@@ -1,4 +1,4 @@
-"""Unit tests for histograms, timelines, and hotspot aggregation."""
+"""Unit tests for histograms and hotspot aggregation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs.metrics import (
     Histogram,
     Metrics,
-    Timeline,
     attributed_cycles,
     hotspots,
 )
@@ -78,36 +77,15 @@ class TestHistogram:
         assert data["buckets"] == [[4, 8, 1]]
 
 
-class TestTimeline:
-    def test_buckets_roll_per_k_references(self):
-        stats = Stats()
-        timeline = Timeline(stats, bucket_refs=10)
-        for step in range(35):
-            stats.inc("refs")
-            if step % 2 == 0:
-                stats.inc("plb.miss")
-            timeline.observe()
-        buckets = timeline.finish()
-        assert [b.start_ref for b in buckets] == [0, 10, 20, 30]
-        assert [b.end_ref for b in buckets] == [10, 20, 30, 35]
-        assert sum(timeline.series("plb.miss")) == stats["plb.miss"]
-        assert sum(b.counts["refs"] for b in buckets) == 35
-
-    def test_finish_without_references_adds_nothing(self):
-        timeline = Timeline(Stats(), bucket_refs=10)
-        assert timeline.finish() == []
-
-
 class TestMetricsRegistry:
     def test_tracer_feeds_span_histograms(self):
         stats = Stats()
-        metrics = Metrics(stats, timeline_bucket_refs=100)
+        metrics = Metrics(stats)
         tracer = Tracer(stats, metrics=metrics)
         for _ in range(5):
             with tracer.span("kernel.detach"):
                 stats.inc("kernel.trap")
         tracer.finish()
-        metrics.finish()
         h = metrics.histograms["kernel.detach"]
         assert h.count == 5
         assert metrics.counter("kernel.trap") == 5

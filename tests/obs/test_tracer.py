@@ -112,8 +112,21 @@ class TestAttribution:
             tracer.finish()
 
     def test_debug_monotonicity_check_passes_on_real_run(self):
-        delta = _run_refs("plb", tracer=lambda s: Tracer(s, debug=True))
+        """Counters only grow over a traced run: the end snapshot is
+        monotonic against the start one, and no span delta is negative."""
+        seen = {}
+
+        def tracer(stats):
+            seen["stats"], seen["start"] = stats, stats.snapshot()
+            seen["tracer"] = Tracer(stats)
+            return seen["tracer"]
+
+        delta = _run_refs("plb", tracer=tracer)
         assert delta["refs"] > 0
+        seen["stats"].snapshot().assert_monotonic(seen["start"])
+        spans = [span for root in seen["tracer"].finish() for span in root.walk()]
+        assert spans
+        assert all(count > 0 for span in spans for count in span.delta.values())
 
 
 class TestSampling:

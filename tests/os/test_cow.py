@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.rights import Rights
+from repro.check.invariants import check_invariants
+from repro.core.rights import AccessType, Rights
 from repro.os.cow import CopyOnWriteManager
 from repro.os.kernel import Kernel
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, SMPMachine
 
 MODELS = ("plb", "pagegroup", "conventional")
 
@@ -114,6 +115,30 @@ class TestBreakOnWrite:
         assert cow.is_shared(copy1.base_vpn)
         assert cow.is_shared(copy2.base_vpn)
         assert len(cow.sharers_of(copy1.base_vpn)) == 2
+
+
+class TestMultiCpu:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_copy_demotes_the_source_on_every_cpu(self, model):
+        """Sharing makes the source read-only on every CPU, not only on
+        the one that creates the copy: a write from another CPU whose
+        TLB already holds the page writable traps once and breaks the
+        share."""
+        kernel = Kernel(model, n_cpus=2)
+        smp = SMPMachine(kernel)
+        cow = CopyOnWriteManager(kernel)
+        writer = kernel.create_domain("writer")
+        source = kernel.create_segment("source", 2)
+        cow.attach(writer, source, Rights.RW)
+        vaddr = kernel.params.vaddr(source.base_vpn)
+        smp.touch_on(1, writer, vaddr, AccessType.WRITE)
+        kernel.set_current_cpu(0)
+        cow.create_copy(source, "copy")
+        assert check_invariants(kernel) == []
+        result = smp.touch_on(1, writer, vaddr, AccessType.WRITE)
+        assert result.protection_faults == 1
+        assert kernel.stats["cow.breaks"] == 1
+        assert not cow.is_shared(source.base_vpn)
 
 
 class TestFootnote4:

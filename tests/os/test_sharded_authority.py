@@ -1,11 +1,11 @@
-"""ShardedAuthority: VPN-range home shards behind the same Authority API.
+"""The sharded Authority: VPN-range home shards behind one API.
 
 Unit coverage for the shard map itself (chunk interleave, spanning
 segments, per-shard mutation accounting, K=1 charging nothing) plus a
 differential sweep: the ``repro.check`` lockstep harness replays 20
 scenario-seeds through all three models at K ∈ {1, 2, 4} shards — a
 sharded kernel must stay op-for-op identical to the gold model, because
-sharding partitions *indexing and accounting*, never protection state.
+sharding partitions *accounting*, never protection state.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import pytest
 
 from repro.check import run_check
 from repro.core.rights import Rights
-from repro.os.authority import SHARD_SPAN_BITS, ShardedAuthority
+from repro.os.authority import SHARD_SPAN_BITS, Authority
 from repro.os.kernel import MODELS, Kernel
 from repro.sim.stats import Stats
 
 
-def make_authority(n_shards: int) -> ShardedAuthority:
-    return ShardedAuthority(
+def make_authority(n_shards: int) -> Authority:
+    return Authority(
         n_frames=256, stats=Stats(), n_shards=n_shards
     )
 
@@ -64,7 +64,8 @@ def test_monolithic_authority_maps_everything_to_shard_zero():
 
 @pytest.mark.parametrize("model", MODELS)
 def test_segment_at_agrees_with_monolithic(model):
-    """The per-shard segment index answers exactly like the global one."""
+    """A sharded kernel's segment index answers exactly like a
+    monolithic one's."""
     mono = Kernel(model, n_frames=256, n_shards=1)
     shard = Kernel(model, n_frames=256, n_shards=4)
     for kernel in (mono, shard):

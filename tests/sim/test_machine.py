@@ -191,8 +191,7 @@ class TestReplayRoundtrip:
 
 class TestRunSharded:
     """A run split into shards: one per CPU inside one kernel
-    (:meth:`SMPMachine.run`), or one per model across worker processes
-    (``repro workload --jobs``)."""
+    (:meth:`SMPMachine.run`), or one per model (``repro workload``)."""
 
     @staticmethod
     def _smp():
@@ -211,22 +210,22 @@ class TestRunSharded:
             for shard in range(n_shards)
         ]
 
-    def test_jobs_one_equals_jobs_two(self):
-        """Fanning the models across two worker processes reports
-        exactly what one process does."""
-        from repro.cli import cmd_workload
+    def test_jobs_one_equals_jobs_two(self, monkeypatch):
+        """Each model runs on a kernel of its own: a two-model report
+        equals the single-model runs merged in model order."""
+        from repro import cli
+        from repro.analysis.table1 import Table1Result, run_rpc
 
         models = ("plb", "pagegroup")
-        assert cmd_workload("rpc", models, 2) == cmd_workload("rpc", models, 1)
-
-    def test_parallel_requires_factory(self):
-        """Each worker builds its own kernel from a model name, so a
-        parallel run needs a model per worker: two jobs over one model
-        are refused rather than silently run in sequence."""
-        from repro.cli import CLIError, cmd_workload
-
-        with pytest.raises(CLIError, match="parallelizes across models"):
-            cmd_workload("rpc", ("plb",), 2)
+        together = cli.cmd_workload("rpc", models)
+        cells = {model: run_rpc(models=(model,)) for model in models}
+        merged = Table1Result(
+            cells["plb"].title,
+            {model: cell.stats_by_model[model] for model, cell in cells.items()},
+            {model: cell.summary_by_model[model] for model, cell in cells.items()},
+        )
+        monkeypatch.setitem(cli.WORKLOADS, "rpc", lambda models: merged)
+        assert cli.cmd_workload("rpc", models) == together
 
     def test_no_shards_is_empty_stats(self):
         kernel, smp, _, _ = self._smp()
