@@ -25,7 +25,6 @@ paper-versus-measured record.
 """
 
 from repro.core.mmu import (
-    AccessResult,
     ConventionalSystem,
     FaultReason,
     PageFault,
@@ -49,7 +48,6 @@ from repro.sim.stats import Stats
 __version__ = "1.0.0"
 
 __all__ = [
-    "AccessResult",
     "AccessType",
     "ConventionalSystem",
     "DEFAULT_PARAMS",

@@ -352,8 +352,8 @@ class LockstepHarness:
         page_fault = False
         for _ in range(self.MAX_ATTEMPTS):
             try:
-                paddr = kernel.system.access(vaddr, access).paddr
-                return Expectation("allowed", page_fault=page_fault), paddr
+                kernel.system.access(vaddr, access)
+                return Expectation("allowed", page_fault=page_fault), kernel.system.paddr
             except ProtectionFault as fault:
                 try:
                     kernel.handle_protection_fault(fault)

@@ -182,24 +182,6 @@ class DomainPageSource(Protocol):
 
 
 # --------------------------------------------------------------------- #
-# Access result
-
-
-@dataclass
-class AccessResult:
-    """Summary of one completed (non-faulting) reference."""
-
-    cache_hit: bool
-    protection_refill: bool = False
-    translation_refill: bool = False
-    translated: bool = False
-    #: Physical address the reference resolved to, when the model ran
-    #: translation.  None on a VIVT hit in the PLB system, where the
-    #: whole point is that translation never happens (Section 3.2.1).
-    paddr: int | None = None
-
-
-# --------------------------------------------------------------------- #
 # Base machinery
 
 
@@ -223,6 +205,11 @@ class MemorySystem:
         self._page_bits = params.page_bits
         self._page_mask = params.page_size - 1
         self.stats = stats if stats is not None else Stats()
+        #: Physical address of the last completed reference, when the
+        #: model ran translation for it.  None after a VIVT hit in the
+        #: PLB system, where the whole point is that translation never
+        #: happens (Section 3.2.1).
+        self.paddr: int | None = None
         self.tracer = NULL_TRACER
         self.pdid = PDIDRegister(stats=self.stats)
         self.dcache = DataCache(
@@ -268,39 +255,56 @@ class MemorySystem:
 
         self.access_fast = traced_access_fast
 
-    def access(self, vaddr: int, access: AccessType) -> AccessResult:
+    def access(self, vaddr: int, access: AccessType) -> None:
         """Run one reference, raising on faults.
 
         The raising wrapper over :meth:`access_fast`: fault objects come
         back as return values from the fast protocol and only enter the
-        exception machinery here, for callers that want it.
+        exception machinery here, for callers that want it.  The
+        resolved physical address is left in :attr:`paddr`.
         """
-        result = self.access_fast(vaddr, access)
-        if result.__class__ is AccessResult:
-            return result
-        raise result
+        fault = self.access_fast(vaddr, access)
+        if fault is not None:
+            raise fault
 
     def _access_fast(
         self, vaddr: int, access: AccessType
-    ) -> AccessResult | ProtectionFault | PageFault:
+    ) -> ProtectionFault | PageFault | None:
         """Run one reference, *returning* faults instead of raising.
 
-        The exception-free access protocol: the common case (no fault)
-        never touches exception machinery, and the caller dispatches on
-        the returned object's class.
+        The exception-free access protocol: a completed reference
+        returns None and builds no object (its physical address is left
+        in :attr:`paddr`); a fault comes back as the return value, so the
+        common case never touches exception machinery.
         """
         raise NotImplementedError
+
+    def _complete(self, entry, vaddr: int, write: bool, asid: int) -> None:
+        """Finish a reference whose on-chip TLB entry granted it.
+
+        The page-group and conventional models translate on the critical
+        path, so the physical address is known before the data-cache
+        probe whatever the cache's organisation.
+        """
+        entry.referenced = True
+        if write:
+            entry.dirty = True
+        paddr = (entry.pfn << self._page_bits) | (vaddr & self._page_mask)
+        dcache = self.dcache
+        if not dcache.access(vaddr, paddr, write=write, asid=asid):
+            dcache.fill(vaddr, paddr, write=write, asid=asid)
+        self.paddr = paddr
 
     def switch_domain(self, pd_id: int) -> None:
         raise NotImplementedError
 
-    def read(self, vaddr: int) -> AccessResult:
+    def read(self, vaddr: int) -> None:
         """Convenience wrapper for a load."""
-        return self.access(vaddr, AccessType.READ)
+        self.access(vaddr, AccessType.READ)
 
-    def write(self, vaddr: int) -> AccessResult:
+    def write(self, vaddr: int) -> None:
         """Convenience wrapper for a store."""
-        return self.access(vaddr, AccessType.WRITE)
+        self.access(vaddr, AccessType.WRITE)
 
 
 # --------------------------------------------------------------------- #
@@ -311,11 +315,11 @@ class PLBSystem(MemorySystem):
     """PLB + VIVT cache + off-critical-path translation TLB (Figure 1).
 
     The PLB and the data cache are probed in parallel with VPN bits; the
-    TLB is consulted only when the cache needs a physical address (miss
-    or dirty writeback), which the model expresses through the cache's
-    lazy-translation callable.  Off-critical-path TLB accesses are
-    counted separately (``tlb.off_chip_access``) so benchmarks can show
-    how rarely translation runs.
+    TLB is consulted only when the cache needs a physical address (a
+    miss, or every probe of a cache that :attr:`~DataCache.translates_first`).
+    Off-critical-path TLB accesses are counted separately
+    (``tlb.off_chip_access``) so benchmarks can show how rarely
+    translation runs.
 
     With ``l2_cache_bytes`` set, a physically indexed second-level cache
     sits behind the VIVT first level — "an obvious organization would
@@ -378,76 +382,67 @@ class PLBSystem(MemorySystem):
 
     def _access_fast(
         self, vaddr: int, access: AccessType
-    ) -> AccessResult | ProtectionFault | PageFault:
+    ) -> ProtectionFault | PageFault | None:
         self._inc_refs()
         pd_id = self.pdid.value
-        vpn = vaddr >> self._page_bits
 
         rights = self.plb.lookup(pd_id, vaddr)
-        protection_refill = False
         if rights is None:
-            info = self.protection.rights_for(pd_id, vpn)
+            info = self.protection.rights_for(pd_id, vaddr >> self._page_bits)
             if info is None:
                 return ProtectionFault(pd_id, vaddr, access, FaultReason.UNATTACHED)
             self.plb.fill(pd_id, vaddr, info.rights, level=info.level)
             rights = info.rights
-            protection_refill = True
         if not rights.allows(access):
             return ProtectionFault(pd_id, vaddr, access, FaultReason.DENIED, rights)
 
-        refill = False
-        resolved: int | None = None
+        write = access.is_write
+        dcache = self.dcache
+        paddr = None
+        if dcache.translates_first:
+            paddr = self._translate(vaddr, write)
+            if paddr is None:
+                return PageFault(vaddr, pd_id, access)
+        if dcache.access(vaddr, paddr, write=write, asid=pd_id):
+            self.paddr = paddr
+            return None
+        if paddr is None:
+            paddr = self._translate(vaddr, write)
+            if paddr is None:
+                return PageFault(vaddr, pd_id, access)
+        victim_paddr_line = dcache.fill(vaddr, paddr, write=write, asid=pd_id)
+        l2 = self.l2
+        if l2 is not None:
+            # The missing line is fetched through the L2 first; the TLB at
+            # the L2 controller already resolved the address above.  The
+            # fetch must probe before the victim installs: a victim
+            # mapping to the same L2 set could otherwise evict the very
+            # line about to be fetched.
+            if not l2.access(paddr, paddr):
+                l2.fill(paddr, paddr)
+            if victim_paddr_line is not None:
+                # The L1's dirty victim lands in the L2 (write-allocate).
+                victim_paddr = victim_paddr_line << self.params.line_offset_bits
+                if not l2.access(victim_paddr, victim_paddr, write=True):
+                    l2.fill(victim_paddr, victim_paddr, write=True)
+        self.paddr = paddr
+        return None
 
-        def translate() -> int:
-            nonlocal refill, resolved
-            if resolved is not None:
-                return resolved
-            self._inc_off_chip()
-            entry = self.tlb.lookup(vpn)
-            if entry is None:
-                info = self.translation.translation_for(vpn)
-                if info is None:
-                    raise PageFault(vaddr, pd_id, access)
-                entry = self.tlb.fill(vpn, info.pfn, level=info.level)
-                refill = True
-            entry.referenced = True
-            if access.is_write:
-                entry.dirty = True
-            resolved = (entry.pfn_for(vpn) << self._page_bits) | (vaddr & self._page_mask)
-            return resolved
-
-        # ``translate`` is invoked lazily inside the cache, so a missing
-        # translation still surfaces as an exception mid-access; it is
-        # converted to the return-value protocol here.  The common case
-        # (no page fault) sets up the try block but never unwinds it.
-        try:
-            outcome = self.dcache.access(
-                vaddr, translate, write=access.is_write, asid=pd_id
-            )
-            if self.l2 is not None:
-                if not outcome.hit:
-                    # The missing line is fetched through the L2 first; the
-                    # TLB at the L2 controller already resolved the address
-                    # above.  The fetch must probe before the victim installs:
-                    # a victim mapping to the same L2 set could otherwise
-                    # evict the very line about to be fetched.
-                    fetch_paddr = translate()
-                    self.l2.access(fetch_paddr, lambda: fetch_paddr)
-                if outcome.victim_paddr_line is not None:
-                    # The L1's dirty victim lands in the L2 (write-allocate).
-                    victim_paddr = (
-                        outcome.victim_paddr_line << self.params.line_offset_bits
-                    )
-                    self.l2.access(victim_paddr, lambda: victim_paddr, write=True)
-        except PageFault as fault:
-            return fault
-        return AccessResult(
-            cache_hit=outcome.hit,
-            protection_refill=protection_refill,
-            translation_refill=refill,
-            translated=outcome.translated,
-            paddr=resolved,
-        )
+    def _translate(self, vaddr: int, write: bool) -> int | None:
+        """The off-critical-path TLB walk: the physical address of
+        ``vaddr``, or None when the page has no resident translation."""
+        self._inc_off_chip()
+        vpn = vaddr >> self._page_bits
+        entry = self.tlb.lookup(vpn)
+        if entry is None:
+            info = self.translation.translation_for(vpn)
+            if info is None:
+                return None
+            entry = self.tlb.fill(vpn, info.pfn, level=info.level)
+        entry.referenced = True
+        if write:
+            entry.dirty = True
+        return (entry.pfn_for(vpn) << self._page_bits) | (vaddr & self._page_mask)
 
     def switch_domain(self, pd_id: int) -> None:
         """One control-register write — the whole cost (Section 4.1.4)."""
@@ -513,23 +508,20 @@ class PageGroupSystem(MemorySystem):
 
     def _access_fast(
         self, vaddr: int, access: AccessType
-    ) -> AccessResult | ProtectionFault | PageFault:
+    ) -> ProtectionFault | PageFault | None:
         self._inc_refs()
         pd_id = self.pdid.value
         vpn = vaddr >> self._page_bits
 
         entry = self.tlb.lookup(vpn)
-        refill = False
         if entry is None:
             info = self.source.page_info(vpn)
             if info is None:
                 return PageFault(vaddr, pd_id, access)
             pfn, rights, aid = info
             entry = self.tlb.fill(vpn, pfn, rights, aid)
-            refill = True
 
         decision = check_group_access(entry.aid, entry.rights, access, self.groups)
-        group_refill = False
         if not decision.group_hit:
             # Group miss: the kernel checks whether the domain holds the
             # group and reloads the holder, or raises a real fault.
@@ -538,7 +530,6 @@ class PageGroupSystem(MemorySystem):
                 return ProtectionFault(pd_id, vaddr, access, FaultReason.UNATTACHED)
             self.stats.inc("group_reload")
             self._install_group(pid_entry)
-            group_refill = True
             decision = check_group_access(entry.aid, entry.rights, access, self.groups)
             assert decision.group_hit
         if not decision.allowed:
@@ -546,18 +537,7 @@ class PageGroupSystem(MemorySystem):
                 pd_id, vaddr, access, FaultReason.DENIED, decision.effective_rights
             )
 
-        entry.referenced = True
-        if access.is_write:
-            entry.dirty = True
-        paddr = (entry.pfn << self._page_bits) | (vaddr & self._page_mask)
-        outcome = self.dcache.access(vaddr, lambda: paddr, write=access.is_write, asid=pd_id)
-        return AccessResult(
-            cache_hit=outcome.hit,
-            protection_refill=group_refill,
-            translation_refill=refill,
-            translated=outcome.translated,
-            paddr=paddr,
-        )
+        return self._complete(entry, vaddr, access.is_write, pd_id)
 
     def _install_group(self, entry: PIDEntry) -> None:
         # Both holder kinds share the install/drop/clear/find surface.
@@ -625,14 +605,13 @@ class ConventionalSystem(MemorySystem):
 
     def _access_fast(
         self, vaddr: int, access: AccessType
-    ) -> AccessResult | ProtectionFault | PageFault:
+    ) -> ProtectionFault | PageFault | None:
         self._inc_refs()
         pd_id = self.pdid.value
         vpn = vaddr >> self._page_bits
         asid = pd_id if self.asid_tagged else 0
 
         entry = self.tlb.lookup(asid, vpn)
-        refill = False
         if entry is None:
             mapping = self.source.domain_page(pd_id, vpn)
             if mapping is None:
@@ -641,21 +620,10 @@ class ConventionalSystem(MemorySystem):
                 return PageFault(vaddr, pd_id, access)
             pfn, rights = mapping
             entry = self.tlb.fill(asid, vpn, pfn, rights)
-            refill = True
         if not entry.rights.allows(access):
             return ProtectionFault(pd_id, vaddr, access, FaultReason.DENIED, entry.rights)
 
-        entry.referenced = True
-        if access.is_write:
-            entry.dirty = True
-        paddr = (entry.pfn << self._page_bits) | (vaddr & self._page_mask)
-        outcome = self.dcache.access(vaddr, lambda: paddr, write=access.is_write, asid=asid)
-        return AccessResult(
-            cache_hit=outcome.hit,
-            translation_refill=refill,
-            translated=outcome.translated,
-            paddr=paddr,
-        )
+        return self._complete(entry, vaddr, access.is_write, asid)
 
     def switch_domain(self, pd_id: int) -> None:
         self.stats.inc("domain_switch")

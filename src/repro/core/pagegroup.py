@@ -20,7 +20,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.hardware.assoc import AssocCache
-from repro.hardware.registers import GLOBAL_PAGE_GROUP, PIDEntry, PIDRegisterFile
+from repro.hardware.registers import (
+    GLOBAL_PAGE_GROUP,
+    GLOBAL_PID_ENTRY,
+    PIDEntry,
+    PIDRegisterFile,
+)
 from repro.core.rights import AccessType, Rights
 from repro.sim.stats import Stats
 
@@ -56,12 +61,13 @@ class PageGroupCache:
         self._cache: AssocCache[int, PIDEntry] = AssocCache(
             entries, ways, name=name, stats=self.stats, set_of=lambda group: group
         )
+        self._inc_global_hit = self.stats.counter(f"{name}.global_hit")
 
     def find(self, group: int) -> PIDEntry | None:
         """The entry for ``group``; group 0 matches unconditionally."""
         if group == GLOBAL_PAGE_GROUP:
-            self.stats.inc(f"{self.name}.global_hit")
-            return PIDEntry(GLOBAL_PAGE_GROUP)
+            self._inc_global_hit()
+            return GLOBAL_PID_ENTRY
         return self._cache.lookup(group)
 
     def install(self, entry: PIDEntry) -> int | None:
@@ -113,6 +119,15 @@ class AccessDecision(NamedTuple):
     effective_rights: Rights = Rights.NONE
 
 
+#: Every outcome of the Figure 2 check, built once: a group miss, and
+#: for each effective rights value its ``(denied, allowed)`` pair.
+_GROUP_MISS = AccessDecision(allowed=False, group_hit=False)
+_GROUP_HIT = {
+    rights: (AccessDecision(False, True, rights), AccessDecision(True, True, rights))
+    for rights in map(Rights, range(Rights.RWX + 1))
+}
+
+
 def check_group_access(
     aid: int,
     page_rights: Rights,
@@ -125,14 +140,11 @@ def check_group_access(
     holder.  On a match, the allowed access is the page's rights field
     masked by the matching PID's write-disable bit.  A non-matching AID is
     a *group miss* — the kernel decides whether to reload the holder or
-    raise a protection fault.
+    raise a protection fault.  The decision returned is a shared,
+    immutable one: the check builds no object.
     """
     entry = holder.find(aid)
     if entry is None:
-        return AccessDecision(allowed=False, group_hit=False)
+        return _GROUP_MISS
     effective = page_rights.without_write() if entry.write_disable else page_rights
-    return AccessDecision(
-        allowed=effective.allows(access),
-        group_hit=True,
-        effective_rights=effective,
-    )
+    return _GROUP_HIT[effective][effective.allows(access)]

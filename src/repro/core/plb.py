@@ -30,7 +30,9 @@ from repro.sim.stats import Stats
 class PLBKey(NamedTuple):
     """Identity of one PLB entry: (domain, protection-unit, level).
 
-    A tuple, so hashing and equality run in C on every probe and sweep.
+    A tuple, so hashing and equality run in C on every probe and sweep,
+    and a plain ``(pd_id, unit, level)`` tuple finds the same entry:
+    :meth:`ProtectionLookasideBuffer.lookup` probes with one.
     """
 
     pd_id: int
@@ -83,14 +85,10 @@ class ProtectionLookasideBuffer:
                 raise ValueError(f"sub-page level {level} finer than a byte")
         # ``(level, address shift)`` per level, probed in order by lookup.
         self._shifts = tuple((level, params.page_bits + level) for level in self.levels)
-        # The underlying store keeps its own throwaway counters; the PLB
-        # accounts hits and misses once per lookup across all levels.
+        # An uncounted store: the PLB accounts hits and misses once per
+        # lookup across all levels.
         self._store: AssocCache[PLBKey, PLBEntry] = AssocCache(
-            entries,
-            ways,
-            name="_raw",
-            stats=Stats(),
-            set_of=lambda key: key.unit,
+            entries, ways, name=None, set_of=lambda key: key[1]
         )
         # Graceful degradation (fault recovery): a disabled PLB answers
         # every lookup with a miss and refuses fills, so each reference
@@ -128,9 +126,9 @@ class ProtectionLookasideBuffer:
         if self._disabled:
             self._inc_disabled_walk()
             return None
-        store = self._store
+        probe = self._store.probe
         for level, shift in self._shifts:
-            entry = store.lookup(PLBKey(pd_id, vaddr >> shift, level))
+            entry = probe((pd_id, vaddr >> shift, level))
             if entry is not None:
                 self._inc_hit()
                 return entry.rights

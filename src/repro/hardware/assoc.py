@@ -25,6 +25,10 @@ K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
 
+def _uncounted(amount: int = 1) -> None:
+    """The counter handle of an uncounted store."""
+
+
 class AssocCache(Generic[K, V]):
     """Set-associative cache of ``key -> value`` with true-LRU replacement.
 
@@ -34,6 +38,9 @@ class AssocCache(Generic[K, V]):
         ways: Associativity.  ``ways == entries`` gives a fully associative
             structure; ``ways == 1`` is direct mapped.
         name: Counter prefix for the shared :class:`Stats` object.
+            ``None`` makes an uncounted store, for a structure that
+            accounts for its own events (the PLB and the translation-only
+            TLB count one hit or miss per multi-level lookup).
         stats: Event sink.  A private one is created when omitted.
         set_of: Maps a key to its set index input (an int that is reduced
             modulo the number of sets).  Defaults to ``hash``.
@@ -44,7 +51,7 @@ class AssocCache(Generic[K, V]):
         entries: int,
         ways: int | None = None,
         *,
-        name: str = "cache",
+        name: str | None = "cache",
         stats: Stats | None = None,
         set_of: Callable[[K], int] | None = None,
     ) -> None:
@@ -57,16 +64,25 @@ class AssocCache(Generic[K, V]):
         self.ways = ways
         self.n_sets = entries // ways
         self.name = name
-        self.stats = stats if stats is not None else Stats()
         self._set_of = set_of or (lambda key: hash(key))
         # Each set is an OrderedDict ordered from LRU (front) to MRU (back).
         self._sets: list[OrderedDict[K, V]] = [OrderedDict() for _ in range(self.n_sets)]
         # Interned counter handles for the per-reference paths; cold
-        # maintenance operations keep the readable f-string form.
-        self._inc_hit = self.stats.counter(f"{name}.hit")
-        self._inc_miss = self.stats.counter(f"{name}.miss")
-        self._inc_fill = self.stats.counter(f"{name}.fill")
-        self._inc_eviction = self.stats.counter(f"{name}.eviction")
+        # maintenance operations go through :meth:`_count`.
+        if name is None:
+            self.stats: Stats | None = None
+            self._inc_hit = self._inc_miss = _uncounted
+            self._inc_fill = self._inc_eviction = _uncounted
+        else:
+            self.stats = stats if stats is not None else Stats()
+            self._inc_hit = self.stats.counter(f"{name}.hit")
+            self._inc_miss = self.stats.counter(f"{name}.miss")
+            self._inc_fill = self.stats.counter(f"{name}.fill")
+            self._inc_eviction = self.stats.counter(f"{name}.eviction")
+
+    def _count(self, event: str, amount: int = 1) -> None:
+        if self.stats is not None:
+            self.stats.inc(f"{self.name}.{event}", amount)
 
     # ------------------------------------------------------------------ #
     # Lookup and fill
@@ -74,16 +90,26 @@ class AssocCache(Generic[K, V]):
     def _set_for(self, key: K) -> OrderedDict[K, V]:
         return self._sets[self._set_of(key) % self.n_sets]
 
-    def lookup(self, key: K) -> V | None:
-        """Probe for ``key``; updates LRU order and hit/miss counters."""
+    def probe(self, key: K) -> V | None:
+        """Probe for ``key``, refreshing its LRU position; counts nothing.
+
+        The one LRU probe: :meth:`lookup` counts around it, and a
+        multi-level structure counts one hit or miss per lookup itself.
+        """
         entry_set = self._sets[0] if self.n_sets == 1 else self._set_for(key)
         value = entry_set.get(key)
         if value is not None:
             entry_set.move_to_end(key)
+        return value
+
+    def lookup(self, key: K) -> V | None:
+        """Probe for ``key``; updates LRU order and hit/miss counters."""
+        value = self.probe(key)
+        if value is None:
+            self._inc_miss()
+        else:
             self._inc_hit()
-            return value
-        self._inc_miss()
-        return None
+        return value
 
     def peek(self, key: K) -> V | None:
         """Probe without touching LRU state or counters (for inspection)."""
@@ -114,7 +140,7 @@ class AssocCache(Generic[K, V]):
         if key not in entry_set:
             return False
         entry_set[key] = value
-        self.stats.inc(f"{self.name}.update")
+        self._count("update")
         return True
 
     # ------------------------------------------------------------------ #
@@ -125,7 +151,7 @@ class AssocCache(Generic[K, V]):
         entry_set = self._set_for(key)
         if key in entry_set:
             del entry_set[key]
-            self.stats.inc(f"{self.name}.invalidate")
+            self._count("invalidate")
             return True
         return False
 
@@ -160,9 +186,9 @@ class AssocCache(Generic[K, V]):
             for key in doomed:
                 del entry_set[key]
                 removed += 1
-        self.stats.inc(f"{self.name}.sweep")
-        self.stats.inc(f"{self.name}.sweep_inspected", inspected)
-        self.stats.inc(f"{self.name}.sweep_removed", removed)
+        self._count("sweep")
+        self._count("sweep_inspected", inspected)
+        self._count("sweep_removed", removed)
         return inspected, removed
 
     def purge(self) -> int:
@@ -170,8 +196,8 @@ class AssocCache(Generic[K, V]):
         removed = sum(len(entry_set) for entry_set in self._sets)
         for entry_set in self._sets:
             entry_set.clear()
-        self.stats.inc(f"{self.name}.purge")
-        self.stats.inc(f"{self.name}.purge_removed", removed)
+        self._count("purge")
+        self._count("purge_removed", removed)
         return removed
 
     # ------------------------------------------------------------------ #

@@ -11,11 +11,12 @@ store:
 
 * ``VIVT`` — indexed and tagged with virtual address bits.  Translation is
   needed only on a miss or a dirty writeback, which the model expresses by
-  taking the physical address as a *lazy* callable: the translation
-  substrate is charged only when the cache actually consults it.
+  splitting a reference in two steps: :meth:`DataCache.access` probes with
+  the virtual address alone, and only a miss makes the caller translate
+  and :meth:`DataCache.fill` the line.
 * ``VIPT`` — indexed virtually, tagged physically.  Translation runs in
   parallel with the index but must complete for tag compare, so the
-  translation callable is always invoked.
+  caller translates before the probe.
 * ``PIPT`` — indexed and tagged physically; translation precedes the
   access entirely.
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.params import MachineParams, DEFAULT_PARAMS
 from repro.sim.stats import Stats
@@ -64,33 +64,6 @@ class CacheLine:
     dirty: bool = False
 
 
-@dataclass
-class CacheAccess:
-    """Outcome of one reference.
-
-    Attributes:
-        hit: The reference hit in the cache.
-        writeback: A dirty victim was written back on this access.
-        translated: The translation callable was invoked (models a TLB
-            access on the reference path).
-        synonym_hazard: After this access the referenced physical line is
-            resident in more than one cache location (VIVT/VIPT only).
-        homonym_hazard: The access hit on a virtual tag whose line mapped
-            a *different* physical address (multi-AS VIVT bug).  The stale
-            line is invalidated and the access completed as a miss.
-        victim_paddr_line: The physical line number of the dirty victim
-            written back on this access (None when no writeback) — lets a
-            second-level cache absorb the writeback.
-    """
-
-    hit: bool
-    writeback: bool = False
-    translated: bool = False
-    synonym_hazard: bool = False
-    homonym_hazard: bool = False
-    victim_paddr_line: int | None = None
-
-
 class DataCache:
     """A set-associative, write-back, write-allocate data cache.
 
@@ -102,9 +75,10 @@ class DataCache:
         asid_tagged: Extend virtual tags with the ASID (the conventional
             fix for homonyms the paper notes costs extra tag bits).
         detect_hazards: Verify even hitting references against their
-            physical address so synonym/homonym hazards are counted.  This
-            invokes the translation callable on hits as well, so leave it
-            off when measuring translation traffic.
+            physical address so synonym/homonym hazards are counted.  The
+            caller then translates on hits as well (see
+            :attr:`translates_first`), so leave it off when measuring
+            translation traffic.
         stats: Event sink.
     """
 
@@ -135,6 +109,11 @@ class DataCache:
         self._offset_bits = params.line_offset_bits
         self._virtually_indexed = org.virtually_indexed
         self._virtually_tagged = org.virtually_tagged
+        #: The probe needs the physical address: a physically tagged
+        #: cache compares it, and hazard checks verify every hit with it.
+        #: Only a VIVT cache without hazard checks probes without it, so
+        #: its caller translates only after a miss.
+        self.translates_first = detect_hazards or not org.virtually_tagged
         # LRU-ordered (front = LRU) map of tag-key -> CacheLine per set.
         self._sets: list[OrderedDict[tuple, CacheLine]] = [
             OrderedDict() for _ in range(self.n_sets)
@@ -149,102 +128,86 @@ class DataCache:
     # ------------------------------------------------------------------ #
     # The access path
 
+    def _locate(self, vaddr: int, paddr: int | None, asid: int):
+        """The set and the tag key a reference probes and fills."""
+        offset_bits = self._offset_bits
+        base = vaddr if self._virtually_indexed else paddr
+        entry_set = self._sets[(base >> offset_bits) % self.n_sets]
+        if not self._virtually_tagged:
+            return entry_set, (paddr >> offset_bits,)
+        if self.asid_tagged:
+            return entry_set, (asid, vaddr >> offset_bits)
+        return entry_set, (vaddr >> offset_bits,)
+
     def access(
         self,
         vaddr: int,
-        translate: Callable[[], int],
+        paddr: int | None = None,
         *,
         write: bool = False,
         asid: int = 0,
-    ) -> CacheAccess:
-        """Run one load or store through the cache.
+    ) -> bool:
+        """Probe for one load or store; True on a hit.
 
-        ``translate`` returns the physical address for ``vaddr``; it is
-        invoked lazily per the organization's needs so callers can charge
-        TLB traffic exactly when the hardware would generate it.
+        Counts the hit or the miss.  A hit refreshes the line's LRU
+        position and marks it dirty on a store.  ``paddr`` is required
+        when :attr:`translates_first` is set and ignored otherwise.  On a
+        miss the caller translates (if it has not) and calls :meth:`fill`.
         """
-        offset_bits = self._offset_bits
-        virtually_tagged = self._virtually_tagged
-        # Only a VIVT cache without hazard checks can defer translation.
-        paddr = translate() if self.detect_hazards or not virtually_tagged else None
-        translated = paddr is not None
-
-        base = vaddr if self._virtually_indexed else paddr
-        entry_set = self._sets[(base >> offset_bits) % self.n_sets]
-        if virtually_tagged:
-            tag = vaddr >> offset_bits
-            key = (asid, tag) if self.asid_tagged else (tag,)
-        else:
-            tag = paddr >> offset_bits
-            key = (tag,)
+        entry_set, key = self._locate(vaddr, paddr, asid)
         line = entry_set.get(key)
-
-        homonym = False
-        if line is not None and self.detect_hazards and virtually_tagged:
-            if line.paddr_line != paddr >> offset_bits:
+        if line is not None:
+            if (
+                self.detect_hazards
+                and self._virtually_tagged
+                and line.paddr_line != paddr >> self._offset_bits
+            ):
                 # Virtual tag matched but the physical target differs: a
                 # homonym.  Real hardware would silently return wrong
                 # data; we invalidate and fall through to a miss.
-                homonym = True
                 del entry_set[key]
-                line = None
                 self.stats.inc(f"{self.name}.homonym_hazard")
-
-        if line is not None:
-            entry_set.move_to_end(key)
-            if write:
-                line.dirty = True
-            self._inc_hit()
-            synonym = self._synonym_check(line.paddr_line) if self.detect_hazards else False
-            return CacheAccess(
-                hit=True,
-                translated=translated,
-                synonym_hazard=synonym,
-                homonym_hazard=False,
-            )
-
-        # Miss path: translation is now required to fetch the line.
+            else:
+                entry_set.move_to_end(key)
+                if write:
+                    line.dirty = True
+                self._inc_hit()
+                if self.detect_hazards:
+                    self._synonym_check(line.paddr_line)
+                return True
         self._inc_miss()
-        if paddr is None:
-            paddr = translate()
-            translated = True
-        paddr_line = paddr >> offset_bits
-        writeback = False
+        return False
+
+    def fill(
+        self, vaddr: int, paddr: int, *, write: bool = False, asid: int = 0
+    ) -> int | None:
+        """Install the line a missing :meth:`access` probed for.
+
+        Evicts the set's LRU line when the set is full.  Returns the
+        physical line number of a dirty victim, which is written back
+        (None when there is none) — so a second-level cache can absorb
+        the writeback.  In a VIVT cache this is the other moment
+        translation is consulted (Section 3.2.1).
+        """
+        entry_set, key = self._locate(vaddr, paddr, asid)
+        paddr_line = paddr >> self._offset_bits
         victim_paddr_line: int | None = None
         if len(entry_set) >= self.ways:
             _, victim = entry_set.popitem(last=False)
             self._inc_eviction()
             if victim.dirty:
-                # A dirty writeback needs the victim's physical address;
-                # in a VIVT cache this is the other moment translation is
-                # consulted (Section 3.2.1).
-                writeback = True
                 victim_paddr_line = victim.paddr_line
                 self._inc_writeback()
-        entry_set[key] = CacheLine(tag=tag, paddr_line=paddr_line, asid=asid, dirty=write)
+        entry_set[key] = CacheLine(tag=key[-1], paddr_line=paddr_line, asid=asid, dirty=write)
         self._inc_fill()
-        synonym = self._synonym_check(paddr_line) if self.detect_hazards else False
-        return CacheAccess(
-            hit=False,
-            writeback=writeback,
-            translated=translated,
-            synonym_hazard=synonym,
-            homonym_hazard=homonym,
-            victim_paddr_line=victim_paddr_line,
-        )
+        if self.detect_hazards:
+            self._synonym_check(paddr_line)
+        return victim_paddr_line
 
-    def _synonym_check(self, paddr_line: int) -> bool:
-        """True when the physical line is resident under >1 cache key."""
-        copies = sum(
-            1
-            for entry_set in self._sets
-            for cached in entry_set.values()
-            if cached.paddr_line == paddr_line
-        )
-        if copies > 1:
+    def _synonym_check(self, paddr_line: int) -> None:
+        """Count a synonym hazard: the line is resident under >1 cache key."""
+        if self.resident_copies(paddr_line) > 1:
             self.stats.inc(f"{self.name}.synonym_hazard")
-            return True
-        return False
 
     # ------------------------------------------------------------------ #
     # Flushing

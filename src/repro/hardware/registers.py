@@ -54,6 +54,10 @@ class PIDEntry:
     write_disable: bool = False
 
 
+#: The entry group 0 matches with: it is global and needs no register.
+GLOBAL_PID_ENTRY = PIDEntry(GLOBAL_PAGE_GROUP)
+
+
 class PIDRegisterFile:
     """The PA-RISC's file of four page-group (PID) registers.
 
@@ -129,7 +133,7 @@ class PIDRegisterFile:
         register.
         """
         if group == GLOBAL_PAGE_GROUP:
-            return PIDEntry(GLOBAL_PAGE_GROUP)
+            return GLOBAL_PID_ENTRY
         for existing in self._slots:
             if existing is not None and existing.group == group:
                 return existing

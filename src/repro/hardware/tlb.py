@@ -95,10 +95,10 @@ class TranslationTLB:
         self.stats = stats if stats is not None else Stats()
         self.name = name
         self.levels = tuple(sorted(set(levels), reverse=True))
-        # The store keeps private counters; hits/misses are accounted
-        # once per lookup across all probed levels.
+        # An uncounted store: hits/misses are accounted once per lookup
+        # across all probed levels.
         self._cache: AssocCache[tuple[int, int], TranslationEntry] = AssocCache(
-            entries, ways, name="_raw", stats=Stats(), set_of=lambda key: key[1]
+            entries, ways, name=None, set_of=lambda key: key[1]
         )
         # Graceful degradation: a disabled TLB misses every lookup and
         # installs nothing, so every reference re-walks the translation
@@ -113,8 +113,9 @@ class TranslationTLB:
         if self._disabled:
             self._inc_disabled_walk()
             return None
+        probe = self._cache.probe
         for level in self.levels:
-            entry = self._cache.lookup((level, vpn >> level))
+            entry = probe((level, vpn >> level))
             if entry is not None:
                 self._inc_hit()
                 return entry

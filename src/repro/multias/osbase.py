@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.core.params import MachineParams, DEFAULT_PARAMS
 from repro.core.rights import AccessType, Rights
 from repro.faults.errors import AddressSpaceError
-from repro.hardware.cache import CacheAccess, CacheOrg, DataCache
+from repro.hardware.cache import CacheOrg, DataCache
 from repro.hardware.memory import PhysicalMemory
 from repro.sim.stats import Stats
 
@@ -133,8 +133,12 @@ class MultiASOS:
 
     def access(
         self, process: Process, vaddr: int, access: AccessType = AccessType.READ
-    ) -> CacheAccess:
-        """One reference by ``process`` through the VIVT cache."""
+    ) -> bool:
+        """One reference by ``process`` through the VIVT cache; True on a hit.
+
+        The cache checks hazards, so the physical address goes with the
+        probe; a miss fills the line.
+        """
         self.switch_to(process)
         vpn = self.params.vpn(vaddr)
         mapping = process.translate(vpn)
@@ -147,12 +151,11 @@ class MultiASOS:
             )
         paddr = self.params.vaddr(pfn, self.params.page_offset(vaddr))
         self.stats.inc("multias.refs")
-        return self.cache.access(
-            vaddr,
-            lambda: paddr,
-            write=access.is_write,
-            asid=process.pid,
-        )
+        write = access.is_write
+        if self.cache.access(vaddr, paddr, write=write, asid=process.pid):
+            return True
+        self.cache.fill(vaddr, paddr, write=write, asid=process.pid)
+        return False
 
     # ------------------------------------------------------------------ #
     # Hazard accounting

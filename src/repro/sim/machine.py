@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.mmu import AccessResult, PageFault, ProtectionFault
+from repro.core.mmu import PageFault, ProtectionFault
 from repro.core.rights import AccessType
 from repro.os.domain import ProtectionDomain
 from repro.os.kernel import Kernel, SegmentationViolation
@@ -29,17 +29,21 @@ class FaultLoop(SegmentationViolation):
     """An access kept faulting after the kernel handled its faults."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TouchResult:
-    """Outcome of one reference, including the faults it took."""
+    """The faults one reference took before it completed."""
 
-    result: AccessResult
     protection_faults: int = 0
     page_faults: int = 0
 
     @property
     def faulted(self) -> bool:
         return bool(self.protection_faults or self.page_faults)
+
+
+#: The outcome of every reference that completes without a fault: one
+#: shared, frozen object, so the common case builds none.
+NO_FAULTS = TouchResult()
 
 
 class Machine:
@@ -107,17 +111,19 @@ class Machine:
         protection_faults = 0
         page_faults = 0
         for _ in range(self.MAX_FAULTS):
-            result = access_fast(vaddr, access)
-            if result.__class__ is AccessResult:
-                return TouchResult(result, protection_faults, page_faults)
-            if isinstance(result, ProtectionFault):
+            fault = access_fast(vaddr, access)
+            if fault is None:
+                if protection_faults or page_faults:
+                    return TouchResult(protection_faults, page_faults)
+                return NO_FAULTS
+            if isinstance(fault, ProtectionFault):
                 protection_faults += 1
-                kernel.handle_protection_fault(result)
-            elif isinstance(result, PageFault):
+                kernel.handle_protection_fault(fault)
+            elif isinstance(fault, PageFault):
                 page_faults += 1
-                kernel.handle_page_fault(result)
+                kernel.handle_page_fault(fault)
             else:  # pragma: no cover - protocol violation
-                raise TypeError(f"access_fast returned {result!r}")
+                raise TypeError(f"access_fast returned {fault!r}")
         raise FaultLoop(
             f"access at {vaddr:#x} by {domain.name} still faulting after "
             f"{self.MAX_FAULTS} handled faults"

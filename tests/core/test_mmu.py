@@ -102,8 +102,8 @@ class TestPLBSystem:
     def test_access_fills_plb_lazily(self):
         system, protection, _ = make_plb_system()
         system.switch_domain(1)
-        result = system.read(0)
-        assert result.protection_refill
+        system.read(0)
+        assert system.stats["plb.fill"] == 1
         assert protection.queries == 1
         system.read(8)  # same page, PLB hit
         assert protection.queries == 1
@@ -140,6 +140,29 @@ class TestPLBSystem:
         system.read(0)  # cache hit: no TLB involvement at all
         assert translation.queries == queries_after_miss
         assert system.stats["tlb.off_chip_access"] == 1
+
+    def test_completed_reference_returns_none_and_leaves_paddr(self):
+        """A miss translates and leaves its physical address; a VIVT hit
+        never translates, so it leaves none."""
+        system, _, _ = make_plb_system()
+        system.switch_domain(1)
+        assert system.access_fast(PAGE + 8, AccessType.READ) is None
+        assert system.paddr == 101 * PAGE + 8
+        assert system.access_fast(PAGE + 8, AccessType.READ) is None
+        assert system.paddr is None
+        fault = system.access_fast(5 * PAGE, AccessType.READ)
+        assert isinstance(fault, ProtectionFault)
+
+    def test_hazard_checks_translate_before_the_probe(self):
+        """With hazard checks the VIVT cache verifies every hit against
+        its physical address, so hits translate too."""
+        system, _, _ = make_plb_system(detect_hazards=True)
+        system.switch_domain(1)
+        system.read(8)
+        system.read(8)
+        assert system.stats["dcache.hit"] == 1
+        assert system.stats["tlb.off_chip_access"] == 2
+        assert system.paddr == 100 * PAGE + 8
 
     def test_unmapped_page_raises_pagefault(self):
         protection = StubProtection({(1, 9): ProtectionInfo(Rights.RW)})
@@ -201,8 +224,8 @@ class TestPageGroupSystem:
     def test_group_miss_reloads_when_held(self):
         system, _ = make_pg_system()
         system.switch_domain(1)
-        result = system.read(0)
-        assert result.protection_refill  # group faulted into the cache
+        system.read(0)
+        assert system.stats["pgcache.fill"] == 1  # group faulted into the cache
         assert system.stats["group_reload"] == 1
         system.read(PAGE)  # same group: no further reload
         assert system.stats["group_reload"] == 1
@@ -311,6 +334,16 @@ class TestConventionalSystem:
         system.switch_domain(1)
         with pytest.raises(PageFault):
             system.read(9 * PAGE)
+
+    def test_every_completed_reference_leaves_paddr(self):
+        """The combined TLB translates on the critical path: cache hits
+        leave their physical address too."""
+        system, _ = make_conv_system()
+        system.switch_domain(1)
+        for _ in range(2):
+            assert system.access_fast(PAGE + 4, AccessType.READ) is None
+            assert system.paddr == 101 * PAGE + 4
+        assert system.stats["dcache.hit"] == 1
 
     def test_tagged_switch_keeps_tlb(self):
         system, _ = make_conv_system(asid_tagged=True)

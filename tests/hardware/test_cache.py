@@ -22,34 +22,55 @@ def identity_translate(vaddr: int):
     return lambda: vaddr
 
 
+def reference(cache: DataCache, vaddr: int, translate, *, write=False, asid=0):
+    """One load or store in the cache's two steps, as a memory system
+    runs it: translate before the probe only where the cache needs the
+    physical address, otherwise only after a miss, then fill.
+
+    Returns ``(hit, victim_paddr_line)``; the victim is the dirty line a
+    fill wrote back (None on a hit or a clean eviction).
+    """
+    paddr = translate() if cache.translates_first else None
+    if cache.access(vaddr, paddr, write=write, asid=asid):
+        return True, None
+    if paddr is None:
+        paddr = translate()
+    return False, cache.fill(vaddr, paddr, write=write, asid=asid)
+
+
+def hit(cache: DataCache, vaddr: int, translate, **kw) -> bool:
+    return reference(cache, vaddr, translate, **kw)[0]
+
+
 class TestBasicCaching:
     def test_miss_then_hit(self):
         cache = make()
-        first = cache.access(0x1000, identity_translate(0x1000))
-        again = cache.access(0x1000, identity_translate(0x1000))
-        assert not first.hit and again.hit
+        first = hit(cache, 0x1000, identity_translate(0x1000))
+        again = hit(cache, 0x1000, identity_translate(0x1000))
+        assert not first and again
 
     def test_line_granularity(self):
         cache = make()
-        cache.access(0x1000, identity_translate(0x1000))
-        same_line = cache.access(0x1000 + LINE - 1, identity_translate(0x1000 + LINE - 1))
-        next_line = cache.access(0x1000 + LINE, identity_translate(0x1000 + LINE))
-        assert same_line.hit and not next_line.hit
+        reference(cache, 0x1000, identity_translate(0x1000))
+        same_line = hit(cache, 0x1000 + LINE - 1, identity_translate(0x1000 + LINE - 1))
+        next_line = hit(cache, 0x1000 + LINE, identity_translate(0x1000 + LINE))
+        assert same_line and not next_line
 
     def test_write_allocate_and_dirty_writeback(self):
         cache = make(size=2 * LINE, ways=1)  # 2 sets, direct mapped
-        cache.access(0, identity_translate(0), write=True)
+        reference(cache, 0, identity_translate(0), write=True)
         # A conflicting line in set 0 evicts the dirty victim.
         conflict = 2 * LINE
-        result = cache.access(conflict, identity_translate(conflict))
-        assert result.writeback
+        _, victim = reference(cache, conflict, identity_translate(conflict))
+        assert victim == 0
         assert cache.stats["dcache.writeback"] == 1
 
     def test_clean_eviction_no_writeback(self):
         cache = make(size=2 * LINE, ways=1)
-        cache.access(0, identity_translate(0))
-        result = cache.access(2 * LINE, identity_translate(2 * LINE))
-        assert not result.writeback
+        reference(cache, 0, identity_translate(0))
+        _, victim = reference(cache, 2 * LINE, identity_translate(2 * LINE))
+        assert victim is None
+        assert cache.stats["dcache.eviction"] == 1
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -58,7 +79,7 @@ class TestBasicCaching:
     def test_occupancy(self):
         cache = make(size=4 * LINE)
         assert cache.occupancy == 0.0
-        cache.access(0, identity_translate(0))
+        reference(cache, 0, identity_translate(0))
         assert cache.occupancy == 0.25
 
 
@@ -73,10 +94,17 @@ class TestTranslationLaziness:
             calls += 1
             return 0x1000
 
-        miss = cache.access(0x1000, translate)
-        hit = cache.access(0x1000, translate)
+        assert not cache.translates_first
+        assert not hit(cache, 0x1000, translate)
         assert calls == 1
-        assert miss.translated and not hit.translated
+        # The probe needs no physical address at all.
+        assert cache.access(0x1000)
+        assert hit(cache, 0x1000, translate)
+        assert calls == 1
+
+    def test_hazard_checks_translate_every_access(self):
+        cache = make(CacheOrg.VIVT, detect_hazards=True)
+        assert cache.translates_first
 
     def test_vipt_translates_every_access(self):
         cache = make(CacheOrg.VIPT)
@@ -87,8 +115,9 @@ class TestTranslationLaziness:
             calls += 1
             return 0x1000
 
-        cache.access(0x1000, translate)
-        cache.access(0x1000, translate)
+        assert cache.translates_first
+        reference(cache, 0x1000, translate)
+        reference(cache, 0x1000, translate)
         assert calls == 2
 
     def test_pipt_translates_every_access(self):
@@ -100,8 +129,9 @@ class TestTranslationLaziness:
             calls += 1
             return 0x1000
 
-        cache.access(0x1000, translate)
-        cache.access(0x1000, translate)
+        assert cache.translates_first
+        reference(cache, 0x1000, translate)
+        reference(cache, 0x1000, translate)
         assert calls == 2
 
 
@@ -113,26 +143,26 @@ class TestSynonyms:
         paddr = 0x9000
         # The two virtual names index different sets, so both copies of
         # the physical line are resident at once.
-        cache.access(0x1000, lambda: paddr, write=True)
-        result = cache.access(0x2020, lambda: paddr)
-        assert result.synonym_hazard
+        reference(cache, 0x1000, lambda: paddr, write=True)
+        assert cache.stats["dcache.synonym_hazard"] == 0
+        reference(cache, 0x2020, lambda: paddr)
+        assert cache.stats["dcache.synonym_hazard"] == 1
         assert cache.resident_copies(paddr >> 5) == 2
-        assert cache.stats["dcache.synonym_hazard"] >= 1
 
     def test_pipt_cannot_hold_synonyms(self):
         cache = make(CacheOrg.PIPT, size=64 * LINE, detect_hazards=True)
         paddr = 0x9000
-        cache.access(0x1000, lambda: paddr)
-        result = cache.access(0x5000, lambda: paddr)
-        assert result.hit  # same physical tag: one line, no duplicate
+        reference(cache, 0x1000, lambda: paddr)
+        # Same physical tag: one line, no duplicate.
+        assert hit(cache, 0x5000, lambda: paddr)
         assert cache.resident_copies(paddr >> 5) == 1
 
     def test_sasos_no_synonym_when_va_unique(self):
         """With one VA per datum (SASOS), VIVT never duplicates."""
         cache = make(CacheOrg.VIVT, size=64 * LINE, detect_hazards=True)
         for vaddr in (0x1000, 0x2000, 0x3000):
-            cache.access(vaddr, identity_translate(vaddr))
-            cache.access(vaddr, identity_translate(vaddr))
+            reference(cache, vaddr, identity_translate(vaddr))
+            reference(cache, vaddr, identity_translate(vaddr))
         assert cache.stats["dcache.synonym_hazard"] == 0
 
 
@@ -140,27 +170,22 @@ class TestHomonyms:
     def test_vivt_homonym_detected_and_neutralized(self):
         """Same VA, different physical targets across address spaces."""
         cache = make(CacheOrg.VIVT, size=64 * LINE, detect_hazards=True)
-        cache.access(0x1000, lambda: 0x9000, asid=0)
+        reference(cache, 0x1000, lambda: 0x9000, asid=0)
         # Hardware without ASID tags would hit and return wrong data.
-        result = cache.access(0x1000, lambda: 0xA000, asid=0)
-        assert result.homonym_hazard
-        assert not result.hit
+        assert not hit(cache, 0x1000, lambda: 0xA000, asid=0)
         assert cache.stats["dcache.homonym_hazard"] == 1
 
     def test_asid_tags_separate_homonyms(self):
         """ASID-extended tags avoid the wrong-hit (§2.2's fix)."""
         cache = make(CacheOrg.VIVT, size=64 * LINE, asid_tagged=True, detect_hazards=True)
-        cache.access(0x1000, lambda: 0x9000, asid=1)
-        result = cache.access(0x1000, lambda: 0xA000, asid=2)
-        assert not result.homonym_hazard
-        assert not result.hit  # distinct tag, a simple miss
+        reference(cache, 0x1000, lambda: 0x9000, asid=1)
+        assert not hit(cache, 0x1000, lambda: 0xA000, asid=2)  # distinct tag, a simple miss
         assert cache.stats["dcache.homonym_hazard"] == 0
 
     def test_sasos_single_translation_no_homonym(self):
         cache = make(CacheOrg.VIVT, size=64 * LINE, detect_hazards=True)
-        cache.access(0x1000, lambda: 0x9000, asid=1)
-        result = cache.access(0x1000, lambda: 0x9000, asid=2)
-        assert result.hit
+        reference(cache, 0x1000, lambda: 0x9000, asid=1)
+        assert hit(cache, 0x1000, lambda: 0x9000, asid=2)
         assert cache.stats["dcache.homonym_hazard"] == 0
 
 
@@ -176,9 +201,9 @@ class TestVIPTAliasing:
         paddr = 0x9000
         # Two virtual names for paddr differing in index bits above the
         # page offset (bit 12).
-        cache.access(0x1000, lambda: paddr, write=True)
-        result = cache.access(0x2000, lambda: paddr)
-        assert result.synonym_hazard
+        reference(cache, 0x1000, lambda: paddr, write=True)
+        reference(cache, 0x2000, lambda: paddr)
+        assert cache.stats["dcache.synonym_hazard"] == 1
         assert cache.resident_copies(paddr >> 5) == 2
 
     def test_vipt_same_color_synonyms_coalesce(self):
@@ -186,41 +211,40 @@ class TestVIPTAliasing:
         tags match): page-coloring makes VIPT safe."""
         cache = make(CacheOrg.VIPT, size=512 * LINE, ways=1, detect_hazards=True)
         paddr = 0x9000
-        cache.access(0x1000, lambda: paddr, write=True)
+        reference(cache, 0x1000, lambda: paddr, write=True)
         # 0x5000 and 0x1000 share index bits modulo the cache span.
-        result = cache.access(0x5000, lambda: paddr)
-        assert result.hit
+        assert hit(cache, 0x5000, lambda: paddr)
         assert cache.resident_copies(paddr >> 5) == 1
 
 
 class TestFlushing:
     def test_flush_page_removes_only_that_page(self):
         cache = make(size=256 * LINE)
-        cache.access(0x1000, identity_translate(0x1000), write=True)
-        cache.access(0x2000, identity_translate(0x2000))
+        reference(cache, 0x1000, identity_translate(0x1000), write=True)
+        reference(cache, 0x2000, identity_translate(0x2000))
         flushed, writebacks = cache.flush_page(1)  # vpn 1 = 0x1000
         assert flushed == 1 and writebacks == 1
-        assert not cache.access(0x1000, identity_translate(0x1000)).hit
+        assert not hit(cache, 0x1000, identity_translate(0x1000))
 
     def test_flush_page_counts_per_line_ops(self):
         """Flush is one operation per cache line (§4.1.3)."""
         cache = make(size=256 * LINE)
         for offset in range(0, 4 * LINE, LINE):
-            cache.access(0x1000 + offset, identity_translate(0x1000 + offset))
+            reference(cache, 0x1000 + offset, identity_translate(0x1000 + offset))
         flushed, _ = cache.flush_page(1)
         assert flushed == 4
         assert cache.stats["dcache.flush_lines"] == 4
 
     def test_flush_frame_for_physical_caches(self):
         cache = make(CacheOrg.PIPT, size=256 * LINE)
-        cache.access(0x1000, lambda: 0x3000, write=True)
+        reference(cache, 0x1000, lambda: 0x3000, write=True)
         flushed, writebacks = cache.flush_frame(3)
         assert flushed == 1 and writebacks == 1
 
     def test_purge_writes_back_dirty_lines(self):
         cache = make(size=64 * LINE)
-        cache.access(0x0, identity_translate(0x0), write=True)
-        cache.access(0x20, identity_translate(0x20))  # a different set
+        reference(cache, 0x0, identity_translate(0x0), write=True)
+        reference(cache, 0x20, identity_translate(0x20))  # a different set
         assert cache.purge() == 2
         assert cache.stats["dcache.writeback"] == 1
         assert len(cache) == 0
@@ -266,7 +290,7 @@ class TestWritebackModel:
                 calls.append(paddr)
                 return paddr
 
-            result = cache.access(vaddr, translate, write=write)
+            hit_, victim_paddr_line = reference(cache, vaddr, translate, write=write)
 
             vline, pline = vaddr // LINE, paddr // LINE
             assert vline // lines_per_page != pline // lines_per_page
@@ -287,11 +311,9 @@ class TestWritebackModel:
                         victim_line = victim[1]
                 entries.append([tag, pline, write])
             translated = not found if org is CacheOrg.VIVT else True
-            assert result.hit == bool(found)
-            assert result.translated == translated
+            assert hit_ == bool(found)
             assert len(calls) == int(translated)
-            assert result.victim_paddr_line == victim_line
-            assert result.writeback == (victim_line is not None)
+            assert victim_paddr_line == victim_line
         assert cache.stats["dcache.writeback"] == model_writebacks
         # Residency agrees too: every line, its frame and its dirty bit.
         model_lines = sorted(tuple(e) for s in model.values() for e in s)
@@ -311,7 +333,7 @@ class TestCacheProperties:
     def test_capacity_never_exceeded(self, addrs, org, ways):
         cache = DataCache(32 * LINE, ways, org, params=PARAMS)
         for vaddr in addrs:
-            cache.access(vaddr, identity_translate(vaddr))
+            reference(cache, vaddr, identity_translate(vaddr))
         assert len(cache) <= cache.n_lines
 
     @settings(max_examples=40)
@@ -320,8 +342,8 @@ class TestCacheProperties:
         """Any address re-accessed immediately must hit."""
         cache = DataCache(64 * LINE, 4, CacheOrg.VIVT, params=PARAMS)
         for vaddr in addrs:
-            cache.access(vaddr, identity_translate(vaddr))
-            assert cache.access(vaddr, identity_translate(vaddr)).hit
+            reference(cache, vaddr, identity_translate(vaddr))
+            assert hit(cache, vaddr, identity_translate(vaddr))
 
     @settings(max_examples=40)
     @given(addrs=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=80))
@@ -331,6 +353,6 @@ class TestCacheProperties:
             32 * LINE, 2, CacheOrg.VIVT, params=PARAMS, detect_hazards=True
         )
         for vaddr in addrs:
-            result = cache.access(vaddr, identity_translate(vaddr))
-            assert not result.synonym_hazard
-            assert not result.homonym_hazard
+            reference(cache, vaddr, identity_translate(vaddr))
+        assert cache.stats["dcache.synonym_hazard"] == 0
+        assert cache.stats["dcache.homonym_hazard"] == 0

@@ -185,9 +185,15 @@ class TestAffinityScheduler:
         smp = SMPMachine(kernel)
         vaddr = kernel.params.vaddr(segment.base_vpn)
         smp.touch_on(0, domains[0], vaddr)
-        assert not smp.touch_on(0, domains[0], vaddr).result.protection_refill
+
+        def plb_refills() -> int:
+            before = kernel.stats.snapshot()
+            smp.touch_on(0, domains[0], vaddr)
+            return kernel.stats.delta(before)["plb.fill"]
+
+        assert plb_refills() == 0
         sched.migrate(domains[0], 1)
-        assert smp.touch_on(0, domains[0], vaddr).result.protection_refill
+        assert plb_refills() == 1
 
     def test_needs_at_least_one_domain(self):
         from repro.os.scheduler import AffinityScheduler

@@ -54,15 +54,13 @@ class TestTopology:
         assert kernel.merged_stats().as_dict() == kernel.stats.as_dict()
 
 
-def _pure_hit(touch) -> bool:
-    """A reference served entirely from warm hardware: no refill, no fault."""
-    result = touch.result
-    return (
-        not touch.faulted
-        and result.cache_hit
-        and not result.protection_refill
-        and not result.translation_refill
-    )
+def _pure_hit(kernel, touch) -> bool:
+    """``touch()`` is served entirely from warm hardware: no fault, and
+    every counter it moves is ``refs`` or a hit (no refill, no miss)."""
+    before = kernel.stats.snapshot()
+    faulted = touch().faulted
+    delta = kernel.stats.delta(before).as_dict()
+    return not faulted and all(key == "refs" or key.endswith(".hit") for key in delta)
 
 
 class TestEpochs:
@@ -83,7 +81,7 @@ class TestEpochs:
         before = kernel.stats.snapshot()
         kernel.create_domain("other")  # traps on CPU 0, no shootdown
         assert kernel.stats.delta(before)["smp.shootdown.msgs"] == 0
-        assert _pure_hit(smp.touch_on(1, domain, vaddr))
+        assert _pure_hit(kernel, lambda: smp.touch_on(1, domain, vaddr))
 
     def test_shootdown_bumps_the_remote_cpus_epoch(self):
         kernel = smp_kernel()
@@ -109,7 +107,7 @@ class TestEpochs:
         smp.touch_on(1, domain, vaddr)
         kernel.set_current_cpu(0)
         kernel.set_current_cpu(1)
-        assert _pure_hit(smp.touch_on(1, domain, vaddr))
+        assert _pure_hit(kernel, lambda: smp.touch_on(1, domain, vaddr))
 
 
 class TestShootdownSemantics:

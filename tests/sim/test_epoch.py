@@ -369,9 +369,9 @@ class TestFaultSites:
         delta = env.kernel.stats.delta(before).as_dict()
         assert "scrub.repairs" not in delta
         assert all(key.startswith("scrub.") for key in delta)
-        hit = machine.read(env.d1, vaddrs[0])
-        assert hit.result.cache_hit and not hit.faulted
-        assert not (hit.result.protection_refill or hit.result.translation_refill)
+        before = env.kernel.stats.snapshot()
+        assert not machine.read(env.d1, vaddrs[0]).faulted
+        assert _hot_pass(env.kernel.stats.delta(before))
 
     def test_repairing_scrub_restores_kernel_answers(self):
         """A scrub that rewrites a corrupted entry ends the epoch the

@@ -21,6 +21,13 @@ class TestBasicCounting:
         assert stats["plb.hit"] == 5
         assert "plb.hit" in stats
 
+    def test_zero_increment_creates_the_name(self):
+        """A zero bump still records the name, as reports list it."""
+        stats = Stats()
+        stats.inc("plb.fill", 0)
+        stats.counter("tlb.fill")(0)
+        assert stats.as_dict() == {"plb.fill": 0, "tlb.fill": 0}
+
     def test_get_with_default(self):
         stats = Stats()
         assert stats.get("missing", 42) == 42
