@@ -92,11 +92,11 @@ def test_report_inverted_page_table():
     """§3.1's pointer to the 801: a single shared translation table,
     sized by physical memory rather than the 64-bit virtual space."""
     from repro.core.rights import Rights as R
-    from repro.os.inverted import InvertedPageTable
     from repro.sim.machine import Machine as M
 
-    kernel = Kernel("plb", n_frames=256)
-    kernel.translations = InvertedPageTable(256, stats=kernel.stats)
+    kernel = Kernel("plb", n_frames=256, inverted_table=True)
+    # The kernel and its authority walk the one inverted table.
+    assert kernel.translations is kernel.authority.translations
     machine = M(kernel)
     domain = kernel.create_domain("d")
     # Segments scattered across the address space.

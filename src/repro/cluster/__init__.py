@@ -3,7 +3,7 @@
 The in-process DSM workload (:mod:`repro.workloads.dsm`) shows the
 paper's Table 1 coherence verbs; this package makes the cluster *real*
 enough to break.  Nodes are full SASOS kernels talking only through
-explicit serializable messages on a cost-accounted interconnect, and
+explicit messages on a cost-accounted interconnect, and
 every robustness mechanism — retry with backoff, lease-based ownership,
 heartbeat failure detection, ownership handoff, directory
 re-replication, scrubber-style reconciliation — exists because a fault

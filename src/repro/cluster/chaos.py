@@ -189,7 +189,6 @@ def run_cluster_case(
     tick_every: int = 8,
     plan: FaultPlan | None = None,
     n_cpus: int = 1,
-    rejoin: bool = True,
 ) -> ClusterChaosResult:
     """One scripted cluster run under ``plan``, audited against gold."""
     cluster = ClusterDSM(
@@ -227,7 +226,7 @@ def run_cluster_case(
 
     try:
         _drive(cluster, gold, seed, accesses, tick_every, psize)
-        _settle(cluster, gold, rejoin=rejoin)
+        _settle(cluster, gold)
     except ClusterUnavailableError as error:
         return result("unrecoverable", f"{type(error).__name__}: {error}")
     finally:
@@ -279,7 +278,7 @@ def _drive(cluster, gold, seed, accesses, tick_every, psize) -> None:
             gold.read(nid, vpn)
 
 
-def _settle(cluster, gold, *, rejoin: bool) -> None:
+def _settle(cluster, gold) -> None:
     """Drain: heal links, detect stragglers, flush, rejoin, reconcile."""
     cluster.heal_all()
     # Enough pulses for the heartbeat detector to declare any
@@ -287,9 +286,8 @@ def _settle(cluster, gold, *, rejoin: bool) -> None:
     for _ in range(3):
         for flushed in cluster.tick():
             gold.flush(flushed)
-    if rejoin:
-        for node_id in sorted(cluster.dead):
-            cluster.rejoin(node_id)
+    for node_id in sorted(cluster.dead):
+        cluster.rejoin(node_id)
     cluster.reconcile()
     for flushed in cluster.tick():
         gold.flush(flushed)

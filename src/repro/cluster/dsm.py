@@ -3,7 +3,7 @@
 This is :class:`~repro.workloads.dsm.DSMCluster` reborn as a resilient
 subsystem.  The coherence verbs are the same Table 1 trio (Get
 Readable, Get Writable, Invalidate), but every remote interaction is a
-serializable :class:`~repro.cluster.messages.Message` over the
+:class:`~repro.cluster.messages.Message` over the
 :class:`~repro.cluster.interconnect.Interconnect`, and the protocol
 carries the machinery those wires demand:
 
@@ -66,8 +66,11 @@ HEARTBEAT_MISS_LIMIT = 2
 #: First retry backoff, cycles; doubles per attempt.
 BACKOFF_BASE_CYCLES = 800
 
-#: Default exclusive-ownership lease, cycles of virtual network time.
-DEFAULT_LEASE_CYCLES = 20_000
+#: Retries of an unanswered RPC before its peer is suspected.
+MAX_RETRIES = 3
+
+#: Exclusive-ownership lease, cycles of virtual network time.
+LEASE_CYCLES = 20_000
 
 
 def recovery_percentile(ordered: Sequence[int], q: float) -> int:
@@ -97,35 +100,18 @@ class ClusterDSM:
         pages: int = 8,
         seed: int = 7,
         n_cpus: int = 1,
-        n_shards: int | None = None,
-        lease_cycles: int = DEFAULT_LEASE_CYCLES,
-        max_retries: int = 3,
         auto_rejoin: bool = False,
-        latency_cycles: int = 400,
-        **kernel_options,
     ) -> None:
         if nodes < 2:
             raise ClusterConfigError("a DSM cluster needs at least two nodes")
         self.model = model
         self.pages = pages
         self.seed = seed
-        self.lease_cycles = lease_cycles
-        self.max_retries = max_retries
+        self.n_cpus = n_cpus
         self.auto_rejoin = auto_rejoin
         #: The cluster's one store (see :meth:`merged_stats`).
         self.stats = Stats()
-        self.net = Interconnect(self.stats, latency_cycles=latency_cycles)
-        self._kernel_options = dict(kernel_options)
-        if n_cpus > 1:
-            self._kernel_options["n_cpus"] = n_cpus
-        # Authority shards default to the CPU count so every CPU is the
-        # home of one VPN-range shard (the NUMA-style composition); a
-        # single-CPU node keeps the monolithic authority and its exact
-        # legacy counters.
-        if n_shards is None:
-            n_shards = n_cpus
-        if n_shards > 1:
-            self._kernel_options["n_shards"] = n_shards
+        self.net = Interconnect(self.stats)
         self.nodes: dict[int, ClusterNode] = {}
         self._n_boot = nodes
         for node_id in range(nodes):
@@ -169,9 +155,11 @@ class ClusterDSM:
     # Membership
 
     def _boot_node(self, node_id: int, *, populate: bool) -> ClusterNode:
+        # Every CPU is the home of one VPN-range authority shard (the
+        # NUMA-style composition); a single-CPU node has one shard.
         node = ClusterNode(
             node_id, self.model, self.pages, populate=populate,
-            stats=self.stats, **self._kernel_options,
+            stats=self.stats, n_cpus=self.n_cpus, n_shards=self.n_cpus,
         )
         node.kernel.add_protection_handler(self._handler_for(node))
         node.kernel.add_page_fault_handler(self._handler_for(node))
@@ -340,7 +328,7 @@ class ClusterDSM:
         backoff = BACKOFF_BASE_CYCLES
         retried = False
         if not prefer_relay:
-            attempts = 1 if self._recovering else self.max_retries + 1
+            attempts = 1 if self._recovering else MAX_RETRIES + 1
             for attempt in range(attempts):
                 if attempt:
                     retried = True
@@ -372,7 +360,7 @@ class ClusterDSM:
             return reply
         raise ClusterTimeoutError(
             f"{kind} to node {dst} timed out after "
-            f"{self.max_retries} retries (partitioned, no relay route)"
+            f"{MAX_RETRIES} retries (partitioned, no relay route)"
         )
 
     def _relay(self, src: int, dst: int, message: Message) -> Message | None:
@@ -543,7 +531,7 @@ class ClusterDSM:
                 # The owner co-hosts the home replica: a local flush.
                 self.home[vpn] = data
                 self.stats.inc("cluster.writeback.local")
-                entry.lease_until = self.net.clock + self.lease_cycles
+                entry.lease_until = self.net.clock + LEASE_CYCLES
                 flushed.append(vpn)
             else:
                 pending.setdefault(owner_id, []).append((vpn, data))
@@ -570,7 +558,7 @@ class ClusterDSM:
                 continue
             for vpn in vpns:
                 self.directory[vpn].lease_until = (
-                    self.net.clock + self.lease_cycles
+                    self.net.clock + LEASE_CYCLES
                 )
                 flushed.append(vpn)
         return flushed
@@ -756,7 +744,7 @@ class ClusterDSM:
                 entry.owner = nid
                 entry.copyset = {nid}
                 entry.state = CopyState.EXCLUSIVE
-                entry.lease_until = self.net.clock + self.lease_cycles
+                entry.lease_until = self.net.clock + LEASE_CYCLES
                 self._valid[vpn] = {nid}
             # The local grant is ONE batched verb for the whole set (a
             # single page charges as the per-page verb).

@@ -27,22 +27,21 @@ from repro.sim.stats import Stats
 #: Hook verdicts an armed injector may return for a message.
 VERDICTS = ("drop", "dup", "delay")
 
+#: Wire time of a header-only message, cycles.
+LATENCY_CYCLES = 400
+
+#: Wire time of a message carrying one page image, cycles.
+PAGE_LATENCY_CYCLES = 1600
+
+#: The silence a sender waits out before it gives up on a reply, cycles.
+TIMEOUT_CYCLES = 4000
+
 
 class Interconnect:
     """A cost-accounted, fault-injectable message fabric."""
 
-    def __init__(
-        self,
-        stats: Stats,
-        *,
-        latency_cycles: int = 400,
-        page_latency_cycles: int = 1600,
-        timeout_cycles: int = 4000,
-    ) -> None:
+    def __init__(self, stats: Stats) -> None:
         self.stats = stats
-        self.latency_cycles = latency_cycles
-        self.page_latency_cycles = page_latency_cycles
-        self.timeout_cycles = timeout_cycles
         #: Virtual network clock, cycles.  Monotone; advanced per hop.
         self.clock = 0
         #: Global message index — the ``cluster`` fault site's stream.
@@ -88,12 +87,12 @@ class Interconnect:
             # A K-page batch shares one header: base latency once, then
             # only the per-page data time for each carried image.  K=1
             # degenerates to exactly one page message's cost.
-            return self.latency_cycles + len(message.payloads) * (
-                self.page_latency_cycles - self.latency_cycles
+            return LATENCY_CYCLES + len(message.payloads) * (
+                PAGE_LATENCY_CYCLES - LATENCY_CYCLES
             )
         if message.payload is not None:
-            return self.page_latency_cycles
-        return self.latency_cycles
+            return PAGE_LATENCY_CYCLES
+        return LATENCY_CYCLES
 
     def send(self, message: Message) -> Message | None:
         """One synchronous request; returns the reply or None (timeout).
@@ -115,7 +114,7 @@ class Interconnect:
         verdict = self.hook(message, index) if self.hook is not None else None
         if verdict == "drop":
             stats.inc("cluster.msg.dropped")
-            self.clock += self.timeout_cycles
+            self.clock += TIMEOUT_CYCLES
             return None
         if (
             message.src in self.crashed
@@ -124,11 +123,11 @@ class Interconnect:
             or message.dst not in self.handlers
         ):
             stats.inc("cluster.msg.undeliverable")
-            self.clock += self.timeout_cycles
+            self.clock += TIMEOUT_CYCLES
             return None
         if verdict == "delay":
             stats.inc("cluster.msg.delayed")
-            self.clock += self.latency_cycles * 2
+            self.clock += LATENCY_CYCLES * 2
 
         handler = self.handlers[message.dst]
         reply = handler(message)
@@ -140,7 +139,7 @@ class Interconnect:
             # The destination exists but refused service (e.g. a node
             # that knows it is rejoining); the sender sees a timeout.
             stats.inc("cluster.msg.unanswered")
-            self.clock += self.timeout_cycles
+            self.clock += TIMEOUT_CYCLES
             return None
         stats.inc("cluster.msg.sent")
         stats.inc(f"cluster.msg.{reply.kind}")

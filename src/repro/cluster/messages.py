@@ -1,4 +1,4 @@
-"""Serializable protocol messages for the cluster DSM interconnect.
+"""Protocol messages for the cluster DSM interconnect.
 
 Every inter-node interaction in :mod:`repro.cluster` is an explicit
 :class:`Message` crossing the :class:`~repro.cluster.interconnect.
@@ -30,15 +30,11 @@ The vocabulary (request -> reply):
   membership change or to a rejoining node.
 * ``relay`` — carries another message through a third node when the
   direct link is partitioned; the inner message's reply bubbles back.
-
-Messages serialize to plain dicts (page payloads as hex) so a chaos
-repro dump can carry the exact traffic a failing run saw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 #: Every kind a message may carry, requests and replies both.
 MESSAGE_KINDS = (
@@ -104,45 +100,6 @@ class Message:
             self.vpns is None or len(self.payloads) != len(self.vpns)
         ):
             raise ValueError("payloads must match vpns one-to-one")
-
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "kind": self.kind,
-            "src": self.src,
-            "dst": self.dst,
-            "vpn": self.vpn,
-            "ok": self.ok,
-            "payload": self.payload.hex() if self.payload is not None else None,
-        }
-        if self.vpns is not None:
-            data["vpns"] = list(self.vpns)
-        if self.payloads is not None:
-            data["payloads"] = [image.hex() for image in self.payloads]
-        if self.inner is not None:
-            data["inner"] = self.inner.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Message":
-        payload = data.get("payload")
-        vpns = data.get("vpns")
-        payloads = data.get("payloads")
-        inner = data.get("inner")
-        return cls(
-            kind=data["kind"],
-            src=data["src"],
-            dst=data["dst"],
-            vpn=data.get("vpn"),
-            ok=data.get("ok", True),
-            payload=bytes.fromhex(payload) if payload is not None else None,
-            vpns=tuple(vpns) if vpns is not None else None,
-            payloads=(
-                tuple(bytes.fromhex(image) for image in payloads)
-                if payloads is not None
-                else None
-            ),
-            inner=cls.from_dict(inner) if inner is not None else None,
-        )
 
     def hop(self, via: int) -> "Message":
         """This message re-sent from a relay node (reply routes back)."""

@@ -154,15 +154,11 @@ def _first_difference(before: dict, after: dict) -> str:
     return "structure mismatch"
 
 
-def run_crash_recover(
-    models: tuple[str, ...] = MODELS, *, verbs: tuple[str, ...] | None = None
-) -> CrashRecoverResult:
+def run_crash_recover(models: tuple[str, ...] = MODELS) -> CrashRecoverResult:
     """Crash every journaled verb at every boundary; verify recovery."""
     result = CrashRecoverResult()
     for model in models:
         for verb, build in _crash_verbs(model):
-            if verbs is not None and verb not in verbs:
-                continue
             result.cases += 1
             # Crash-free run: enumerate this verb's mutation boundaries.
             fx = _crash_fixture(model)

@@ -166,23 +166,6 @@ class RunReport:
             fp.write(self.to_json())
             fp.write("\n")
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunReport":
-        return cls(
-            title=data["title"],
-            model=data["model"],
-            counters={k: int(v) for k, v in data.get("counters", {}).items()},
-            cycles_total=int(data["cycles_total"]),
-            cycles_breakdown={
-                k: int(v) for k, v in data.get("cycles_breakdown", {}).items()
-            },
-            params=data.get("params", {}),
-            summary=data.get("summary", {}),
-            spans=data.get("spans", []),
-            metrics=data.get("metrics", {}),
-            version=int(data.get("version", REPORT_VERSION)),
-        )
-
 
 def _params_dict(params: MachineParams | None) -> dict[str, Any]:
     if params is None:
@@ -229,7 +212,3 @@ def build_run_report(
         report.metrics = metrics.as_dict()
     return report
 
-
-def load_run_report(path: str) -> RunReport:
-    with open(path) as fp:
-        return RunReport.from_dict(json.load(fp))

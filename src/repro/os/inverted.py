@@ -10,11 +10,11 @@ with collision chains, so the software walk cost (probe count) of a
 TLB refill is measurable.
 
 :class:`InvertedPageTable` implements the same interface as
-``GlobalTranslationTable`` and can replace it under the kernel via
-``Kernel(..., inverted_table=True)``-style wiring in user code; the
-size of the structure is Θ(physical frames), *independent of how sparse
-the 64-bit virtual space is* — exactly why inverted tables pair well
-with huge address spaces.
+``GlobalTranslationTable`` and replaces it in a kernel built with
+``Kernel(..., inverted_table=True)``; the size of the structure is
+Θ(physical frames), *independent of how sparse the 64-bit virtual
+space is* — exactly why inverted tables pair well with huge address
+spaces.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sim.stats import Stats
+
+#: Hash anchors per physical frame: with every frame mapped, a chain
+#: holds half an entry on average.
+ANCHORS_PER_FRAME = 2
 
 
 @dataclass
@@ -55,14 +59,13 @@ class InvertedPageTable:
     length (the 801's refill cost).
     """
 
-    def __init__(self, n_frames: int, *, anchor_ratio: int = 2,
-                 stats: Stats | None = None) -> None:
+    def __init__(self, n_frames: int, *, stats: Stats | None = None) -> None:
         if n_frames <= 0:
             raise ValueError("need at least one frame")
         self.n_frames = n_frames
         self.stats = stats if stats is not None else Stats()
         self._entries = [_InvertedEntry() for _ in range(n_frames)]
-        self._n_anchors = max(1, n_frames * anchor_ratio)
+        self._n_anchors = n_frames * ANCHORS_PER_FRAME
         self._anchors = [-1] * self._n_anchors
         #: Pages that are known but not resident (paged out): the IPT
         #: cannot hold them (it has no frame slot), so they spill to a

@@ -15,7 +15,7 @@ memoized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.mmu import PageFault, ProtectionFault
 from repro.core.rights import AccessType
@@ -138,48 +138,39 @@ class Machine:
     # ------------------------------------------------------------------ #
     # Traces
 
-    def step(self, op: TraceOp) -> None:
-        """Replay one trace op on this machine's CPU (SMP interleaving)."""
-        kernel = self.kernel
-        if kernel.current_cpu != self._cpu_id:
-            kernel.set_current_cpu(self._cpu_id)
-        if isinstance(op, Ref):
-            self.touch(kernel.domains[op.pd_id], op.vaddr, op.access)
-        elif isinstance(op, Switch):
-            if self._trace_log is not None:
-                # An explicit switch is part of the reference stream:
-                # dropping it would let a re-recorded trace diverge in
-                # switch costs when replayed on another model.
-                self._trace_log.append(op)
-            kernel.switch_to(kernel.domains[op.pd_id])
-        else:
-            raise TypeError(f"not a trace op: {op!r}")
-
     def run(self, trace: Iterable[TraceOp]) -> Stats:
-        """Replay a trace; returns the kernel's counter delta."""
-        stats = self.kernel.stats
-        before = stats.snapshot()
+        """Replay a trace on this machine's CPU; returns the kernel's
+        counter delta."""
+        kernel = self.kernel
+        before = kernel.stats.snapshot()
         for op in trace:
-            self.step(op)
-        return stats.delta(before)
+            if isinstance(op, Ref):
+                self.touch(kernel.domains[op.pd_id], op.vaddr, op.access)
+            elif isinstance(op, Switch):
+                if kernel.current_cpu != self._cpu_id:
+                    kernel.set_current_cpu(self._cpu_id)
+                if self._trace_log is not None:
+                    # An explicit switch is part of the reference stream:
+                    # dropping it would let a re-recorded trace diverge in
+                    # switch costs when replayed on another model.
+                    self._trace_log.append(op)
+                kernel.switch_to(kernel.domains[op.pd_id])
+            else:
+                raise TypeError(f"not a trace op: {op!r}")
+        return kernel.stats.delta(before)
 
 
 class SMPMachine:
-    """Interleaves per-CPU reference streams over one SMP kernel.
+    """One pinned :class:`Machine` per CPU of an SMP kernel.
 
-    One :class:`Machine` per :class:`~repro.os.smp.CpuContext`, all
-    sharing the kernel (and its authority and stats store).
-    :meth:`run` round-robins the CPUs in fixed quanta — CPU 0 runs
-    ``quantum`` ops, then CPU 1, ... — so a run is *deterministic*: the
-    same shards and quantum produce the same interleaving, the same
-    shootdown traffic and the same counters on every run.
+    Every machine shares the kernel (and its authority and stats
+    store); :meth:`touch_on` runs one reference on a chosen CPU's
+    hardware, so a caller places each reference explicitly and a run is
+    deterministic.
     """
 
-    def __init__(self, kernel: Kernel, *, quantum: int = 32) -> None:
-        if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.quantum = quantum
         #: One pinned machine per CPU, in CPU order.
         self.machines = [Machine(kernel, cpu=ctx) for ctx in kernel.cpus]
 
@@ -192,99 +183,3 @@ class SMPMachine:
     ) -> TouchResult:
         """One reference by ``domain`` on ``cpu_id``'s hardware."""
         return self.machines[cpu_id].touch(domain, vaddr, access)
-
-    def run(
-        self, shards: Sequence[Iterable[TraceOp]], *, quantum: int | None = None
-    ) -> Stats:
-        """Interleave one trace shard per CPU; returns the kernel's delta.
-
-        ``shards[k]`` replays on CPU ``k`` (at most one shard per CPU).
-        Round-robin with a fixed quantum: deterministic interleaving,
-        deterministic counters.  Every CPU charges ``kernel.stats``, so
-        the delta holds the whole run's work on every CPU.
-        """
-        kernel = self.kernel
-        if len(shards) > kernel.n_cpus:
-            raise ValueError(
-                f"{len(shards)} shards for {kernel.n_cpus} CPUs; "
-                "one shard per CPU at most"
-            )
-        quantum = self.quantum if quantum is None else quantum
-        if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
-        before = kernel.stats.snapshot()
-        streams = [iter(shard) for shard in shards]
-        live = list(range(len(streams)))
-        while live:
-            still_live = []
-            for idx in live:
-                machine = self.machines[idx]
-                stream = streams[idx]
-                exhausted = False
-                for _ in range(quantum):
-                    op = next(stream, None)
-                    if op is None:
-                        exhausted = True
-                        break
-                    machine.step(op)
-                if not exhausted:
-                    still_live.append(idx)
-            live = still_live
-        return kernel.stats.delta(before)
-
-    def run_affine(
-        self,
-        tasks: Sequence[tuple[ProtectionDomain, Iterable[TraceOp]]],
-        *,
-        scheduler,
-        quantum: int | None = None,
-    ) -> Stats:
-        """Interleave per-domain traces placed by an affinity scheduler.
-
-        Where :meth:`run` pins shard *k* to CPU *k*, here the scheduler
-        owns placement: each quantum, every CPU asks its
-        :class:`~repro.os.scheduler.AffinityScheduler` which of its
-        *placed* domains runs next (charging the model's switch cost),
-        then replays one quantum of that domain's trace on that CPU's
-        hardware.  Several domains may share a CPU; a migration between
-        quanta moves a domain's remaining trace to its new CPU.  The
-        interleaving is deterministic: CPUs round-robin in id order,
-        each rotating its own queue.
-        """
-        kernel = self.kernel
-        quantum = self.quantum if quantum is None else quantum
-        if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
-        before = kernel.stats.snapshot()
-        streams = {}
-        for domain, trace in tasks:
-            if domain.pd_id in streams:
-                raise ValueError(f"duplicate task for {domain.name}")
-            streams[domain.pd_id] = iter(trace)
-        remaining = set(streams)
-        while remaining:
-            progressed = False
-            for cpu_id in range(kernel.n_cpus):
-                pick = None
-                for _ in range(len(scheduler.domains_on(cpu_id))):
-                    domain = scheduler.next_on(cpu_id)
-                    if domain is not None and domain.pd_id in remaining:
-                        pick = domain
-                        break
-                if pick is None:
-                    continue
-                machine = self.machines[cpu_id]
-                stream = streams[pick.pd_id]
-                for _ in range(quantum):
-                    op = next(stream, None)
-                    if op is None:
-                        remaining.discard(pick.pd_id)
-                        break
-                    machine.step(op)
-                progressed = True
-            if not progressed:
-                # Every remaining domain is placed on a CPU whose queue
-                # never surfaces it (cannot happen with a well-formed
-                # scheduler); bail rather than spin.
-                break
-        return kernel.stats.delta(before)

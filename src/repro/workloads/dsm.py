@@ -159,15 +159,13 @@ class DSMCluster:
         nodes: int = 4,
         pages: int = 32,
         seed: int = 7,
-        **kernel_options,
     ) -> None:
         if nodes < 2:
             raise ClusterConfigError("a DSM cluster needs at least two nodes")
         self.model = model
         self.stats = Stats()
         self.nodes = [
-            DSMNode(i, model, pages, stats=self.stats, **kernel_options)
-            for i in range(nodes)
+            DSMNode(i, model, pages, stats=self.stats) for i in range(nodes)
         ]
         self.pages = pages
         self.gen = TraceGenerator(seed, self.nodes[0].kernel.params)

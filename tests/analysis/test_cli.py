@@ -72,6 +72,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Distributed VM" in out
 
+    def test_workload_report_merges_the_single_model_runs(self, monkeypatch):
+        """Each model runs on a kernel of its own: a two-model report
+        equals the single-model runs merged in model order."""
+        from repro import cli
+        from repro.analysis.table1 import Table1Result, run_rpc
+
+        models = ("plb", "pagegroup")
+        together = cli.cmd_workload("rpc", models)
+        cells = {model: run_rpc(models=(model,)) for model in models}
+        merged = Table1Result(
+            cells["plb"].title,
+            {model: cell.stats_by_model[model] for model, cell in cells.items()},
+            {model: cell.summary_by_model[model] for model, cell in cells.items()},
+        )
+        monkeypatch.setitem(cli.WORKLOADS, "rpc", lambda models: merged)
+        assert cli.cmd_workload("rpc", models) == together
+
     def test_workload_fileserver(self, capsys):
         assert main(["workload", "fileserver", "--models", "plb"]) == 0
         out = capsys.readouterr().out
@@ -212,13 +229,23 @@ class TestTrace:
         assert lines[0]["parent"] is None
 
     def test_trace_report_format(self, tmp_path):
-        from repro.obs.export import load_run_report
+        import json
+
+        from repro.cli import _run_traced
+        from repro.obs.export import build_run_report
 
         out = tmp_path / "report.json"
         assert main(["trace", "attach", "--model", "conventional",
                      "--out", str(out), "--format", "report"]) == 0
-        report = load_run_report(str(out))
-        assert report.model == "conventional"
+        with open(out) as fp:
+            written = json.load(fp)
+        # The same traced run, built in process, is the file's content.
+        kernel, _, tracer, metrics, _, delta = _run_traced("attach", "conventional")
+        report = build_run_report(
+            "trace attach", "conventional", delta,
+            params=kernel.params, tracer=tracer, metrics=metrics,
+        )
+        assert written == report.to_dict()
         assert report.cycles_total == sum(report.cycles_breakdown.values())
         assert report.spans
 

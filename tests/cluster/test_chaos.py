@@ -135,6 +135,28 @@ class TestClusterCase:
         assert result.counters.get("cluster.handoffs", 0) >= 1
         assert result.recovery_cycles
 
+    def test_a_crashed_node_rejoins_before_the_audit(self):
+        plan = FaultPlan(
+            events=(FaultEvent("cluster", "node_crash", at=6),),
+            name="crash@6",
+        )
+        result = run_cluster_case("plb", seed=5, accesses=24, plan=plan)
+        assert result.verdict == "converged"
+        assert result.counters["cluster.node_deaths"] == 1
+        assert result.counters["cluster.rejoins"] == 1
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_partition_case_converges_through_relays(self, model):
+        plan = FaultPlan(
+            events=(FaultEvent("cluster", "partition", at=4),),
+            name="partition@4",
+        )
+        result = run_cluster_case(model, seed=5, accesses=24, plan=plan)
+        assert result.verdict == "converged"
+        assert result.counters["cluster.relayed"] > 0
+        assert result.counters["cluster.partitions.healed"] == 1
+        assert result.counters.get("cluster.node_deaths", 0) == 0
+
     def test_dump_is_json_and_replayable(self):
         plan = FaultPlan(
             events=(FaultEvent("cluster", "partition", at=4),),

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.interconnect import Interconnect
+from repro.cluster.interconnect import (
+    LATENCY_CYCLES,
+    PAGE_LATENCY_CYCLES,
+    TIMEOUT_CYCLES,
+    Interconnect,
+)
 from repro.cluster.messages import MESSAGE_KINDS, Message
 from repro.sim.stats import Stats
 
@@ -21,19 +26,6 @@ class TestMessage:
     def test_relay_requires_inner(self):
         with pytest.raises(ValueError):
             Message("relay", src=0, dst=1)
-
-    def test_round_trips_through_dict(self):
-        inner = Message("fetch", src=0, dst=2, vpn=0x4001)
-        msg = Message(
-            "relay", src=0, dst=1, inner=inner,
-        )
-        assert Message.from_dict(msg.to_dict()) == msg
-
-    def test_payload_serializes_as_hex(self):
-        msg = Message("fetch_reply", src=1, dst=0, vpn=3, payload=b"\x00\xff")
-        data = msg.to_dict()
-        assert data["payload"] == "00ff"
-        assert Message.from_dict(data).payload == b"\x00\xff"
 
     def test_hop_rewrites_source_only(self):
         msg = Message("fetch", src=0, dst=2, vpn=7)
@@ -68,14 +60,14 @@ class TestInterconnect:
         reply = net.send(Message("heartbeat", src=0, dst=1))
         assert reply.kind == "heartbeat_ack"
         assert net.stats["cluster.msg.sent"] == 2  # request + reply
-        assert net.clock == 2 * net.latency_cycles
+        assert net.clock == 2 * LATENCY_CYCLES
 
     def test_crashed_destination_times_out(self, net):
         net.register(1, ack)
         net.crash(1)
         assert net.send(Message("heartbeat", src=0, dst=1)) is None
         assert net.stats["cluster.msg.undeliverable"] == 1
-        assert net.clock == net.latency_cycles + net.timeout_cycles
+        assert net.clock == LATENCY_CYCLES + TIMEOUT_CYCLES
 
     def test_cut_link_times_out_but_other_links_work(self, net):
         net.register(1, ack)
@@ -103,6 +95,15 @@ class TestInterconnect:
         assert net.send(Message("heartbeat", src=0, dst=1)) is None
         assert seen == [0]
         assert net.stats["cluster.msg.dropped"] == 1
+        assert net.clock == LATENCY_CYCLES + TIMEOUT_CYCLES
+
+    def test_hook_delay_verdict_adds_two_header_latencies(self, net):
+        net.register(1, ack)
+        net.hook = lambda message, index: "delay"
+        assert net.send(Message("heartbeat", src=0, dst=1)) is not None
+        assert net.stats["cluster.msg.delayed"] == 1
+        # Request, the delay, then the reply.
+        assert net.clock == LATENCY_CYCLES + 2 * LATENCY_CYCLES + LATENCY_CYCLES
 
     def test_hook_dup_verdict_delivers_twice(self, net):
         calls = []
@@ -128,6 +129,18 @@ class TestInterconnect:
         net.register(1, lambda m: None)
         assert net.send(Message("heartbeat", src=0, dst=1)) is None
         assert net.stats["cluster.msg.unanswered"] == 1
+        assert net.clock == LATENCY_CYCLES + TIMEOUT_CYCLES
+
+    def test_a_page_reply_costs_the_page_latency(self, net):
+        net.register(
+            1,
+            lambda m: Message(
+                "fetch_reply", src=m.dst, dst=m.src, vpn=m.vpn, payload=b"\x01" * 64
+            ),
+        )
+        reply = net.send(Message("fetch", src=0, dst=1, vpn=3))
+        assert reply.payload == b"\x01" * 64
+        assert net.clock == LATENCY_CYCLES + PAGE_LATENCY_CYCLES
 
     def test_message_index_is_a_global_stream(self, net):
         net.register(1, ack)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.dsm import ClusterDSM
+from repro.cluster.dsm import LEASE_CYCLES, ClusterDSM
 from repro.cluster.node import stamp_page
 from repro.core.rights import AccessType
 from repro.faults.errors import ClusterConfigError
@@ -59,6 +59,12 @@ class TestCoherence:
         assert entry.lease_until > 0
         assert cluster._valid[vpn] == {2}
 
+    def test_a_write_grant_leases_the_page_from_the_grant(self, cluster):
+        vpn = cluster.vpns[0]
+        touch(cluster, 2, vpn, AccessType.WRITE)
+        # The grant commits after the verb's last message.
+        assert cluster.directory[vpn].lease_until == cluster.net.clock + LEASE_CYCLES
+
     def test_written_stamp_propagates_to_readers(self, cluster):
         vpn = cluster.vpns[1]
         writer = touch(cluster, 2, vpn, AccessType.WRITE)
@@ -82,6 +88,16 @@ class TestCoherence:
         assert vpn in flushed
         assert cluster.home[vpn] == stamp_page(cluster.params.page_size, 5)
         assert cluster.directory[vpn].lease_until > 0
+
+    def test_a_flush_renews_the_lease_at_the_flush(self, cluster):
+        vpn = cluster.vpns[2]
+        touch(cluster, 1, vpn, AccessType.WRITE)
+        granted = cluster.directory[vpn].lease_until
+        start = cluster.net.clock
+        assert vpn in cluster.tick()
+        renewed = cluster.directory[vpn].lease_until
+        assert renewed > granted
+        assert start < renewed - LEASE_CYCLES <= cluster.net.clock
 
     def test_fault_free_run_needs_no_recovery(self, cluster):
         for i, vpn in enumerate(cluster.vpns):

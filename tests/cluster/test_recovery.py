@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.dsm import HEARTBEAT_MISS_LIMIT, ClusterDSM, recovery_percentile
+from repro.cluster.dsm import (
+    HEARTBEAT_MISS_LIMIT,
+    MAX_RETRIES,
+    ClusterDSM,
+    recovery_percentile,
+)
 from repro.cluster.node import stamp_page
 from repro.core.rights import AccessType
+from repro.faults.errors import ClusterTimeoutError
 from repro.os.kernel import MODELS
 from repro.workloads.dsm import CopyState
 
@@ -56,6 +62,19 @@ class TestCrashDetection:
         assert cluster.stats["cluster.retries"] > 0
         assert cluster.stats["cluster.handoffs"] >= 1
 
+    def test_a_silent_peer_is_retried_max_retries_times(self, cluster):
+        vpn = cluster.vpns[0]
+        touch(cluster, 3, vpn, AccessType.WRITE)
+        cluster.crash_node(3)
+        before = cluster.stats.snapshot()
+        touch(cluster, 0, vpn)
+        delta = cluster.stats.delta(before)
+        # One attempt and its retries, then the witnesses decide once;
+        # recovery itself never retries.
+        assert delta["cluster.retries"] == MAX_RETRIES
+        assert delta["cluster.suspects"] == 1
+        assert delta["cluster.node_deaths"] == 1
+
 
 class TestHandoff:
     def test_dirty_owner_crash_restores_the_flushed_image(self, cluster):
@@ -101,6 +120,17 @@ class TestPartition:
         assert cluster.stats["cluster.partitions.detected"] == 1
         assert cluster.stats["cluster.relayed"] >= 1
         assert cluster.stats["faults.recovered"] >= 1
+
+    def test_no_relay_route_times_out(self, cluster):
+        cluster._partitioned.add(frozenset((2, 1)))
+        for other in (0, 2, 3):
+            cluster.net.cut(other, 1)
+        with pytest.raises(ClusterTimeoutError, match=f"after {MAX_RETRIES} retries"):
+            cluster._rpc(2, 1, "probe")
+        # A partitioned pair goes straight to the relays, which fail.
+        assert cluster.stats["cluster.retries"] == 0
+        assert cluster.stats["cluster.relayed"] == 0
+        assert not cluster.dead
 
     def test_heal_clears_partition_hints(self, cluster):
         cluster.net.cut(0, 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.chaos import run_cluster_case, run_cluster_sweep
-from repro.cluster.dsm import ClusterDSM
+from repro.cluster.dsm import HEARTBEAT_MISS_LIMIT, ClusterDSM
 from repro.core.rights import AccessType
 from repro.faults.plan import FaultPlan
 from repro.os.kernel import MODELS
@@ -40,6 +40,17 @@ class TestSMPNodeComposition:
             assert node.smp.machines[0] is node.machine
             # Shards default to the CPU count: home placement works.
             assert node.kernel.authority.n_shards == 4
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_rejoined_node_boots_with_a_shard_per_cpu(self, model):
+        cluster = ClusterDSM(model, nodes=3, pages=4, n_cpus=2)
+        assert cluster.crash_node(2)
+        for _ in range(HEARTBEAT_MISS_LIMIT + 1):
+            cluster.tick()
+        cluster.rejoin(2)
+        kernel = cluster.nodes[2].kernel
+        assert (kernel.n_cpus, kernel.authority.n_shards) == (2, 2)
+        assert len(cluster.nodes[2].smp.machines) == 2
 
     @pytest.mark.parametrize("model", MODELS)
     def test_invalidate_range_is_one_batch_per_remote_cpu(self, model):

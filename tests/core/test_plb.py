@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.params import MachineParams
 from repro.core.plb import ProtectionLookasideBuffer
@@ -286,6 +286,104 @@ class TestPageUpdateWithMixedLevels:
         _, changed = plb.update_entries_for_page(5, Rights.NONE)
         assert changed == 1
         assert plb.resident(1, vaddr(5)) == Rights.NONE
+
+
+RIGHTS = st.sampled_from([Rights.NONE, Rights.READ, Rights.RW, Rights.RWX])
+
+
+class TestRangeUpdates:
+    """A K-page update must equal a per-page loop over the batch's
+    distinct pages, on twin PLBs filled identically, at every mix of
+    page, superpage and sub-page units."""
+
+    @pytest.mark.parametrize(
+        "levels", [(0,), (0, 2), (-2, 0), (0, 1, 3)],
+        ids=lambda levels: ",".join(map(str, levels)),
+    )
+    @settings(max_examples=100)
+    @given(
+        geometry=st.sampled_from([(16, 16), (16, 4)]),
+        fills=st.lists(
+            st.tuples(
+                st.integers(1, 3),  # domain
+                st.integers(0, 15),  # page
+                st.integers(0, 3),  # quarter of the page (sub-page units)
+                st.integers(0, 2),  # which configured level
+                RIGHTS,
+            ),
+            max_size=40,
+        ),
+        vpns=st.lists(st.integers(0, 17), min_size=1, max_size=12),
+        rights=RIGHTS,
+        pd_id=st.one_of(st.none(), st.integers(1, 3)),
+    )
+    # With a coarser level configured, the fill is a unit above page 5
+    # that overlaps the batch's second page only: a range update that
+    # checks one page per batch keeps it.
+    @example(
+        geometry=(16, 16), fills=[(1, 5, 0, 0, Rights.RW)],
+        vpns=[1, 5], rights=Rights.READ, pd_id=None,
+    )
+    def test_update_entries_for_pages_matches_per_page(
+        self, levels, geometry, fills, vpns, rights, pd_id
+    ):
+        batched = ProtectionLookasideBuffer(*geometry, levels=levels)
+        looped = ProtectionLookasideBuffer(*geometry, levels=levels)
+        for plb in (batched, looped):
+            for pd, vpn, quarter, pick, fill_rights in fills:
+                level = plb.levels[pick % len(plb.levels)]
+                plb.fill(pd, vaddr(vpn, quarter * PAGE // 4), fill_rights, level=level)
+        before = [key for key, _ in batched.items()]
+        _, changed = batched.update_entries_for_pages(vpns, rights, pd_id)
+        expected = sum(
+            looped.update_entries_for_page(vpn, rights, pd_id)[1] for vpn in set(vpns)
+        )
+        assert changed == expected
+        after = list(batched.items())
+        assert after == list(looped.items())
+        assert (
+            batched.stats["plb.sweep_updated"]
+            == looped.stats["plb.sweep_updated"]
+            == expected
+        )
+        survivors = {key for key, _ in after}
+        assert [key for key, _ in after] == [key for key in before if key in survivors]
+
+    def test_a_superpage_over_a_later_batch_page_is_removed(self):
+        plb = ProtectionLookasideBuffer(8, levels=(2, 0))
+        plb.fill(1, vaddr(4), Rights.RW, level=2)  # covers pages 4..7
+        _, changed = plb.update_entries_for_pages([1, 5], Rights.READ)
+        assert changed == 1
+        assert plb.resident(1, vaddr(6)) is None
+
+    def test_a_sub_page_entry_of_a_later_batch_page_is_removed(self):
+        plb = ProtectionLookasideBuffer(8, levels=(0, -2))
+        plb.fill(1, vaddr(5, PAGE // 2), Rights.RW, level=-2)
+        plb.fill(1, vaddr(9), Rights.RW)
+        _, changed = plb.update_entries_for_pages([1, 5], Rights.READ)
+        assert changed == 1
+        assert plb.resident(1, vaddr(5, PAGE // 2)) is None
+        assert plb.resident(1, vaddr(9)) == Rights.RW
+
+    def test_a_repeated_page_is_updated_once(self):
+        plb = ProtectionLookasideBuffer(8)
+        plb.fill(1, vaddr(3), Rights.RW)
+        plb.fill(2, vaddr(3), Rights.RW)
+        _, changed = plb.update_entries_for_pages([3, 3, 3], Rights.READ)
+        assert changed == 2
+        assert plb.stats["plb.sweep_updated"] == 2
+        assert plb.resident(1, vaddr(3)) == plb.resident(2, vaddr(3)) == Rights.READ
+
+    def test_a_domain_filter_leaves_other_domains_entries(self):
+        plb = ProtectionLookasideBuffer(8, levels=(2, 0))
+        plb.fill(1, vaddr(3), Rights.RW)
+        plb.fill(2, vaddr(3), Rights.RW)
+        plb.fill(2, vaddr(4), Rights.RW, level=2)
+        _, changed = plb.update_entries_for_pages([3, 5], Rights.NONE, pd_id=1)
+        assert changed == 1
+        assert plb.resident(1, vaddr(3)) == Rights.NONE
+        assert plb.resident(2, vaddr(3)) == Rights.RW
+        assert plb.resident(2, vaddr(5)) == Rights.RW
 
 
 class TestDomainEntryCount:

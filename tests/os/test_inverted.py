@@ -103,6 +103,12 @@ class TestKernelSubstitution:
         kernel.free_page(segment.base_vpn)
         assert not kernel.translations.is_resident(segment.base_vpn)
 
+    @pytest.mark.parametrize("model", ["plb", "pagegroup", "conventional"])
+    def test_the_kernels_table_is_the_authoritys_table(self, model):
+        kernel = Kernel(model, n_frames=64, inverted_table=True)
+        assert isinstance(kernel.translations, InvertedPageTable)
+        assert kernel.translations is kernel.authority.translations
+
     def test_paging_over_inverted_table(self):
         """The user-level pager's protocol works over the IPT."""
         from repro.os.pager import UserLevelPager

@@ -10,7 +10,6 @@ from repro.core.rights import AccessType, Rights
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.os.kernel import MODELS, Kernel, KernelError, SegmentationViolation
 from repro.sim.machine import Machine, SMPMachine
-from repro.sim.trace import Ref
 
 
 def smp_kernel(model: str = "plb", n_cpus: int = 2) -> Kernel:
@@ -47,6 +46,11 @@ class TestTopology:
         with pytest.raises(KernelError):
             kernel.set_current_cpu(5)
 
+    def test_smp_machine_pins_one_machine_per_cpu(self):
+        kernel = smp_kernel(n_cpus=3)
+        smp = SMPMachine(kernel)
+        assert [machine.cpu for machine in smp.machines] == kernel.cpus
+
     def test_merged_stats_equals_kernel_stats_on_one_cpu(self):
         kernel = Kernel("plb", n_frames=64)
         domain, segment = shared_setup(kernel)
@@ -63,15 +67,14 @@ def _pure_hit(kernel, touch) -> bool:
     return not faulted and all(key == "refs" or key.endswith(".hit") for key in delta)
 
 
-class TestEpochs:
-    """Each CPU's hardware keeps its own protection epoch.
+class TestPerCpuHardware:
+    """Each CPU's hardware keeps its own cached protection entries.
 
-    An epoch is the stretch of references between two changes that
-    reach a CPU's cached entries.  A verb ends it on the issuing CPU and
-    on exactly the remote CPUs its shootdown reaches; nothing else does.
+    A verb changes them on the issuing CPU and on exactly the remote
+    CPUs its shootdown reaches; nothing else does.
     """
 
-    def test_verbs_bump_only_the_issuing_cpus_epoch(self):
+    def test_a_verb_without_a_shootdown_leaves_remote_entries_warm(self):
         kernel = smp_kernel()
         domain, segment = shared_setup(kernel)
         smp = SMPMachine(kernel)
@@ -83,7 +86,7 @@ class TestEpochs:
         assert kernel.stats.delta(before)["smp.shootdown.msgs"] == 0
         assert _pure_hit(kernel, lambda: smp.touch_on(1, domain, vaddr))
 
-    def test_shootdown_bumps_the_remote_cpus_epoch(self):
+    def test_a_shootdown_reaches_the_remote_cpus_hardware(self):
         kernel = smp_kernel()
         domain, segment = shared_setup(kernel)
         smp = SMPMachine(kernel)
@@ -99,7 +102,7 @@ class TestEpochs:
         assert isinstance(fault, ProtectionFault)
         assert check_invariants(kernel) == []
 
-    def test_epoch_survives_a_round_trip(self):
+    def test_remote_entries_stay_warm_across_a_cpu_round_trip(self):
         kernel = smp_kernel()
         domain, segment = shared_setup(kernel)
         smp = SMPMachine(kernel)
@@ -108,6 +111,28 @@ class TestEpochs:
         kernel.set_current_cpu(0)
         kernel.set_current_cpu(1)
         assert _pure_hit(kernel, lambda: smp.touch_on(1, domain, vaddr))
+
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_placed_references_replay_to_the_same_counters(self, model):
+        """The caller places every reference, so one script on N CPUs
+        gives the same counters on every run."""
+
+        def script():
+            kernel = smp_kernel(model, n_cpus=4)
+            domain, segment = shared_setup(kernel)
+            smp = SMPMachine(kernel)
+            vaddrs = [kernel.params.vaddr(vpn) for vpn in segment.vpns()]
+            for step, vaddr in enumerate(vaddrs * 3):
+                smp.touch_on(step % 4, domain, vaddr, AccessType.WRITE)
+            kernel.set_pages_rights_all_domains(list(segment.vpns())[:2], Rights.READ)
+            for cpu in range(4):
+                smp.touch_on(cpu, domain, vaddrs[0])
+            return kernel.stats.as_dict()
+
+        first = script()
+        assert first["smp.shootdown.msgs"] > 0
+        assert script() == first
 
 
 class TestShootdownSemantics:
@@ -199,37 +224,6 @@ class TestShootdownSemantics:
         delta = kernel.stats.delta(before)
         assert delta["smp.shootdown.msgs"] == 2
         assert delta["smp.shootdown.verb.set_page_rights"] == 2
-
-
-class TestSMPMachineDeterminism:
-    def _shards(self, kernel, domain, segment, n: int):
-        params = kernel.params
-        vpns = list(segment.vpns())
-        return [
-            [
-                Ref(domain.pd_id, params.vaddr(vpns[(i + k) % len(vpns)]),
-                    AccessType.WRITE if (i + k) % 3 == 0 else AccessType.READ)
-                for i in range(n)
-            ]
-            for k in range(2)
-        ]
-
-    def test_same_shards_same_quantum_same_stats(self):
-        runs = []
-        for _ in range(2):
-            kernel = smp_kernel()
-            domain, segment = shared_setup(kernel)
-            smp = SMPMachine(kernel, quantum=8)
-            delta = smp.run(self._shards(kernel, domain, segment, 64))
-            runs.append(delta.as_dict())
-        assert runs[0] == runs[1]
-
-    def test_more_shards_than_cpus_rejected(self):
-        kernel = smp_kernel()
-        domain, segment = shared_setup(kernel)
-        smp = SMPMachine(kernel)
-        with pytest.raises(ValueError):
-            smp.run(self._shards(kernel, domain, segment, 8) + [[]])
 
 
 class TestTranslationNeverIntercepted:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.rights import AccessType, Rights
-from repro.os.kernel import Kernel, SegmentationViolation
-from repro.sim.machine import FaultLoop, Machine, SMPMachine
+from repro.os.kernel import MODELS, Kernel, SegmentationViolation
+from repro.sim.machine import FaultLoop, Machine
 from repro.sim.trace import Ref, Switch
 
 from tests.conftest import make_attached_segment
@@ -119,6 +119,24 @@ class TestRun:
         stats = machine.run([Switch(a.pd_id), Switch(b.pd_id)])
         assert stats["domain_switch"] == 2
 
+    def test_run_of_an_empty_trace_moves_no_counter(self, kernel):
+        make_attached_segment(kernel)
+        assert Machine(kernel).run([]).as_dict() == {}
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_pinned_machine_replays_on_its_own_cpu(self, model):
+        kernel = Kernel(model, n_frames=64, n_cpus=2)
+        domain, segment = make_attached_segment(kernel)
+        vaddr = kernel.params.vaddr(segment.base_vpn)
+        assert kernel.current_cpu == 0
+        stats = Machine(kernel, cpu=kernel.cpus[1]).run(
+            [Switch(domain.pd_id), Ref(domain.pd_id, vaddr, AccessType.WRITE)]
+        )
+        assert stats["refs"] == 1
+        assert kernel.current_cpu == 1
+        assert kernel.cpus[1].system.current_domain == domain.pd_id
+        assert kernel.cpus[0].system.current_domain != domain.pd_id
+
     def test_run_rejects_foreign_ops(self, kernel):
         machine = Machine(kernel)
         with pytest.raises(TypeError):
@@ -188,57 +206,3 @@ class TestReplayRoundtrip:
             assert log == trace, model
             assert second == first, model
 
-
-class TestRunSharded:
-    """A run split into shards: one per CPU inside one kernel
-    (:meth:`SMPMachine.run`), or one per model (``repro workload``)."""
-
-    @staticmethod
-    def _smp():
-        kernel = Kernel("plb", n_cpus=2)
-        domain, segment = make_attached_segment(kernel)
-        return kernel, SMPMachine(kernel), domain, segment
-
-    @staticmethod
-    def _shards(kernel, domain, segment, n_shards=2, refs_per_shard=40):
-        base = kernel.params.vaddr(segment.base_vpn)
-        return [
-            [
-                Ref(domain.pd_id, base + 64 * ((shard * refs_per_shard + i) % 128))
-                for i in range(refs_per_shard)
-            ]
-            for shard in range(n_shards)
-        ]
-
-    def test_jobs_one_equals_jobs_two(self, monkeypatch):
-        """Each model runs on a kernel of its own: a two-model report
-        equals the single-model runs merged in model order."""
-        from repro import cli
-        from repro.analysis.table1 import Table1Result, run_rpc
-
-        models = ("plb", "pagegroup")
-        together = cli.cmd_workload("rpc", models)
-        cells = {model: run_rpc(models=(model,)) for model in models}
-        merged = Table1Result(
-            cells["plb"].title,
-            {model: cell.stats_by_model[model] for model, cell in cells.items()},
-            {model: cell.summary_by_model[model] for model, cell in cells.items()},
-        )
-        monkeypatch.setitem(cli.WORKLOADS, "rpc", lambda models: merged)
-        assert cli.cmd_workload("rpc", models) == together
-
-    def test_no_shards_is_empty_stats(self):
-        kernel, smp, _, _ = self._smp()
-        assert smp.run([]).as_dict() == {}
-
-    def test_no_factory_runs_on_self(self):
-        """No fresh kernels: the shards replay on the machine's own
-        kernel, and the run's whole delta, every CPU's share of it,
-        lands on the kernel's one store."""
-        kernel, smp, domain, segment = self._smp()
-        shards = self._shards(kernel, domain, segment)
-        before = kernel.stats.snapshot()
-        delta = smp.run(shards)
-        assert delta["refs"] == sum(len(shard) for shard in shards)
-        assert kernel.stats.delta(before).as_dict() == delta.as_dict()
-        assert kernel.merged_stats().as_dict() == kernel.stats.as_dict()
