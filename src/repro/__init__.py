@@ -40,7 +40,6 @@ from repro.core.rights import AccessType, Rights, parse_rights
 from repro.os.domain import ProtectionDomain
 from repro.os.kernel import Kernel, KernelError, SegmentationViolation
 from repro.os.pager import UserLevelPager
-from repro.os.scheduler import RoundRobinScheduler
 from repro.os.segment import VirtualSegment
 from repro.sim.machine import Machine, TouchResult
 from repro.sim.stats import Stats
@@ -66,7 +65,6 @@ __all__ = [
     "ProtectionFault",
     "ProtectionInfo",
     "ProtectionLookasideBuffer",
-    "RoundRobinScheduler",
     "Rights",
     "SegmentationViolation",
     "Stats",

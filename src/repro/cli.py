@@ -9,8 +9,9 @@
 * ``workload <name>`` — run one application class on one model and dump
   its stats (names: attach, gc, dsm, txn, checkpoint, compression, rpc).
 * ``trace <name>`` — run one application class on one model with the
-  span tracer on and export the trace (Chrome ``trace_event`` by
-  default; also JSONL and RunReport JSON).
+  span tracer on (a span per workload phase, kernel verb and memory
+  reference) and export the trace (Chrome ``trace_event`` by default;
+  also JSONL and RunReport JSON).
 * ``profile <name>`` — run traced and print the top-N hotspot table
   (spans ranked by attributed weighted cycles).
 * ``replay <trace-file>`` — replay a saved reference trace on a model.
@@ -197,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("chrome", "jsonl", "report"), default="chrome",
         help="chrome trace_event JSON (default), span JSONL, or RunReport JSON",
     )
-    trace.add_argument(
-        "--sample", type=int, default=1, metavar="N",
-        help="record 1-in-N of the sampled span sites (mem.access); "
-        "attribution stays exact — unsampled work folds into the parent",
-    )
 
     profile = sub.add_parser(
         "profile", help="run one application class traced and print hotspots"
@@ -322,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-class arrival rates in requests per virtual second, "
         "e.g. txn=60,gc=20,rpc=150,checkpoint=12 (the default mix); "
         "listing a subset serves only those classes",
-    )
-    serve.add_argument(
-        "--snapshot-every", type=int, default=100, metavar="MS",
-        help="SLO snapshot period in virtual milliseconds (default 100)",
-    )
-    serve.add_argument(
-        "--scrub-every-ms", type=int, default=50, metavar="MS",
-        help="background scrubber period in virtual ms (default 50)",
     )
     serve.add_argument(
         "--cycles-per-us", type=int, default=200,
@@ -522,8 +510,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     _validate_parallelism(cpus=args.cpus)
     if args.duration < 1:
         raise CLIError("--duration must be >= 1 (virtual milliseconds)")
-    if args.snapshot_every < 1 or args.scrub_every_ms < 1:
-        raise CLIError("--snapshot-every and --scrub-every-ms must be >= 1")
     if args.cycles_per_us < 1:
         raise CLIError("--cycles-per-us must be >= 1")
     plan = args.plan if args.plan not in (None, "none") else None
@@ -546,8 +532,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cpus=args.cpus,
         plan=plan,
         rates=_parse_rates(args.rates, cluster=args.cluster_nodes > 0),
-        snapshot_every_ms=args.snapshot_every,
-        scrub_every_ms=args.scrub_every_ms,
         cycles_per_us=args.cycles_per_us,
         cluster_nodes=args.cluster_nodes,
         cluster_pages=args.cluster_pages,
@@ -581,16 +565,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_traced(
-    name: str, model: str, *, sample_every: int = 1, n_shards: int = 1
-):
+def _run_traced(name: str, model: str, *, n_shards: int = 1):
     """Build a kernel + workload, run it under a tracer, return the pieces.
 
     The root span wraps exactly the interval the returned delta covers,
     so ``attributed_cycles(spans) == cycles_for(delta)`` (see
     ARCHITECTURE.md §6).
     """
-    from repro.obs.metrics import Metrics
     from repro.obs.tracer import Tracer
 
     factories = _workload_factories()
@@ -608,24 +589,21 @@ def _run_traced(
         raise CLIError(
             f"unknown model {model!r}; choose from: " + ", ".join(MODELS)
         )
-    if sample_every < 1:
-        raise CLIError("--sample must be >= 1")
     if n_shards < 1:
         raise CLIError("--shards must be >= 1")
     kernel = Kernel(model, n_shards=n_shards)
     workload = factories[name](kernel)
-    metrics = Metrics(kernel.stats)
-    tracer = Tracer(kernel.stats, sample_every=sample_every, metrics=metrics)
+    tracer = Tracer(kernel.stats)
     kernel.attach_tracer(tracer)
     before = kernel.stats.snapshot()
     with tracer.span(f"run.{name}", model=model):
-        summary = workload.run()
+        workload.run()
     spans = tracer.finish()
     delta = kernel.stats.delta(before)
-    return kernel, summary, tracer, metrics, spans, delta
+    return kernel, tracer, spans, delta
 
 
-def cmd_trace(name: str, model: str, out: str, fmt: str, sample: int) -> str:
+def cmd_trace(name: str, model: str, out: str, fmt: str) -> str:
     from repro.obs.export import (
         build_run_report,
         spans_to_jsonl,
@@ -638,9 +616,7 @@ def cmd_trace(name: str, model: str, out: str, fmt: str, sample: int) -> str:
             pass
     except OSError as error:
         raise CLIError(f"cannot write --out {out}: {error}")
-    kernel, _, tracer, metrics, spans, delta = _run_traced(
-        name, model, sample_every=sample
-    )
+    kernel, tracer, spans, delta = _run_traced(name, model)
     n_spans = sum(1 for root in spans for _ in root.walk())
     if fmt == "chrome":
         write_chrome_trace(spans, out)
@@ -649,13 +625,11 @@ def cmd_trace(name: str, model: str, out: str, fmt: str, sample: int) -> str:
             n_spans = spans_to_jsonl(spans, fp)
     else:
         report = build_run_report(
-            f"trace {name}", model, delta,
-            params=kernel.params, tracer=tracer, metrics=metrics,
+            f"trace {name}", model, delta, params=kernel.params, tracer=tracer
         )
         report.write(out)
     return (
-        f"traced {name} on {model}: {n_spans} spans "
-        f"({tracer.sampled_out} sampled out), "
+        f"traced {name} on {model}: {n_spans} spans, "
         f"{tracer.clock_cycles} weighted cycles -> {out} [{fmt}]"
     )
 
@@ -665,9 +639,7 @@ def cmd_profile(name: str, model: str, top: int, n_shards: int = 1) -> str:
 
     if top < 1:
         raise CLIError("--top must be >= 1")
-    _, _, tracer, _, spans, delta = _run_traced(
-        name, model, n_shards=n_shards
-    )
+    _, _, spans, delta = _run_traced(name, model, n_shards=n_shards)
     rows = hotspots(spans)
     total = attributed_cycles(spans)
     table_rows = [
@@ -1142,7 +1114,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "workload":
         print(cmd_workload(args.name, args.models))
     elif args.command == "trace":
-        print(cmd_trace(args.name, args.model, args.out, args.format, args.sample))
+        print(cmd_trace(args.name, args.model, args.out, args.format))
     elif args.command == "profile":
         print(cmd_profile(args.name, args.model, args.top, args.shards))
     elif args.command == "replay":

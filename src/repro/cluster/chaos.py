@@ -47,6 +47,10 @@ from repro.os.kernel import MODELS, SegmentationViolation
 #: admission, dumped with a repro); only ``diverged`` fails it.
 VERDICTS = ("converged", "unrecoverable", "diverged")
 
+#: Scripted accesses between two maintenance pulses (``cluster.tick``:
+#: heartbeats, flushes, rejoins).
+TICK_EVERY = 8
+
 
 class GoldPage:
     """Oracle state for one shared page's stamp lineage."""
@@ -129,7 +133,6 @@ class ClusterChaosResult:
     nodes: int
     pages: int
     accesses: int
-    tick_every: int
     n_cpus: int
     messages: int
     detail: str = ""
@@ -155,7 +158,6 @@ class ClusterChaosResult:
             "nodes": self.nodes,
             "pages": self.pages,
             "accesses": self.accesses,
-            "tick_every": self.tick_every,
             "n_cpus": self.n_cpus,
             "messages": self.messages,
             "plan": self.plan.to_dict() if self.plan is not None else None,
@@ -186,7 +188,6 @@ def run_cluster_case(
     nodes: int = 3,
     pages: int = 6,
     accesses: int = 48,
-    tick_every: int = 8,
     plan: FaultPlan | None = None,
     n_cpus: int = 1,
 ) -> ClusterChaosResult:
@@ -216,8 +217,7 @@ def run_cluster_case(
         )
         return ClusterChaosResult(
             model=model, seed=seed, verdict=verdict, plan=plan,
-            nodes=nodes, pages=pages, accesses=accesses,
-            tick_every=tick_every, n_cpus=n_cpus,
+            nodes=nodes, pages=pages, accesses=accesses, n_cpus=n_cpus,
             messages=messages, detail=detail,
             counters=counters,
             recovery_cycles=list(cluster.recovery_cycles),
@@ -225,7 +225,7 @@ def run_cluster_case(
         )
 
     try:
-        _drive(cluster, gold, seed, accesses, tick_every, psize)
+        _drive(cluster, gold, seed, accesses, psize)
         _settle(cluster, gold)
     except ClusterUnavailableError as error:
         return result("unrecoverable", f"{type(error).__name__}: {error}")
@@ -250,10 +250,10 @@ def run_cluster_case(
     return result("converged")
 
 
-def _drive(cluster, gold, seed, accesses, tick_every, psize) -> None:
+def _drive(cluster, gold, seed, accesses, psize) -> None:
     ops = _script(seed, len(cluster.nodes), cluster.vpns, accesses)
     for i, (nid, vpn, access) in enumerate(ops):
-        if i and i % tick_every == 0:
+        if i and i % TICK_EVERY == 0:
             for flushed in cluster.tick():
                 gold.flush(flushed)
         node = cluster.nodes.get(nid)
@@ -391,7 +391,6 @@ def run_cluster_sweep(
     nodes: int = 3,
     pages: int = 4,
     accesses: int = 32,
-    tick_every: int = 8,
     kinds: tuple[str, ...] = ("node_crash", "partition"),
     stride: int = 1,
     max_steps: int | None = None,
@@ -410,7 +409,7 @@ def run_cluster_sweep(
     for model in models:
         baseline = run_cluster_case(
             model, seed, nodes=nodes, pages=pages, accesses=accesses,
-            tick_every=tick_every, n_cpus=n_cpus,
+            n_cpus=n_cpus,
         )
         if baseline.verdict != "converged":
             result.diverged.append(baseline)
@@ -439,8 +438,7 @@ def run_cluster_sweep(
                 )
                 case = run_cluster_case(
                     model, seed, nodes=nodes, pages=pages,
-                    accesses=accesses, tick_every=tick_every,
-                    plan=plan, n_cpus=n_cpus,
+                    accesses=accesses, plan=plan, n_cpus=n_cpus,
                 )
                 result.cases += 1
                 if case.recovery_cycles:

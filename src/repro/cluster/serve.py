@@ -61,12 +61,11 @@ class ClusterRequestSource:
     """
 
     name = "cluster"
+    #: Shared-page touches in one request.
+    BURST = 12
 
-    def __init__(
-        self, cluster: ClusterDSM, seed: str, *, burst: int = 12
-    ) -> None:
+    def __init__(self, cluster: ClusterDSM, seed: str) -> None:
         self.cluster = cluster
-        self.burst = burst
         self.requests = 0
         self._rng = random.Random(f"cluster-serve:{seed}")
 
@@ -75,7 +74,7 @@ class ClusterRequestSource:
         rng = self._rng
         issued = 0
         failed = 0
-        for _ in range(self.burst):
+        for _ in range(self.BURST):
             actors = cluster._actors()
             if not actors:
                 raise ClusterUnavailableError("no live nodes to serve")

@@ -234,15 +234,15 @@ class MemorySystem:
     def attach_tracer(self, tracer) -> None:
         """Route the reference path through ``tracer`` (or back off it).
 
-        With an active, sampling tracer every reference runs inside a
-        sampled ``mem.access`` span.  With
+        With an active tracer that records references, every reference
+        runs inside a ``mem.access`` span.  With
         :data:`~repro.obs.tracer.NULL_TRACER`, or a verb-level tracer
-        (``sample_every=0``), the path stays unwrapped: nothing is
+        (``references=False``), the path stays unwrapped: nothing is
         checked per call, and per-reference work folds into the
         enclosing span.
         """
         self.tracer = tracer
-        if not tracer.active or tracer.sample_every == 0:
+        if not tracer.active or not tracer.references:
             self.access_fast = self._access_fast
             return
         impl = self._access_fast
@@ -250,7 +250,7 @@ class MemorySystem:
         model = self.model_name
 
         def traced_access_fast(vaddr: int, access: AccessType):
-            with open_span("mem.access", sample=True, model=model, vaddr=vaddr):
+            with open_span("mem.access", model=model, vaddr=vaddr):
                 return impl(vaddr, access)
 
         self.access_fast = traced_access_fast

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics and profiling for the simulator.
+"""Observability: tracing, live telemetry and profiling for the simulator.
 
 The paper's whole argument is an accounting argument — counts of entries
 inspected, purged, refilled and faults taken per OS task — and the
@@ -9,17 +9,19 @@ weighted cycles actually went.
 
 * :mod:`repro.obs.tracer` — span-based tracer.  Every
   ``with tracer.span("kernel.detach", ...)`` attributes the Stats delta
-  accumulated inside it to that span; spans nest, hot-path spans can be
-  sampled 1-in-N, and a disabled tracer costs nothing.
-* :mod:`repro.obs.metrics` — histograms of per-span cycle costs and
-  hotspot aggregation for the ``profile`` CLI.
+  accumulated inside it to that span; spans nest, the per-reference
+  span is on or off per tracer, and a disabled tracer costs nothing.
+* :mod:`repro.obs.metrics` — hotspot aggregation for the ``profile``
+  CLI.
+* :mod:`repro.obs.live` — serve mode's streaming span sink: latency
+  sketches, rates and the fault/recovery event stream.
 * :mod:`repro.obs.export` — JSONL event logs, Chrome ``trace_event``
   files (loadable in ``chrome://tracing`` / Perfetto) and the
   machine-readable :class:`~repro.obs.export.RunReport`.
 """
 
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
-from repro.obs.metrics import Histogram, Metrics, hotspots
+from repro.obs.metrics import hotspots
 from repro.obs.export import (
     RunReport,
     build_run_report,
@@ -34,8 +36,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "Histogram",
-    "Metrics",
     "hotspots",
     "RunReport",
     "build_run_report",

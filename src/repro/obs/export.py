@@ -9,7 +9,7 @@ Stats counters):
   simulated cycle clock as the microsecond axis; the file loads directly
   in ``chrome://tracing`` or Perfetto.
 * **RunReport** — the machine-readable record of one run (model,
-  parameters, counters, cycle totals, span tree, metrics) that
+  parameters, summary, counters, cycle totals and span tree) that
   ``repro trace --format report`` and ``repro serve --report-out`` write.
 """
 
@@ -19,16 +19,16 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.costs import CycleCosts, DEFAULT_COSTS, cycles_breakdown, cycles_for
+from repro.core.costs import cycles_breakdown, cycles_for
 from repro.core.params import MachineParams
 from repro.sim.stats import Stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import Metrics
     from repro.obs.tracer import Span, Tracer
 
-#: Version stamp of the RunReport schema, bumped on breaking changes.
-REPORT_VERSION = 1
+#: Version stamp of the RunReport schema, bumped on breaking changes
+#: (version 2 dropped the ``metrics`` key).
+REPORT_VERSION = 2
 
 
 # --------------------------------------------------------------------- #
@@ -141,7 +141,6 @@ class RunReport:
     params: dict[str, Any] = field(default_factory=dict)
     summary: dict[str, Any] = field(default_factory=dict)
     spans: list[dict[str, Any]] = field(default_factory=list)
-    metrics: dict[str, Any] = field(default_factory=dict)
     version: int = REPORT_VERSION
 
     def to_dict(self) -> dict[str, Any]:
@@ -155,7 +154,6 @@ class RunReport:
             "cycles_total": self.cycles_total,
             "cycles_breakdown": self.cycles_breakdown,
             "spans": self.spans,
-            "metrics": self.metrics,
         }
 
     def to_json(self, *, indent: int | None = 1) -> str:
@@ -186,10 +184,8 @@ def build_run_report(
     stats: Stats,
     *,
     params: MachineParams | None = None,
-    costs: CycleCosts = DEFAULT_COSTS,
     summary: dict[str, Any] | None = None,
     tracer: "Tracer | None" = None,
-    metrics: "Metrics | None" = None,
 ) -> RunReport:
     """Assemble a :class:`RunReport` from one run's measurement objects.
 
@@ -201,14 +197,12 @@ def build_run_report(
         title=title,
         model=model,
         counters=counters,
-        cycles_total=cycles_for(stats, costs),
-        cycles_breakdown=cycles_breakdown(stats, costs),
+        cycles_total=cycles_for(stats),
+        cycles_breakdown=cycles_breakdown(stats),
         params=_params_dict(params),
         summary=dict(summary or {}),
     )
     if tracer is not None and tracer.active:
         report.spans = span_tree(tracer.roots)
-    if metrics is not None:
-        report.metrics = metrics.as_dict()
     return report
 

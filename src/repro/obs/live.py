@@ -1,9 +1,9 @@
 """Streaming collectors for serve mode: live quantiles, rates, events.
 
-Batch observability (:mod:`repro.obs.metrics`) stores every span cost in
-a histogram and summarizes after the run.  A long-running server cannot
-afford either the memory or the "after the run" part, so this module
-provides the streaming equivalents:
+Batch observability (``repro trace`` and ``profile``) keeps every span
+and summarizes after the run.  A long-running server cannot afford
+either the memory or the "after the run" part, so this module provides
+the streaming equivalents:
 
 * :class:`P2Quantile` — the Jain & Chlamtac P² algorithm: one quantile
   estimated online from five markers, no sample buffer, and — because it
@@ -12,9 +12,9 @@ provides the streaming equivalents:
   sketches, the unit of SLO accounting.  Serve mode keys one sketch per
   (model, Table 1 verb) from traced spans and one per workload class
   from request latencies.
-* :class:`LiveCollector` — the per-model registry.  It plugs into the
-  tracer exactly like :class:`~repro.obs.metrics.Metrics` (it has
-  ``observe_span``), accepts whole-request observations from the serve
+* :class:`LiveCollector` — the per-model registry.  It is the tracer's
+  span sink (its ``metrics=``, fed ``observe_span`` at every span
+  exit), accepts whole-request observations from the serve
   driver, and derives an *event stream* (fault injected / recovered,
   shootdown, scrubber repair) by polling counter deltas on the served
   backend's store.  Recovery time under fault is measured by pairing each

@@ -19,14 +19,12 @@ advanced incrementally at span boundaries.  Span start/duration
 timestamps are therefore in simulated weighted cycles, which is what the
 Chrome-trace exporter uses as its time axis.
 
-Hot-path spans (the per-reference ``mem.access`` span) pass
-``sample=True`` and are recorded 1-in-N (``sample_every``); sampled-out
-occurrences cost one RNG draw and fold into the enclosing span's
-exclusive delta, so totals stay conserved.  Sampling is deterministic
-under a fixed ``seed``.  ``sample_every=0`` records no sampled span at
-all: the memory systems then leave the reference path unwrapped (see
-``MemorySystem.attach_tracer``), and per-reference work folds into the
-enclosing verb or request span exactly as sampled-out spans do.
+The per-reference ``mem.access`` span is on or off per tracer
+(``references``).  A verb-level tracer (``references=False``) records
+no reference span: the memory systems then leave the reference path
+unwrapped (see ``MemorySystem.attach_tracer``), and per-reference work
+folds into the enclosing verb or request span, so totals stay
+conserved.
 
 A *disabled* tracer is the shared :data:`NULL_TRACER` singleton whose
 ``span()`` returns one reusable no-op context manager; instrumented code
@@ -38,11 +36,10 @@ overhead when tracing is off.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.core.costs import CycleCosts, DEFAULT_COSTS
+from repro.core.costs import DEFAULT_COSTS
 from repro.sim.stats import Stats
 
 
@@ -177,16 +174,17 @@ class _SpanHandle:
 class Tracer:
     """Records nested spans against one Stats object.
 
+    The cycle clock weighs counters with the table every report uses,
+    so profiler totals line up with
+    :func:`~repro.core.costs.cycles_for` exactly.
+
     Args:
         stats: The counter sink shared by the kernel and hardware.
-        costs: Cycle weights for the span cycle clock (defaults to the
-            table every report uses, so profiler totals line up with
-            :func:`~repro.core.costs.cycles_for` exactly).
-        sample_every: Record 1-in-N of the spans opened with
-            ``sample=True`` (1 = record all, 0 = record none).
-        seed: Seed for the sampling RNG — fixed seed, fixed decisions.
-        metrics: Optional :class:`~repro.obs.metrics.Metrics` fed one
-            observation per recorded span.
+        references: Wrap every reference in a ``mem.access`` span
+            (False = verb-level: kernel verbs and enclosing spans only).
+        metrics: Optional span sink (serve's
+            :class:`~repro.obs.live.LiveCollector`) fed one
+            ``observe_span`` per recorded span.
     """
 
     active = True
@@ -195,21 +193,13 @@ class Tracer:
         self,
         stats: Stats,
         *,
-        costs: CycleCosts = DEFAULT_COSTS,
-        sample_every: int = 1,
-        seed: int = 0,
+        references: bool = True,
         metrics: "Any | None" = None,
     ) -> None:
-        if sample_every < 0:
-            raise ValueError("sample_every must be >= 0")
         self.stats = stats
-        self.costs = costs
-        self.sample_every = sample_every
+        self.references = references
         self.metrics = metrics
         self.roots: list[Span] = []
-        #: Spans opened with ``sample=True`` that were not recorded.
-        self.sampled_out = 0
-        self._rng = random.Random(seed)
         self._stack: list[Span] = []
         self._last_counts: dict[str, int] = stats.as_dict()
         self._clock = 0
@@ -221,7 +211,7 @@ class Tracer:
         counts = self.stats.as_dict()
         last = self._last_counts
         clock = self._clock
-        weight_for = self.costs.weight_for
+        weight_for = DEFAULT_COSTS.weight_for
         for name, value in counts.items():
             previous = last.get(name, 0)
             if value != previous:
@@ -239,17 +229,8 @@ class Tracer:
 
     # -- spans ---------------------------------------------------------- #
 
-    def span(self, name: str, *, sample: bool = False, **attrs: Any):
-        """Open a span; use as ``with tracer.span("kernel.attach", ...):``.
-
-        With ``sample=True`` the span is subject to 1-in-N sampling and
-        may return the shared no-op handle instead; its events then fold
-        into the enclosing span.
-        """
-        if sample and self.sample_every != 1:
-            if not self.sample_every or self._rng.randrange(self.sample_every):
-                self.sampled_out += 1
-                return _NULL_SPAN
+    def span(self, name: str, **attrs: Any) -> _SpanHandle:
+        """Open a span; use as ``with tracer.span("kernel.attach", ...):``."""
         return _SpanHandle(self, name, attrs)
 
     def finish(self) -> list[Span]:

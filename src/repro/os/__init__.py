@@ -1,9 +1,9 @@
 """The single address space operating system (Opal-like).
 
 One global translation table, protection domains with per-domain rights
-over globally addressed virtual segments, a user-level pager, a
-round-robin scheduler and copy-on-write — the OS half of the paper's
-hardware/software co-design.
+over globally addressed virtual segments, a user-level pager, domain
+switching (``Kernel.switch_to``) and copy-on-write — the OS half of the
+paper's hardware/software co-design.
 """
 
 from repro.os.cow import CopyOnWriteManager

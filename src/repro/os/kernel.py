@@ -193,10 +193,10 @@ class Kernel:
     def attach_tracer(self, tracer) -> None:
         """Start (or stop) tracing this kernel and its memory systems.
 
-        A sampling tracer wraps every CPU's reference path in a
-        ``mem.access`` span.  A verb-level tracer (``sample_every=0``,
-        as ``repro serve`` uses) records kernel verbs only: references
-        stay unwrapped.
+        A tracer that records references wraps every CPU's reference
+        path in a ``mem.access`` span.  A verb-level tracer
+        (``references=False``, as ``repro serve`` uses) records kernel
+        verbs only: references stay unwrapped.
         """
         self.tracer = tracer
         for ctx in self.cpus:

@@ -20,13 +20,13 @@ is an *unrecovered divergence*, reported per class and reflected in the
 process exit status.
 
 Observability rides on the span tracer: each model's kernel gets a
-verb-level :class:`~repro.obs.tracer.Tracer` (``sample_every=0``: spans
-per request and per kernel verb, none per reference) whose ``metrics``
-sink is the model's :class:`~repro.obs.live.LiveCollector`, so every
-traced verb feeds the per-verb latency sketches at span exit.  The
-reference path stays unwrapped, so live telemetry adds no per-reference
-work; per-reference spans are opt-in through ``repro trace
---sample N``.  A request is one ``serve.<class>`` span, covering both
+verb-level :class:`~repro.obs.tracer.Tracer` (``references=False``:
+spans per request and per kernel verb, none per reference) whose
+``metrics`` sink is the model's :class:`~repro.obs.live.LiveCollector`,
+so every traced verb feeds the per-verb latency sketches at span exit.
+The reference path stays unwrapped, so live telemetry adds no
+per-reference work; per-reference spans are what ``repro trace``
+records.  A request is one ``serve.<class>`` span, covering both
 attempts and the repair between them, priced from that span: its
 weighted cycles plus whatever the server's clock advanced (a cluster's
 wire time).  Every CPU charges the kernel's one store, which the tracer
@@ -60,6 +60,11 @@ DEFAULT_RATES: dict[str, float] = {
     "checkpoint": 12.0,
 }
 
+#: SLO snapshot period, virtual ms.
+SNAPSHOT_EVERY_MS = 100
+#: Background scrubber period, virtual ms.
+SCRUB_EVERY_MS = 50
+
 
 @dataclass
 class ServeConfig:
@@ -71,8 +76,6 @@ class ServeConfig:
     cpus: int = 1
     plan: str | None = None
     rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_RATES))
-    snapshot_every_ms: int = 100
-    scrub_every_ms: int = 50
     #: Virtual CPU speed: simulated cycles consumed per virtual µs.
     cycles_per_us: int = 200
     #: With > 0, serve a fault-tolerant DSM cluster of this many nodes
@@ -208,7 +211,7 @@ class ModelServer(RequestServer):
         self.collector = LiveCollector(model)
         # Verb-level tracing (see the module docstring).
         self.tracer = Tracer(
-            self.kernel.stats, metrics=self.collector, sample_every=0
+            self.kernel.stats, references=False, metrics=self.collector
         )
         self.kernel.attach_tracer(self.tracer)
         self.sources = make_sources(
@@ -260,8 +263,8 @@ def run_serve(
             server = ModelServer(model, config)
         collector = server.collector
         duration = config.duration_us
-        snap_every = config.snapshot_every_ms * 1000
-        scrub_every = config.scrub_every_ms * 1000
+        snap_every = SNAPSHOT_EVERY_MS * 1000
+        scrub_every = SCRUB_EVERY_MS * 1000
         next_snap = snap_every
         next_scrub = scrub_every
         last_snap = 0
@@ -288,7 +291,7 @@ def run_serve(
         # Tail of the run, after the last arrival: both timers keep
         # firing out to ``duration`` in time order (scrub first on ties,
         # same as above), so delayed fault delivery and background
-        # repair hold their scrub_every_ms cadence even when arrivals
+        # repair hold their SCRUB_EVERY_MS cadence even when arrivals
         # end early.  Previously only snapshots fired here and the
         # scrubber starved until the end-of-run drain.
         while True:

@@ -113,13 +113,17 @@ class TxnRequests(RequestSource):
     """
 
     name = "txn"
+    #: Pooled transaction domains.
+    POOL = 4
 
-    def __init__(self, kernel: Kernel, seed: int, *, pool: int = 4) -> None:
+    def __init__(self, kernel: Kernel, seed: int) -> None:
         super().__init__(kernel)
-        config = TxnConfig(db_pages=48, touches_per_txn=16, concurrent=pool, seed=seed)
+        config = TxnConfig(
+            db_pages=48, touches_per_txn=16, concurrent=self.POOL, seed=seed
+        )
         self.workload = TransactionalVM(kernel, config)
         self.pool = [
-            kernel.create_domain(f"serve-txn-{slot}") for slot in range(pool)
+            kernel.create_domain(f"serve-txn-{slot}") for slot in range(self.POOL)
         ]
         for domain in self.pool:
             kernel.attach(domain, self.workload.db, Rights.NONE)
@@ -153,7 +157,7 @@ class TxnRequests(RequestSource):
 
 
 class GcRequests(RequestSource):
-    """One request = one mutator burst; a flip every ``flip_every``.
+    """One request = one mutator burst; a flip every ``FLIP_EVERY``.
 
     The batch flip leaks the retired from-space (it is detached but never
     destroyed — fine for four collections, fatal for a server), so the
@@ -161,16 +165,16 @@ class GcRequests(RequestSource):
     """
 
     name = "gc"
+    FLIP_EVERY = 8
 
-    def __init__(self, kernel: Kernel, seed: int, *, flip_every: int = 8) -> None:
+    def __init__(self, kernel: Kernel, seed: int) -> None:
         super().__init__(kernel)
         config = GCConfig(heap_pages=24, mutator_refs_per_cycle=160, seed=seed)
         self.workload = ConcurrentGC(kernel, config)
-        self.flip_every = flip_every
 
     def execute(self) -> int:
         workload = self.workload
-        if self.requests % self.flip_every == 0:
+        if self.requests % self.FLIP_EVERY == 0:
             garbage = workload.from_space
             workload.flip()
             if garbage is not None:
@@ -202,28 +206,27 @@ class RpcRequests(RequestSource):
 class CheckpointRequests(RequestSource):
     """One request = one application burst plus a background sweep step.
 
-    Every ``epoch_every`` requests the server opens a new checkpoint
+    Every ``EPOCH_EVERY`` requests the server opens a new checkpoint
     epoch (restrict-access over the whole segment).
     """
 
     name = "checkpoint"
+    EPOCH_EVERY = 12
+    #: References in one application burst.
+    BURST_REFS = 96
 
-    def __init__(
-        self, kernel: Kernel, seed: int, *, epoch_every: int = 12, burst_refs: int = 96
-    ) -> None:
+    def __init__(self, kernel: Kernel, seed: int) -> None:
         super().__init__(kernel)
         config = CheckpointConfig(segment_pages=32, seed=seed)
         self.workload = ConcurrentCheckpoint(kernel, config)
-        self.epoch_every = epoch_every
-        self.burst_refs = burst_refs
         self._pattern = RefPattern(write_fraction=config.write_fraction)
 
     def execute(self) -> int:
         workload = self.workload
-        if self.requests % self.epoch_every == 0:
+        if self.requests % self.EPOCH_EVERY == 0:
             workload.begin_checkpoint()
         refs = workload.gen.refs(
-            workload.app.pd_id, workload.segment, self.burst_refs, self._pattern
+            workload.app.pd_id, workload.segment, self.BURST_REFS, self._pattern
         )
         issued = 0
         for ref in refs:

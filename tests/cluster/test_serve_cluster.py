@@ -33,6 +33,13 @@ class TestClusterServe:
         assert summary["cluster_recovery"]["episodes"] == 0
         assert summary["cluster_nodes"] == 3
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_request_is_a_burst_of_twelve_touches(self, model):
+        result = run_serve(cluster_config(models=(model,)))
+        summary = result.summaries[model]
+        assert summary["requests"] > 0
+        assert summary["refs"] == 12 * summary["requests"]
+
     def test_crash_plan_injects_recovers_and_measures(self):
         result = run_serve(cluster_config(duration_ms=400, plan="cluster-crash"))
         summary = result.summaries["plb"]

@@ -9,15 +9,6 @@ from repro.core.params import DEFAULT_PARAMS, MachineParams
 
 
 class TestCriticalPath:
-    def test_pagegroup_serializes_two_stages(self):
-        path = critical_path("pagegroup")
-        assert path.sequential_stages == 2
-        assert "THEN" in path.description
-
-    def test_plb_single_parallel_stage(self):
-        path = critical_path("plb")
-        assert path.sequential_stages == 1
-
     def test_plb_tag_is_vpn_plus_pdid(self):
         path = critical_path("plb")
         assert path.tag_compare_bits == DEFAULT_PARAMS.vpn_bits + DEFAULT_PARAMS.pd_id_bits

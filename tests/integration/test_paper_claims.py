@@ -39,7 +39,9 @@ class TestFigureClaims:
 
     def test_claim_fig2_check_semantics(self):
         """Figure 2: every protection-check scenario behaves as drawn."""
-        assert all(entry["matches"] for entry in figure2_check_matrix())
+        results = figure2_check_matrix()
+        assert len(results) >= 8
+        assert all(entry["matches"] for entry in results)
 
 
 class TestQuantitativeClaims:
@@ -56,6 +58,7 @@ class TestQuantitativeClaims:
         """§4.2: the page-group check is two dependent steps; the PLB is
         one (wider) lookup."""
         assert critical_path("pagegroup").sequential_stages == 2
+        assert "THEN" in critical_path("pagegroup").description
         assert critical_path("plb").sequential_stages == 1
         # The PLB's single compare (VPN+PD-ID) is wider than either of
         # the page-group model's per-stage compares (VPN; AID).

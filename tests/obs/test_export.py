@@ -13,7 +13,6 @@ from repro.obs.export import (
     spans_to_jsonl,
     write_chrome_trace,
 )
-from repro.obs.metrics import Metrics
 from repro.obs.tracer import Tracer
 from repro.sim.stats import Stats
 
@@ -57,11 +56,9 @@ class TestChromeTraceFile:
 class TestRunReport:
     def test_build_and_roundtrip(self, tmp_path):
         stats, tracer, spans = _traced_forest()
-        metrics = Metrics(stats)
         report = build_run_report(
             "unit test", "plb", stats,
-            params=DEFAULT_PARAMS, summary={"widgets": 7},
-            tracer=tracer, metrics=metrics,
+            params=DEFAULT_PARAMS, summary={"widgets": 7}, tracer=tracer,
         )
         assert report.version == REPORT_VERSION
         assert report.cycles_total == cycles_for(stats)
@@ -74,6 +71,16 @@ class TestRunReport:
         report.write(str(path))
         with open(path) as fp:
             assert json.load(fp) == report.to_dict()
+
+    def test_version_2_has_no_metrics_key(self):
+        """Version 2 dropped the span-histogram ``metrics`` key."""
+        stats, tracer, _ = _traced_forest()
+        written = build_run_report("t", "plb", stats, tracer=tracer).to_dict()
+        assert written["version"] == REPORT_VERSION == 2
+        assert sorted(written) == [
+            "counters", "cycles_breakdown", "cycles_total", "model", "params",
+            "spans", "summary", "title", "version",
+        ]
 
     def test_breakdown_sums_to_total(self):
         stats, _, _ = _traced_forest()

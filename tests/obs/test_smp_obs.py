@@ -87,7 +87,7 @@ def test_span_sees_remote_cpu_work(model, cycles):
     store per remote CPU the span missed CPU 1's references and read
     832, 932 and 832 cycles."""
     kernel = Kernel(model, n_cpus=2)
-    tracer = Tracer(kernel.stats, sample_every=0)
+    tracer = Tracer(kernel.stats, references=False)
     kernel.attach_tracer(tracer)
     domain = kernel.create_domain("app")
     segment = kernel.create_segment("data", 4)

@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer: attribution, sampling, unwrapped references."""
+"""Unit tests for the span tracer: attribution, the reference switch, unwrapped references."""
 
 from __future__ import annotations
 
@@ -129,95 +129,101 @@ class TestAttribution:
         assert all(count > 0 for span in spans for count in span.delta.values())
 
 
-class TestSampling:
-    def test_sampling_is_deterministic_under_fixed_seed(self):
-        def decisions(seed: int) -> list[bool]:
-            tracer = Tracer(Stats(), sample_every=4, seed=seed)
-            out = []
-            for _ in range(64):
-                handle = tracer.span("hot", sample=True)
-                recorded = hasattr(handle, "_tracer")
-                if recorded:
-                    with handle:
-                        pass
-                out.append(recorded)
-            return out
+def _traced_refs(model: str, tracer, *, n_cpus: int = 1, refs: int = 300):
+    """Attach ``tracer(kernel.stats)``, then run ``refs`` references per
+    CPU inside one ``run`` span; returns the run span and the delta."""
+    kernel = Kernel(model, n_cpus=n_cpus)
+    kernel.attach_tracer(tracer(kernel.stats))
+    domain = kernel.create_domain("app")
+    segment = kernel.create_segment("data", 16)
+    kernel.attach(domain, segment, Rights.RW)
+    machines = [Machine(kernel, cpu=ctx) for ctx in kernel.cpus]
+    gen = TraceGenerator(7, kernel.params)
+    before = kernel.stats.snapshot()
+    with kernel.tracer.span("run"):
+        for machine in machines:
+            for ref in gen.refs(domain.pd_id, segment, refs, RefPattern()):
+                machine.touch(domain, ref.vaddr, ref.access)
+    root = kernel.tracer.finish()[-1]
+    return root, kernel.stats.delta(before)
 
-        assert decisions(42) == decisions(42)
-        assert decisions(42) != decisions(43)
-        # roughly 1-in-4 recorded
-        assert 4 <= sum(decisions(42)) <= 32
+
+class TestSampling:
+    """``references`` is the one switch for per-reference spans."""
 
     def test_sample_every_one_records_everything(self):
-        stats = Stats()
-        tracer = Tracer(stats, sample_every=1)
-        for _ in range(10):
-            with tracer.span("hot", sample=True):
-                stats.inc("kernel.trap")
-        assert len(tracer.finish()) == 10
-        assert tracer.sampled_out == 0
+        """With references on (the default), every reference is one
+        ``mem.access`` span under the span that issued it."""
+        root, delta = _traced_refs("plb", Tracer)
+        accesses = [span for span in root.children if span.name == "mem.access"]
+        assert len(accesses) == delta["refs"] == 300
+        assert all(span.delta["refs"] == 1 for span in accesses)
 
     def test_sampled_out_spans_fold_into_parent(self):
-        stats = Stats()
-        tracer = Tracer(stats, sample_every=1_000_000, seed=1)
-        with tracer.span("outer"):
-            for _ in range(20):
-                with tracer.span("hot", sample=True):
-                    stats.inc("kernel.trap")
-        (outer,) = tracer.finish()
-        assert tracer.sampled_out > 0
-        # Nothing is lost: the parent's exclusive delta absorbs the
-        # unrecorded spans' events.
-        recorded = sum(
-            child.delta.get("kernel.trap", 0) for child in outer.children
+        """With references off, nothing is lost: the enclosing span's
+        exclusive delta absorbs every reference's events."""
+        root, delta = _traced_refs(
+            "plb", lambda stats: Tracer(stats, references=False)
         )
-        assert outer.delta["kernel.trap"] == 20
-        assert outer.exclusive_delta().get("kernel.trap", 0) == 20 - recorded
+        # The one child is the first touch's domain switch, a verb.
+        assert [span.name for span in root.children] == ["kernel.switch"]
+        own = root.exclusive_delta()
+        assert own["refs"] == delta["refs"] == 300
+        summed = dict(own)
+        for name, count in root.children[0].delta.items():
+            summed[name] = summed.get(name, 0) + count
+        assert summed == delta.as_dict()
 
     def test_traced_totals_invariant_under_sampling(self):
         """Attribution is exact, not extrapolated: the root span's
-        inclusive cycles are identical at any sampling rate."""
-        totals = []
-        for sample_every in (1, 3, 50):
-            kernel = Kernel("plb")
-            machine = Machine(kernel)
-            domain = kernel.create_domain("app")
-            segment = kernel.create_segment("data", 16)
-            kernel.attach(domain, segment, Rights.RW)
-            gen = TraceGenerator(7, kernel.params)
-            tracer = Tracer(kernel.stats, sample_every=sample_every, seed=9)
-            kernel.attach_tracer(tracer)
-            with tracer.span("run"):
-                for ref in gen.refs(domain.pd_id, segment, 300, RefPattern()):
-                    machine.touch(domain, ref.vaddr, ref.access)
-            (root,) = tracer.finish()
-            totals.append(root.cycles)
-        assert len(set(totals)) == 1
+        inclusive cycles are the same with references on or off."""
+        totals = set()
+        for references in (True, False):
+            root, delta = _traced_refs(
+                "plb", lambda stats: Tracer(stats, references=references)
+            )
+            assert root.cycles == cycles_for(delta)
+            totals.add(root.cycles)
+        assert len(totals) == 1
 
 
 class TestVerbLevelTracing:
-    """``sample_every=0`` records kernel verbs, never references."""
+    """``references=False`` records kernel verbs, never references."""
 
     def test_sample_every_zero_records_no_sampled_span(self):
-        stats = Stats()
-        tracer = Tracer(stats, sample_every=0)
-        with tracer.span("outer"):
-            for _ in range(5):
-                with tracer.span("hot", sample=True):
-                    stats.inc("kernel.trap")
-        (outer,) = tracer.finish()
-        assert outer.children == []
-        assert tracer.sampled_out == 5
-        assert outer.exclusive_delta() == {"kernel.trap": 5}
+        """The switch holds on every CPU of the kernel: no CPU's
+        reference opens a span."""
+        root, delta = _traced_refs(
+            "pagegroup",
+            lambda stats: Tracer(stats, references=False),
+            n_cpus=2, refs=50,
+        )
+        assert delta["refs"] == 100
+        assert "mem.access" not in {span.name for span in root.walk()}
 
-    def test_negative_sample_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(Stats(), sample_every=-1)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_cpu_opens_a_reference_span(self, model):
+        """A references tracer wraps every CPU's reference path, not only
+        the current CPU's."""
+        kernel = Kernel(model, n_cpus=2)
+        kernel.attach_tracer(Tracer(kernel.stats))
+        for ctx in kernel.cpus:
+            assert ctx.system.access_fast is not ctx.system._access_fast
+        domain = kernel.create_domain("app")
+        segment = kernel.create_segment("data", 1)
+        kernel.attach(domain, segment, Rights.RW)
+        Machine(kernel, cpu=kernel.cpus[1]).read(
+            domain, kernel.params.vaddr(segment.base_vpn)
+        )
+        (access,) = [
+            span for span in kernel.tracer.finish() if span.name == "mem.access"
+        ]
+        assert access.delta["refs"] == 1
 
     @pytest.mark.parametrize("model", MODELS)
     def test_reference_path_stays_unwrapped_and_totals_exact(self, model):
         kernel = Kernel(model)
-        tracer = Tracer(kernel.stats, sample_every=0)
+        tracer = Tracer(kernel.stats, references=False)
         kernel.attach_tracer(tracer)
         assert kernel.system.access_fast == kernel.system._access_fast
         machine = Machine(kernel)
@@ -237,21 +243,19 @@ class TestVerbLevelTracing:
 
 
 class TestSampledTraceRun:
-    """``repro trace --sample 4`` still records per-reference spans."""
+    """``repro trace`` records a span per reference."""
 
     def test_sampled_run_records_mem_access_with_exact_totals(self):
         from repro.cli import _run_traced
         from repro.obs.metrics import attributed_cycles
 
-        kernel, _, tracer, _, spans, delta = _run_traced(
-            "rpc", "plb", sample_every=4
-        )
+        _, tracer, spans, delta = _run_traced("rpc", "plb")
         accesses = [
             span for root in spans for span in root.walk()
             if span.name == "mem.access"
         ]
-        assert accesses
-        assert tracer.sampled_out > 0
+        assert tracer.references
+        assert len(accesses) == delta["refs"] > 0
         assert attributed_cycles(spans) == cycles_for(delta)
 
 
@@ -277,15 +281,15 @@ class TestDisabledFastPath:
 
     def test_traced_run_adds_no_counters_either(self):
         """Tracing observes counters; it must never create them — with
-        per-reference spans (``sample_every=1``) or, as serve runs it,
-        verbs only (``sample_every=0``)."""
+        per-reference spans (``references=True``) or, as serve runs it,
+        verbs only (``references=False``)."""
         plain = _run_refs("pagegroup")
-        for sample_every in (1, 0):
+        for references in (True, False):
             traced = _run_refs(
                 "pagegroup",
-                tracer=lambda s: Tracer(s, sample_every=sample_every),
+                tracer=lambda s: Tracer(s, references=references),
             )
-            assert plain.as_dict() == traced.as_dict(), sample_every
+            assert plain.as_dict() == traced.as_dict(), references
 
     def test_attach_then_detach_restores_unwrapped_access(self):
         kernel = Kernel("plb")

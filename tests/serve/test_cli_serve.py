@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -63,6 +65,13 @@ class TestServeCommand:
         ]) == 2
         assert "which a cluster lacks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ("--snapshot-every", "--scrub-every-ms"))
+    def test_the_cadence_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--duration", "300", flag, "50"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 50" in capsys.readouterr().err
+
     def test_serve_rejects_degenerate_knobs(self, capsys):
         assert main(["serve", "--duration", "0"]) == 2
         capsys.readouterr()
@@ -88,6 +97,7 @@ class TestReportOut:
             "serve-conventional", "serve-plb",
         ]
         for report in data["reports"]:
+            assert report["version"] == 2 and "metrics" not in report
             assert report["summary"]["sustained_refs_per_sec"] > 0
             # Each report carries the run's counters too.
             assert report["counters"]["refs"] > 0

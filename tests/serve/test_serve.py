@@ -7,10 +7,17 @@ import json
 
 import pytest
 
-from repro.os.kernel import MODELS
+from repro.obs.tracer import Tracer
+from repro.os.kernel import MODELS, Kernel
 from repro.serve.driver import DEFAULT_RATES, ModelServer, ServeConfig, run_serve
 from repro.serve.exporters import render_prometheus
-from repro.workloads.openloop import ArrivalProcess, arrival_schedule
+from repro.workloads.openloop import (
+    ArrivalProcess,
+    CheckpointRequests,
+    GcRequests,
+    TxnRequests,
+    arrival_schedule,
+)
 
 
 def _run(**overrides):
@@ -203,7 +210,7 @@ class TestTelemetryRegressions:
       surfaces as phantom first-poll events.
     * The post-arrival tail of the event loop keeps *both* timers
       firing to the end of the run, so the scrubber holds its
-      ``scrub_every_ms`` cadence even when arrivals end early.
+      ``SCRUB_EVERY_MS`` cadence even when arrivals end early.
     """
 
     def test_chaos_free_first_snapshot_has_no_events(self):
@@ -237,6 +244,58 @@ class TestTelemetryRegressions:
         # 50 and 100 ms, and the end-of-run drain adds one more.
         _, result = _run(duration_ms=130, plan=None, rates={"rpc": 10.0})
         assert result.stats["plb"]["scrub.runs"] == 3
+
+    @pytest.mark.parametrize(
+        ("duration_ms", "at_ms"),
+        ((300, (100, 200, 300)), (250, (100, 200, 250))),
+        ids=("on-cadence", "off-cadence"),
+    )
+    def test_snapshots_fire_every_100_virtual_ms(self, duration_ms, at_ms):
+        """One snapshot per 100 virtual ms, plus one at the run boundary
+        when the period does not land on it."""
+        stream, result = _run(
+            duration_ms=duration_ms, plan=None, rates={"rpc": 10.0}
+        )
+        snaps = [json.loads(line) for line in stream.splitlines()]
+        assert [snap["t_us"] for snap in snaps] == [ms * 1000 for ms in at_ms]
+        assert result.snapshots == len(at_ms)
+
+
+class TestRequestSources:
+    """Each source's fixed request shape, seen through what it runs."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_txn_requests_cycle_four_pooled_domains(self, model):
+        kernel = Kernel(model)
+        tracer = Tracer(kernel.stats, references=False)
+        kernel.attach_tracer(tracer)
+        source = TxnRequests(kernel, 0)
+        for _ in range(8):
+            source.execute()
+        committed = [
+            span.attrs["pd"] for span in tracer.finish() if span.name == "txn.commit"
+        ]
+        assert len(set(committed)) == 4
+        assert committed == committed[:4] * 2
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_gc_requests_flip_every_eighth_request(self, model):
+        source = GcRequests(Kernel(model), 0)
+        flips = []
+        for _ in range(17):
+            source.execute()
+            flips.append(source.workload.report.collections)
+        # Requests 0, 8 and 16 flip first.
+        assert flips == [1] * 8 + [2] * 8 + [3]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_checkpoint_requests_open_an_epoch_every_twelfth_request(self, model):
+        source = CheckpointRequests(Kernel(model), 0)
+        epochs = []
+        for _ in range(13):
+            assert source.execute() == 96
+            epochs.append(source.workload.report.checkpoints)
+        assert epochs == [1] * 12 + [2]
 
 
 class TestExporters:

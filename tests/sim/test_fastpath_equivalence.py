@@ -135,7 +135,7 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
     ``reps`` replays every batch that many times (the *same* list
     object, in every mode), so the later passes run on warm hardware.
 
-    ``verb_tracer`` attaches a verb-level tracer (``sample_every=0``, the
+    ``verb_tracer`` attaches a verb-level tracer (``references=False``, the
     one ``repro serve`` runs under) before the stream starts; its span
     forest is left in ``replay.last_forest``.
     """
@@ -146,7 +146,7 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
     )
     tracer = None
     if verb_tracer:
-        tracer = Tracer(kernel.stats, sample_every=0)
+        tracer = Tracer(kernel.stats, references=False)
         kernel.attach_tracer(tracer)
     elif mode == "traced":
         kernel.attach_tracer(Tracer(kernel.stats))
@@ -301,7 +301,7 @@ class TestWarmHardware:
 
 
 class TestVerbLevelTracer:
-    """A live verb-level tracer (``sample_every=0``, as in serve) leaves
+    """A live verb-level tracer (``references=False``, as in serve) leaves
     the fast path unwrapped and observes the same thing whichever
     protocol drives it."""
 
@@ -310,7 +310,7 @@ class TestVerbLevelTracer:
         """The hardware keeps recording its entries under the tracer:
         repeat reads still hit, and only verbs open spans."""
         kernel = Kernel(model)
-        tracer = Tracer(kernel.stats, sample_every=0)
+        tracer = Tracer(kernel.stats, references=False)
         kernel.attach_tracer(tracer)
         assert kernel.system.access_fast == kernel.system._access_fast
         machine = Machine(kernel)
