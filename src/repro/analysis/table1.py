@@ -64,9 +64,8 @@ class Table1Result:
     #: Workload-level summary per model (same inputs, so normally equal).
     summary_by_model: dict[str, dict[str, object]]
 
-    def render(self, extra_counters: Sequence[tuple[str, str]] = ()) -> str:
-        counters = list(extra_counters) + COMMON_COUNTERS
-        body = comparison_table(self.stats_by_model, counters, title=self.title)
+    def render(self) -> str:
+        body = comparison_table(self.stats_by_model, COMMON_COUNTERS, title=self.title)
         cycles = {
             model: cycles_for(stats) for model, stats in self.stats_by_model.items()
         }

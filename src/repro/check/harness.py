@@ -4,9 +4,11 @@ One op stream (:mod:`repro.check.ops`) is replayed through a kernel per
 configured model and through the gold model (:mod:`repro.check.gold`).
 Every op goes through one dispatcher: the Table 1 verbs call the kernel,
 PageOut goes to a :class:`~repro.os.pager.UserLevelPager` created at the
-first PageOut, and every reference runs through the kernel's own fault
-handlers (the pager's page-in, the demand-zero fill), round-robin over
-``n_cpus`` CPUs and ``n_shards`` authority shards.
+first PageOut, and every reference runs through the workloads' own
+fault-retry loop, :meth:`Machine.touch <repro.sim.machine.Machine.touch>`,
+and so through the kernel's fault handlers (the pager's page-in, the
+demand-zero fill), round-robin over ``n_cpus`` CPUs and ``n_shards``
+authority shards.
 
 One gate decides what is compared mid-run: is a fault plan armed?
 
@@ -43,6 +45,7 @@ from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.scrub import Scrubber
 from repro.os.kernel import MODELS, Kernel, KernelError, SegmentationViolation
 from repro.os.pager import PagerError, UserLevelPager
+from repro.sim.machine import FaultLoop, SMPMachine
 
 #: Ops between mid-run checks: the structural invariants without a
 #: plan, a scrub with one.
@@ -89,10 +92,6 @@ class _DivergenceError(Exception):
 class LockstepHarness:
     """Replays one op stream through N kernels + gold in lockstep."""
 
-    #: Access, then page-in / demand-zero / restore retries: an injected
-    #: fault can stack a protection restore on top of a page-in.
-    MAX_ATTEMPTS = 4
-
     def __init__(
         self,
         models: tuple[str, ...] = MODELS,
@@ -120,6 +119,8 @@ class LockstepHarness:
             )
             for model in self.models
         }
+        #: Each kernel's reference loop: one pinned machine per CPU.
+        self.smps = {model: SMPMachine(kernel) for model, kernel in self.kernels.items()}
         self.injectors: dict[str, FaultInjector] = {}
         self.scrubbers: dict[str, Scrubber] = {}
         if plan is not None:
@@ -335,37 +336,32 @@ class LockstepHarness:
         self.gold.apply(op)
 
     def _reference(self, index: int, op, model: str, cpu: int, pd: int, vaddr: int, access):
-        """One reference by domain ``pd`` on ``cpu`` of one kernel."""
-        kernel = self.kernels[model]
-        kernel.set_current_cpu(cpu)
-        if kernel.system.current_domain != pd:
-            kernel.switch_to(self.domains[model][pd])
-        return self._guard(index, op, model, self._probe, kernel, vaddr, access)
+        """One reference by domain ``pd`` on ``cpu`` of one kernel, run
+        through :meth:`SMPMachine.touch_on`; returns (outcome, paddr).
 
-    def _probe(self, kernel: Kernel, vaddr: int, access: AccessType):
-        """The machine's fault-delivery loop; returns (outcome, paddr).
-
-        The outcome's page-fault flag records that a resolved fault came
+        The outcome's page-fault flag records that a handled fault came
         first: a page fault, or a protection fault the pager resolved by
         paging the page in (the only protection handler installed).
         """
-        page_fault = False
-        for _ in range(self.MAX_ATTEMPTS):
-            try:
-                kernel.system.access(vaddr, access)
-                return Expectation("allowed", page_fault=page_fault), kernel.system.paddr
-            except ProtectionFault as fault:
-                try:
-                    kernel.handle_protection_fault(fault)
-                except SegmentationViolation:
-                    return Expectation("prot", fault.reason.value, page_fault=page_fault), None
-            except PageFault as fault:
-                try:
-                    kernel.handle_page_fault(fault)
-                except SegmentationViolation:
-                    return Expectation("fatal", page_fault=True), None
-            page_fault = True
-        return Expectation("stuck", page_fault=True), None
+        kernel = self.kernels[model]
+        stats = kernel.stats
+        faults = stats["kernel.fault.protection"] + stats["kernel.fault.page"]
+        try:
+            result = self._guard(
+                index, op, model, self.smps[model].touch_on,
+                cpu, self.domains[model][pd], vaddr, access,
+            )
+        except FaultLoop:
+            return Expectation("stuck", page_fault=True), None
+        except SegmentationViolation as violation:
+            fault = violation.__cause__
+            if not isinstance(fault, ProtectionFault):
+                return Expectation("fatal", page_fault=True), None
+            # The unclaimed fault is the last one delivered; any earlier
+            # one was handled.
+            faults = stats["kernel.fault.protection"] + stats["kernel.fault.page"] - faults
+            return Expectation("prot", fault.reason.value, page_fault=faults > 1), None
+        return Expectation("allowed", page_fault=result.faulted), kernel.system.paddr
 
     def _compare(
         self, index: int, op, model: str, where: str,

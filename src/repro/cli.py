@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--shards", type=int, default=1, metavar="K",
-        help="partition the Authority into K VPN-range home shards "
+        help="partition the kernel's tables into K VPN-range home shards "
         "(default 1: monolithic, byte-identical to pre-shard output)",
     )
 

@@ -341,11 +341,9 @@ class PLBSystem(MemorySystem):
         plb_ways: int | None = None,
         plb_levels: Iterable[int] = (0,),
         tlb_entries: int = 1024,
-        tlb_ways: int | None = None,
         tlb_levels: tuple[int, ...] = (0,),
         cache_bytes: int = 16 * 1024,
         cache_ways: int = 1,
-        cache_org: CacheOrg = CacheOrg.VIVT,
         l2_cache_bytes: int | None = None,
         l2_cache_ways: int = 4,
         detect_hazards: bool = False,
@@ -355,7 +353,7 @@ class PLBSystem(MemorySystem):
             params=params,
             cache_bytes=cache_bytes,
             cache_ways=cache_ways,
-            cache_org=cache_org,
+            cache_org=CacheOrg.VIVT,
             detect_hazards=detect_hazards,
             stats=stats,
         )
@@ -364,9 +362,7 @@ class PLBSystem(MemorySystem):
         self.plb = ProtectionLookasideBuffer(
             plb_entries, plb_ways, levels=plb_levels, params=params, stats=self.stats
         )
-        self.tlb = TranslationTLB(
-            tlb_entries, tlb_ways, levels=tlb_levels, stats=self.stats
-        )
+        self.tlb = TranslationTLB(tlb_entries, levels=tlb_levels, stats=self.stats)
         self.l2: DataCache | None = None
         if l2_cache_bytes is not None:
             self.l2 = DataCache(
@@ -475,13 +471,11 @@ class PageGroupSystem(MemorySystem):
         *,
         params: MachineParams = DEFAULT_PARAMS,
         tlb_entries: int = 128,
-        tlb_ways: int | None = None,
         group_holder: str = "cache",
         group_capacity: int = 16,
         eager_reload: bool = False,
         cache_bytes: int = 16 * 1024,
         cache_ways: int = 1,
-        cache_org: CacheOrg = CacheOrg.VIPT,
         detect_hazards: bool = False,
         stats: Stats | None = None,
     ) -> None:
@@ -489,12 +483,12 @@ class PageGroupSystem(MemorySystem):
             params=params,
             cache_bytes=cache_bytes,
             cache_ways=cache_ways,
-            cache_org=cache_org,
+            cache_org=CacheOrg.VIPT,
             detect_hazards=detect_hazards,
             stats=stats,
         )
         self.source = group_source
-        self.tlb = AIDTaggedTLB(tlb_entries, tlb_ways, stats=self.stats)
+        self.tlb = AIDTaggedTLB(tlb_entries, stats=self.stats)
         self.eager_reload = eager_reload
         if group_holder == "cache":
             self.groups: PageGroupCache | PIDRegisterFile = PageGroupCache(
@@ -562,8 +556,8 @@ class ConventionalSystem(MemorySystem):
     """ASID-tagged combined TLB over per-domain page tables.
 
     With ``asid_tagged=False`` the system instead models the purge-on-
-    switch alternative the paper mentions: the whole TLB (and a virtually
-    tagged cache, if configured) is flushed on every domain switch.
+    switch alternative the paper mentions: the whole TLB is flushed on
+    every domain switch (the physically tagged cache survives it).
     """
 
     model_name = "conventional"
@@ -574,11 +568,9 @@ class ConventionalSystem(MemorySystem):
         *,
         params: MachineParams = DEFAULT_PARAMS,
         tlb_entries: int = 128,
-        tlb_ways: int | None = None,
         asid_tagged: bool = True,
         cache_bytes: int = 16 * 1024,
         cache_ways: int = 1,
-        cache_org: CacheOrg = CacheOrg.VIPT,
         detect_hazards: bool = False,
         stats: Stats | None = None,
     ) -> None:
@@ -586,13 +578,13 @@ class ConventionalSystem(MemorySystem):
             params=params,
             cache_bytes=cache_bytes,
             cache_ways=cache_ways,
-            cache_org=cache_org,
+            cache_org=CacheOrg.VIPT,
             detect_hazards=detect_hazards,
             stats=stats,
         )
         self.source = source
         self.asid_tagged = asid_tagged
-        self.tlb = ASIDTaggedTLB(tlb_entries, tlb_ways, stats=self.stats)
+        self.tlb = ASIDTaggedTLB(tlb_entries, stats=self.stats)
         self._inc_refs = self.stats.counter("refs")
 
     def entry_domain(self, asid: int) -> int:
@@ -633,5 +625,3 @@ class ConventionalSystem(MemorySystem):
             # entries; correctness demands a full purge (Section 3.1),
             # discarding translations that are in fact still valid.
             self.tlb.purge()
-            if self.dcache.org is CacheOrg.VIVT and not self.dcache.asid_tagged:
-                self.dcache.purge()

@@ -103,14 +103,10 @@ class MachineCheck(HardwareFault):
 
     Args:
         structure: Name of the faulted structure (``"plb"``, ``"tlb"``,
-            ``"holder"``, ...).
-        pd_id: The protection domain whose cached state is suspect, or
-            None when the whole structure must be rebuilt.
+            ``"holder"``, ...).  Recovery rebuilds the whole structure.
     """
 
-    def __init__(self, structure: str, pd_id: int | None = None, detail: str = "") -> None:
+    def __init__(self, structure: str, detail: str = "") -> None:
         self.structure = structure
-        self.pd_id = pd_id
         self.detail = detail
-        where = structure if pd_id is None else f"{structure} (pd {pd_id})"
-        super().__init__(f"machine check in {where}" + (f": {detail}" if detail else ""))
+        super().__init__(f"machine check in {structure}" + (f": {detail}" if detail else ""))

@@ -243,8 +243,3 @@ class Tracer:
             names = " > ".join(span.name for span in self._stack)
             raise RuntimeError(f"tracer finished with open spans: {names}")
         return self.roots
-
-    def all_spans(self) -> Iterator[Span]:
-        """Every recorded span, preorder."""
-        for root in self.roots:
-            yield from root.walk()

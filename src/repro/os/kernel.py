@@ -1,20 +1,25 @@
 """The single address space operating system kernel.
 
-The kernel fronts a shared :class:`~repro.os.authority.Authority` — one
+The kernel holds the one authority (Section 3.2) — the global
 translation table shared by all domains, the segment registry, the
 protection-domain records and the page-group tables — and drives one
 :class:`~repro.os.smp.CpuContext` per CPU, each with its own memory
-system from :mod:`repro.core.mmu` (PLB/TLB/group holder/L1).  It
-implements the systems' *source* protocols (supplying protection and
-translation mappings on hardware misses) and exposes the
-operating-system operations whose costs the paper's Table 1 catalogues:
-segment attach/detach, per-page and per-segment permission changes,
-page-group manipulation, page unmapping and protection-domain switches.
+system from :mod:`repro.core.mmu` (PLB/TLB/group holder/L1), soft state
+refilled from those tables.  It implements the systems' *source*
+protocols (supplying protection and translation mappings on hardware
+misses) and exposes the operating-system operations whose costs the
+paper's Table 1 catalogues: segment attach/detach, per-page and
+per-segment permission changes, page-group manipulation, page unmapping
+and protection-domain switches.
 
 A kernel keeps one :class:`~repro.sim.stats.Stats` store, ``stats``:
-its verbs, the authority and every CPU's hardware charge it.  A tracer
+its verbs, its tables and every CPU's hardware charge it.  A tracer
 watching it therefore sees the work of every CPU, and
 :meth:`Kernel.merged_stats` is a plain snapshot of it.
+
+``Kernel(n_shards=K)`` charges each table mutation to the VPN-range
+home shards its pages touch (``authority.shard.*``; nothing when K = 1)
+and places a DSM node's pages on home CPUs.  The tables stay global.
 
 Model-specific behaviour is delegated to a strategy object
 (:class:`PLBOps`, :class:`PageGroupOps`, :class:`ConventionalOps`); each
@@ -29,6 +34,7 @@ multiprocessor consistency comparison falls directly out of the
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Iterable
 
 from repro.core.conventional import LinearPageTable
@@ -46,11 +52,14 @@ from repro.core.mmu import (
 from repro.core.params import MachineParams, DEFAULT_PARAMS
 from repro.core.rights import Rights
 from repro.faults.errors import MachineCheck
+from repro.hardware.backing import BackingStore
+from repro.hardware.memory import PhysicalMemory
 from repro.hardware.registers import PIDEntry
 from repro.obs.tracer import NULL_TRACER
-from repro.os.authority import Authority
 from repro.os.domain import ProtectionDomain
-from repro.os.segment import VirtualSegment
+from repro.os.inverted import InvertedPageTable
+from repro.os.pagetable import GlobalTranslationTable, GroupTable
+from repro.os.segment import AddressSpaceAllocator, VirtualSegment
 from repro.os.smp import TRANSLATION, CpuContext, ShootdownBus
 from repro.sim.stats import Stats
 
@@ -59,6 +68,12 @@ MODELS = ("plb", "pagegroup", "conventional")
 
 #: Machine checks tolerated per structure before it is taken offline.
 MCE_DEGRADE_THRESHOLD = 3
+
+#: VPN-range chunk size (in address bits above the page number) used to
+#: interleave chunks across home shards.  2**3 = 8 pages per chunk
+#: matches the allocator's power-of-two alignment, so small disjoint
+#: segments land on distinct home shards.
+SHARD_SPAN_BITS = 3
 
 
 def _flush_page(system: MemorySystem, vpn: int, pfn: int) -> None:
@@ -91,12 +106,13 @@ class Kernel:
         params: Machine parameters shared with the hardware.
         system_options: Extra keyword arguments forwarded to every CPU's
             memory system constructor (PLB size, group-cache capacity,
-            cache organization, ...).
+            cache size, ...).
         inverted_table: Back the global translation table with the
             801-style inverted page table (§3.1) instead of the plain
             map — same semantics, adds hash-probe accounting.
         stats: The kernel's one event sink; created when omitted.
-            Kernel verbs, authority traffic and every CPU's hardware
+            Kernel verbs, table traffic (memory allocation, backing
+            store, inverted-table probes) and every CPU's hardware
             charge it.  A DSM cluster passes its one store to every
             node kernel, a rejoined node's included.
         tracer: Optional :class:`~repro.obs.tracer.Tracer` watching
@@ -107,8 +123,8 @@ class Kernel:
             PLB/TLB/group holder/L1; rights changes reach remote CPUs
             over the shootdown bus.  The default (1) is byte-identical
             to the pre-SMP simulator.
-        n_shards: Authority shards (VPN-range home shards, see
-            :class:`~repro.os.authority.Authority`).  The default (1)
+        n_shards: VPN-range home shards the mutation accounting
+            charges (see :meth:`_note_shards`).  The default (1)
             charges no shard counters.
     """
 
@@ -129,31 +145,38 @@ class Kernel:
             raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
         if n_cpus < 1:
             raise ValueError(f"n_cpus must be >= 1, got {n_cpus}")
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.model = model
         self.params = params
         self.stats = stats if stats is not None else Stats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Shared OS state: the tables every CPU's hardware refills from.
-        self.authority = Authority(
-            n_frames=n_frames,
-            params=params,
-            stats=self.stats,
-            inverted_table=inverted_table,
-            n_shards=n_shards,
-        )
         self.n_shards = n_shards
-        # Historical attribute names alias the authority's containers
-        # (same objects, mutated in place) so existing callers — and the
-        # injector's authority-corruption site — are untouched.
-        self.memory = self.authority.memory
-        self.backing = self.authority.backing
-        self.translations = self.authority.translations
-        self.group_table = self.authority.group_table
-        self.allocator = self.authority.allocator
-        self.domains = self.authority.domains
-        self.segments = self.authority.segments
-        self.linear_tables = self.authority.linear_tables
-        self._contiguous = self.authority.contiguous
+        # The authority: the tables every CPU's hardware refills from.
+        self.memory = PhysicalMemory(n_frames, page_size=params.page_size, stats=self.stats)
+        self.backing = BackingStore(stats=self.stats)
+        self.translations: GlobalTranslationTable = (
+            InvertedPageTable(n_frames, stats=self.stats)  # type: ignore[assignment]
+            if inverted_table
+            else GlobalTranslationTable()
+        )
+        self.group_table = GroupTable()
+        self.allocator = AddressSpaceAllocator()
+        self.domains: dict[int, ProtectionDomain] = {}
+        self.segments: dict[int, VirtualSegment] = {}
+        #: The segment index: sorted base VPNs, and the segment at each.
+        self._segment_bases: list[int] = []
+        self._segments_by_base: dict[int, VirtualSegment] = {}
+        #: Conventional-model space-accounting mirrors (per-domain linear
+        #: page tables, Section 3.1).  Authoritative (not a cache): the
+        #: conventional TLB refills from these.
+        self.linear_tables: dict[int, LinearPageTable] = {}
+        #: Segments with physically contiguous frames eligible for one
+        #: superpage translation: seg_id -> base frame (Section 4.3).
+        self._contiguous: dict[int, int] = {}
+        self._next_pd = 1
+        self._next_seg = 1
+        self._next_aid = 1
 
         self._protection_handlers: list[Callable[[ProtectionFault], bool]] = []
         self._page_fault_handlers: list[Callable[[PageFault], bool]] = []
@@ -240,14 +263,30 @@ class Kernel:
         self.stats.inc("kernel.trap")
         self.stats.inc(f"kernel.syscall.{label}")
 
-    def _note_shards(self, vpns) -> None:
-        """Charge a table mutation to the home shard(s) of ``vpns``.
+    def shard_of(self, vpn: int) -> int:
+        """Home shard of ``vpn`` (chunk-interleaved VPN range)."""
+        return (vpn >> SHARD_SPAN_BITS) % self.n_shards
 
-        A no-op (one predictable branch) on a single-shard kernel, so
-        the pinned baseline stats never move.
+    def _note_shards(self, vpns) -> None:
+        """Charge a table mutation to every home shard ``vpns`` touches.
+
+        ``local`` counts mutations confined to one home shard (the
+        scalable case); ``cross`` counts mutations spanning shards,
+        which a real implementation would have to lock-order.  A no-op
+        on a single-shard kernel, so the pinned baseline stats never
+        move.
         """
-        if self.authority.n_shards > 1:
-            self.authority.note_mutation(vpns)
+        k = self.n_shards
+        if k == 1:
+            return
+        homes = {(vpn >> SHARD_SPAN_BITS) % k for vpn in vpns}
+        if not homes:
+            return
+        self.stats.inc("authority.shard.mutations")
+        if len(homes) == 1:
+            self.stats.inc("authority.shard.local")
+        else:
+            self.stats.inc("authority.shard.cross")
 
     def _verb_step(self, label: str) -> None:
         """Announce a mutation boundary inside a multi-step verb.
@@ -264,7 +303,11 @@ class Kernel:
 
     def segment_at(self, vpn: int) -> VirtualSegment | None:
         """The segment containing ``vpn``, if any (binary search)."""
-        return self.authority.segment_at(vpn)
+        idx = bisect.bisect_right(self._segment_bases, vpn) - 1
+        if idx < 0:
+            return None
+        segment = self._segments_by_base[self._segment_bases[idx]]
+        return segment if segment.contains(vpn) else None
 
     def rights_for(self, pd_id: int, vpn: int) -> ProtectionInfo | None:
         """ProtectionSource: the PLB refill path."""
@@ -365,7 +408,8 @@ class Kernel:
     def create_domain(self, name: str) -> ProtectionDomain:
         """Create an (initially empty) protection domain."""
         self._trap("create_domain")
-        domain = ProtectionDomain(pd_id=self.authority.new_pd_id(), name=name)
+        domain = ProtectionDomain(pd_id=self._next_pd, name=name)
+        self._next_pd += 1
         self.domains[domain.pd_id] = domain
         if self.model == "conventional":
             self.linear_tables[domain.pd_id] = LinearPageTable(self.params)
@@ -402,15 +446,18 @@ class Kernel:
             base = self.allocator.allocate(n_pages)
         else:
             base = self.allocator.reserve(base_vpn, n_pages)
-        aid = self.authority.new_aid()
+        aid = self.create_page_group()
         segment = VirtualSegment(
-            seg_id=self.authority.new_seg_id(),
+            seg_id=self._next_seg,
             name=name,
             base_vpn=base,
             n_pages=n_pages,
             aid=aid,
         )
-        self.authority.register_segment(segment)
+        self._next_seg += 1
+        self.segments[segment.seg_id] = segment
+        bisect.insort(self._segment_bases, base)
+        self._segments_by_base[base] = segment
         self._note_shards(range(segment.base_vpn, segment.end_vpn))
         if contiguous:
             frames = self.memory.allocate_contiguous(n_pages)
@@ -429,7 +476,9 @@ class Kernel:
 
     def create_page_group(self) -> int:
         """Allocate a fresh page-group identifier (page-group model)."""
-        return self.authority.new_aid()
+        aid = self._next_aid
+        self._next_aid += 1
+        return aid
 
     def destroy_segment(self, segment: VirtualSegment) -> None:
         """Destroy a segment: detach everyone, free pages, forget state.
@@ -455,7 +504,9 @@ class Kernel:
             self.translations.forget(vpn)
             self.group_table.forget(vpn)
             self.backing.discard(vpn)
-        self.authority.forget_segment(segment)
+        del self.segments[segment.seg_id]
+        self._segment_bases.remove(segment.base_vpn)
+        del self._segments_by_base[segment.base_vpn]
 
     # ------------------------------------------------------------------ #
     # The Table 1 verbs (model-dispatched)
@@ -805,7 +856,7 @@ class Kernel:
             for handler in reversed(self._protection_handlers):
                 if handler(fault):
                     return
-        raise SegmentationViolation(str(fault))
+        raise SegmentationViolation(str(fault)) from fault
 
     def handle_page_fault(self, fault: PageFault) -> None:
         """Deliver a page fault: handlers first, then demand-zero fill."""
@@ -820,9 +871,9 @@ class Kernel:
             if mapping is not None and mapping.on_disk:
                 raise SegmentationViolation(
                     f"page {vpn:#x} is on backing store but no pager is registered"
-                )
+                ) from fault
             if self.segment_at(vpn) is None:
-                raise SegmentationViolation(str(fault))
+                raise SegmentationViolation(str(fault)) from fault
             # Demand-zero: the page belongs to a segment but has no frame.
             self.populate_page(vpn)
 
@@ -844,9 +895,7 @@ class Kernel:
         self._trap("machine_check")
         self.stats.inc("kernel.fault.machine_check")
         self.stats.inc(f"kernel.fault.machine_check.{mc.structure}")
-        with self.tracer.span(
-            "kernel.fault.machine_check", structure=mc.structure, pd=mc.pd_id
-        ):
+        with self.tracer.span("kernel.fault.machine_check", structure=mc.structure):
             count = self._mce_counts.get(mc.structure, 0) + 1
             self._mce_counts[mc.structure] = count
             if count >= MCE_DEGRADE_THRESHOLD and self.model == "plb":
@@ -856,27 +905,26 @@ class Kernel:
                 if not target.disabled:
                     target.disable()
                     self.stats.inc(f"kernel.degraded.{mc.structure}")
-            self.rebuild_protection_state(mc.pd_id)
+            self.rebuild_protection_state()
         self.stats.inc("faults.recovered")
 
-    def rebuild_protection_state(self, pd_id: int | None = None) -> None:
+    def rebuild_protection_state(self) -> None:
         """Flush and rebuild protection soft state from authority.
 
-        With ``pd_id`` the rebuild is scoped to one domain where the
-        model allows it; otherwise every cached protection mapping is
-        discarded and refaults lazily from the attachment tables.  The
-        rebuild is local to the current CPU — soft state elsewhere was
-        never corrupted, and refaults from the same authority anyway.
+        Every cached protection mapping is discarded and refaults lazily
+        from the attachment tables.  The rebuild is local to the current
+        CPU — soft state elsewhere was never corrupted, and refaults
+        from the same authority anyway.
         """
         self.stats.inc("kernel.rebuild_protection")
-        with self.tracer.span("kernel.rebuild_protection", pd=pd_id):
-            self.ops.rebuild_protection(pd_id)
+        with self.tracer.span("kernel.rebuild_protection"):
+            self.ops.rebuild_protection()
 
     # ------------------------------------------------------------------ #
     # Introspection
 
     def attached_domains(self, segment: VirtualSegment) -> list[ProtectionDomain]:
-        return self.authority.attached_domains(segment)
+        return [d for d in self.domains.values() if d.is_attached(segment.seg_id)]
 
 
 # --------------------------------------------------------------------- #
@@ -929,7 +977,7 @@ class ModelOps:
         """Drop one CPU's translations for a VPN batch in one sweep."""
         raise NotImplementedError
 
-    def rebuild_protection(self, pd_id: int | None = None) -> None:
+    def rebuild_protection(self) -> None:
         """Discard cached protection state; rebuild what cannot refault."""
         raise NotImplementedError
 
@@ -1046,14 +1094,11 @@ class PLBOps(ModelOps):
         # One associative pass over the translation TLB for the batch.
         return system.tlb.invalidate_pages(vpns)
 
-    def rebuild_protection(self, pd_id: int | None = None) -> None:
+    def rebuild_protection(self) -> None:
         # Every PLB entry refaults from the attachment tables, so the
         # cheapest correct recovery is a flush; the TLB likewise refills
         # from the global translation table.
-        if pd_id is None:
-            self.system.plb.purge_all()
-        else:
-            self.system.plb.purge_domain_range(pd_id, 0, 1 << 52)
+        self.system.plb.purge_all()
         self.system.tlb.purge()
 
 
@@ -1200,7 +1245,7 @@ class PageGroupOps(ModelOps):
         # One associative pass drops every resident entry of the batch.
         return system.tlb.invalidate_pages(vpns)
 
-    def rebuild_protection(self, pd_id: int | None = None) -> None:
+    def rebuild_protection(self) -> None:
         # The AID-tagged TLB refills from the group table via
         # ``page_info``; the group holder reloads lazily (group miss ->
         # ``domain_group_entry``) or eagerly at the next switch.
@@ -1322,7 +1367,7 @@ class ConventionalOps(ModelOps):
         # One sweep removes every domain's replicas of the whole batch.
         return system.tlb.invalidate_pages(vpns)[1]
 
-    def rebuild_protection(self, pd_id: int | None = None) -> None:
+    def rebuild_protection(self) -> None:
         # The combined TLB refills from the linear-table mirrors, so the
         # mirrors themselves must be reconstructed from the attachment
         # tables and the global translation table — the conventional
@@ -1330,10 +1375,7 @@ class ConventionalOps(ModelOps):
         # SASOS models just flush (the §3.1 duplication cost again).
         self.system.tlb.purge()
         kernel = self.kernel
-        domains = (
-            kernel.domains.values() if pd_id is None else [kernel.domains[pd_id]]
-        )
-        for domain in domains:
+        for domain in kernel.domains.values():
             mirror = LinearPageTable(kernel.params)
             kernel.linear_tables[domain.pd_id] = mirror
             for seg_id, rights in domain.attachments.items():

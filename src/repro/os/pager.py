@@ -72,12 +72,11 @@ class _EvictedState:
 
 
 class UserLevelPager:
-    """A paging server running in its own protection domain.
+    """A paging server running in its own protection domain, ``"pager"``.
 
     Args:
         kernel: The kernel to serve.
         compress: Compress page images on the way out (Appel & Li).
-        domain_name: Name for the server's protection domain.
     """
 
     def __init__(
@@ -85,11 +84,10 @@ class UserLevelPager:
         kernel: Kernel,
         *,
         compress: bool = False,
-        domain_name: str = "pager",
     ) -> None:
         self.kernel = kernel
         self.compress = compress
-        self.domain: ProtectionDomain = kernel.create_domain(domain_name)
+        self.domain: ProtectionDomain = kernel.create_domain("pager")
         self.store = CompressedStore(store=kernel.backing, stats=kernel.stats)
         self._evicted: dict[int, _EvictedState] = {}
         #: Pages with a paging operation in flight — the re-entrancy

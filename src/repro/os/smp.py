@@ -1,8 +1,8 @@
 """Per-CPU hardware contexts and the kernel shootdown bus (§4.1.3).
 
 On a multiprocessor SASOS every CPU carries its own protection hardware
-— PLB, TLB, page-group holder, L1 cache — while the OS authority
-(:mod:`repro.os.authority`) stays shared.  A rights change made on one
+— PLB, TLB, page-group holder, L1 cache — while the OS authority (the
+kernel's tables) stays shared.  A rights change made on one
 CPU must therefore reach every other CPU's cached copies: the kernel
 sends *shootdown* messages (the interprocessor-interrupt + invalidate
 sequence of §4.1.3), and the number of remote entries each model must

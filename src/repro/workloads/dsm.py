@@ -137,7 +137,7 @@ class DSMNode:
 
     def cpu_for(self, vpn: int) -> int:
         """The page's shard-home CPU: authority shard mod CPU count."""
-        return self.kernel.authority.shard_of(vpn) % self.kernel.n_cpus
+        return self.kernel.shard_of(vpn) % self.kernel.n_cpus
 
     def touch_home(self, vaddr: int, access: AccessType) -> object:
         """One reference routed to the faulting page's shard-home CPU."""

@@ -39,7 +39,7 @@ class TestSMPNodeComposition:
             assert node.kernel.n_cpus == 4
             assert node.smp.machines[0] is node.machine
             # Shards default to the CPU count: home placement works.
-            assert node.kernel.authority.n_shards == 4
+            assert node.kernel.n_shards == 4
 
     @pytest.mark.parametrize("model", MODELS)
     def test_a_rejoined_node_boots_with_a_shard_per_cpu(self, model):
@@ -49,7 +49,7 @@ class TestSMPNodeComposition:
             cluster.tick()
         cluster.rejoin(2)
         kernel = cluster.nodes[2].kernel
-        assert (kernel.n_cpus, kernel.authority.n_shards) == (2, 2)
+        assert (kernel.n_cpus, kernel.n_shards) == (2, 2)
         assert len(cluster.nodes[2].smp.machines) == 2
 
     @pytest.mark.parametrize("model", MODELS)
@@ -98,7 +98,7 @@ class TestSMPNodeComposition:
             addr = node.kernel.params.vaddr(vpn)
             node.touch_home(addr, AccessType.READ)
             home = node.cpu_for(vpn)
-            assert home == node.kernel.authority.shard_of(vpn) % 4
+            assert home == node.kernel.shard_of(vpn) % 4
 
 
 class TestSMPNodeChaos:

@@ -1,7 +1,8 @@
 """Single-CPU stats regression pin for the SMP refactor.
 
-The refactor split the kernel into a shared :class:`Authority` plus
-per-CPU hardware contexts behind a shootdown bus.  The acceptance bar is
+The refactor split the kernel into shared tables (the authority every
+CPU refills from, held by :class:`Kernel` itself) plus per-CPU hardware
+contexts behind a shootdown bus.  The acceptance bar is
 that a ``--cpus 1`` (default) kernel produces *byte-identical* stats to
 the pre-refactor simulator.  The golden counters in
 ``benchmarks/baselines/single_cpu_stats.json`` were generated by this

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.rights import Rights
 from repro.os.inverted import InvertedPageTable
 from repro.os.kernel import Kernel
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, SMPMachine
 
 
 class TestBasicOperations:
@@ -105,9 +105,19 @@ class TestKernelSubstitution:
 
     @pytest.mark.parametrize("model", ["plb", "pagegroup", "conventional"])
     def test_the_kernels_table_is_the_authoritys_table(self, model):
-        kernel = Kernel(model, n_frames=64, inverted_table=True)
+        """The kernel holds the one table every CPU refills from: a cold
+        reference on either CPU probes the inverted table."""
+        kernel = Kernel(model, n_frames=64, inverted_table=True, n_cpus=2)
         assert isinstance(kernel.translations, InvertedPageTable)
-        assert kernel.translations is kernel.authority.translations
+        smp = SMPMachine(kernel)
+        domain = kernel.create_domain("d")
+        segment = kernel.create_segment("s", 1)
+        kernel.attach(domain, segment, Rights.RW)
+        vaddr = kernel.params.vaddr(segment.base_vpn)
+        for cpu in range(2):
+            before = kernel.stats["ipt.lookup"]
+            smp.touch_on(cpu, domain, vaddr)
+            assert kernel.stats["ipt.lookup"] > before
 
     def test_paging_over_inverted_table(self):
         """The user-level pager's protocol works over the IPT."""

@@ -128,7 +128,9 @@ def observe(env: Env, call) -> dict:
     before = kernel.merged_stats()
     returned = call()
     delta = kernel.merged_stats().delta(before).as_dict()
-    spans = [(span.name, span.attrs) for span in kernel.tracer.all_spans()]
+    spans = [
+        (span.name, span.attrs) for root in kernel.tracer.roots for span in root.walk()
+    ]
     problems = check_invariants(kernel)
     answers = []
     for ctx in kernel.cpus:
