@@ -480,10 +480,10 @@ class CheckRunResult:
     def dump(self) -> dict:
         """The repro as a plain JSON-able dict.
 
-        ``python -m repro check <scenario> --models <models> --seed
-        <seed> --ops <n_ops> --cpus <n_cpus> --plan <this file>``
-        replays it; ``ops`` holds the minimized stream
-        (:func:`~repro.check.ops.ops_from_dicts`).
+        ``python -m repro replay <this file>`` runs the minimized ``ops``
+        again on the same models, CPUs and plan; ``python -m repro check
+        <scenario> --models <models> --seed <seed> --ops <n_ops> --cpus
+        <n_cpus> --plan <this file>`` re-arms the plan on the full stream.
         """
         assert self.divergence is not None
         d = self.divergence

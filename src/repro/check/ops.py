@@ -128,6 +128,10 @@ _OP_TYPES = {
 }
 
 
+#: The plain field types an op's JSON form must carry as-is.
+_PLAIN_TYPES = {"int": int, "str": str, "bool": bool}
+
+
 def op_from_dict(payload: dict) -> Op:
     """Rebuild one operation from its :meth:`Op.to_dict` form."""
     kind = payload.get("op")
@@ -141,6 +145,8 @@ def op_from_dict(payload: dict) -> Op:
             value = Rights(value)
         elif spec.type == "AccessType":
             value = AccessType(value)
+        elif not isinstance(value, _PLAIN_TYPES[spec.type]):
+            raise ValueError(f"{kind}.{spec.name} is not {spec.type}: {value!r}")
         kwargs[spec.name] = value
     return cls(**kwargs)
 

@@ -14,7 +14,8 @@
   also JSONL and RunReport JSON).
 * ``profile <name>`` — run traced and print the top-N hotspot table
   (spans ranked by attributed weighted cycles).
-* ``replay <trace-file>`` — replay a saved reference trace on a model.
+* ``replay <dump.json>`` — replay a ``check`` dump's minimized ops; exit 1
+  while they still diverge, 0 once they replay clean.
 * ``check <scenario>`` — the kernel oracle: replay a seeded
   kernel-verb/reference stream through the selected models in lockstep
   against the gold model, through the pager, on ``--cpus`` CPUs.  With
@@ -80,8 +81,6 @@ from repro.core.costs import (
 )
 from repro.core.params import DEFAULT_PARAMS
 from repro.os.kernel import Kernel, MODELS
-from repro.sim.machine import Machine
-from repro.sim.trace import read_trace
 
 WORKLOADS = {
     "attach": run_attach_detach,
@@ -213,13 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1: monolithic, byte-identical to pre-shard output)",
     )
 
-    replay = sub.add_parser("replay", help="replay a saved reference trace")
-    replay.add_argument("trace", help="trace file (see repro.sim.trace)")
-    replay.add_argument("--model", choices=MODELS, default="plb")
-    replay.add_argument(
-        "--pages", type=int, default=64,
-        help="pages in the segment created for the trace's addresses",
-    )
+    replay = sub.add_parser("replay", help="replay the minimized ops of a check dump")
+    replay.add_argument("dump", help="a `repro check` divergence dump (JSON)")
 
     from repro.faults.plan import preset_catalog
 
@@ -667,42 +661,49 @@ def cmd_profile(name: str, model: str, top: int, n_shards: int = 1) -> str:
     return table + footer
 
 
-def cmd_replay(path: str, model: str, pages: int) -> str:
-    kernel = Kernel(model)
-    machine = Machine(kernel)
-    from repro.core.rights import Rights
+def cmd_replay(path: str) -> int:
+    """Replay a ``repro check`` dump's minimized ops: one status line,
+    exit 1 while the stream still diverges."""
+    import json
+
+    from repro.check import SCENARIOS, LockstepHarness, ops_from_dicts
+    from repro.faults import FaultPlan
 
     try:
         with open(path) as fp:
-            ops = list(read_trace(fp))
+            dump = json.load(fp)
     except (OSError, ValueError) as error:
         raise CLIError(f"cannot replay {path}: {error}")
-    pd_ids = sorted(
-        {op.pd_id for op in ops}
-    )
-    # Build domains matching the trace's PD-IDs and one segment covering
-    # its addresses.
-    vpns = [op.vaddr >> kernel.params.page_bits for op in ops if hasattr(op, "vaddr")]
-    if not vpns:
-        return "trace contains no references"
-    base = min(vpns)
-    span = max(vpns) - base + 1
-    if span > pages:
-        pages = span
-    segment = kernel.create_segment("trace", pages, base_vpn=base)
-    domains = {}
-    for pd_id in pd_ids:
-        domain = kernel.create_domain(f"trace-domain-{pd_id}")
-        kernel.attach(domain, segment, Rights.RWX)
-        domains[pd_id] = domain
-    remapped = []
-    for op in ops:
-        remapped.append(type(op)(**{**op.__dict__, "pd_id": domains[op.pd_id].pd_id}))
-    stats = machine.run(remapped)
-    return (
-        stats.report()
-        + f"\n\nweighted cycles: {cycles_for(stats)}"
-    )
+    try:
+        scenario, seed, cpus = dump["scenario"], dump["seed"], dump["n_cpus"]
+        models = tuple(dump["models"])
+        plan = FaultPlan.from_dict(dump["plan"]) if dump["plan"] is not None else None
+        ops = ops_from_dicts(dump["ops"])
+        harness = LockstepHarness(
+            models, scenario=SCENARIOS[scenario], plan=plan, n_cpus=cpus
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise CLIError(
+            f"{path} is not a repro check dump ({type(error).__name__}: {error})"
+        )
+    report = harness.run(ops)
+    status = _status(len(ops), report.refs_checked, models, plan and plan.name, cpus)
+    line = f"replay {scenario} seed={seed}: "
+    if report.ok:
+        print(line + f"OK ({status})")
+        return 0
+    print(line + f"DIVERGED ({status}) — " + report.divergence.describe())
+    return 1
+
+
+def _status(n_ops: int, refs: int, models, plan: str | None, cpus: int) -> str:
+    """The settings part of a ``check`` or ``replay`` status line."""
+    settings = [f"{n_ops} ops", f"{refs} refs", f"models={','.join(models)}"]
+    if plan is not None:
+        settings.append(f"plan={plan}")
+    if cpus > 1:
+        settings.append(f"cpus={cpus}")
+    return ", ".join(settings)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -749,16 +750,10 @@ def cmd_check(
         result = run_check(
             scenario, seed, tuple(models), n_ops=n_ops, plan=plan, n_cpus=cpus
         )
-        settings = [
-            f"{result.ops_total} ops",
-            f"{result.refs_checked} refs",
-            f"models={','.join(models)}",
-        ]
-        if plan is not None:
-            settings.append(f"plan={plan_text}")
-        if cpus > 1:
-            settings.append(f"cpus={cpus}")
-        status = ", ".join(settings) + "".join(
+        status = _status(
+            result.ops_total, result.refs_checked, models,
+            plan_text if plan is not None else None, cpus,
+        ) + "".join(
             f"; {model}: " + ", ".join(f"{name}={count}" for name, count in counts.items())
             for model, counts in result.counters.items()
         )
@@ -1118,7 +1113,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "profile":
         print(cmd_profile(args.name, args.model, args.top, args.shards))
     elif args.command == "replay":
-        print(cmd_replay(args.trace, args.model, args.pages))
+        return cmd_replay(args.dump)
     elif args.command == "check":
         return cmd_check(
             args.scenario, args.models, args.seed, args.ops, args.plan,

@@ -1,4 +1,4 @@
-"""The trace-driven simulator: traces, the machine, statistics.
+"""The trace-driven simulator: trace records, the machine, statistics.
 
 Only the leaf modules (:mod:`~repro.sim.stats`, :mod:`~repro.sim.trace`)
 are imported eagerly here; :class:`~repro.sim.machine.Machine` depends on
@@ -8,6 +8,6 @@ substrate uses :class:`Stats`).
 """
 
 from repro.sim.stats import Stats
-from repro.sim.trace import Ref, Switch, read_trace, write_trace
+from repro.sim.trace import Ref, Switch
 
-__all__ = ["Ref", "Stats", "Switch", "read_trace", "write_trace"]
+__all__ = ["Ref", "Stats", "Switch"]

@@ -67,21 +67,6 @@ class Machine:
         #: The CPU this machine is pinned to (see class docstring).
         self.cpu = cpu if cpu is not None else kernel.cpus[kernel.current_cpu]
         self._cpu_id = self.cpu.cpu_id
-        #: When set (see :meth:`record_trace`), every touch (and every
-        #: explicit :class:`Switch` replayed by :meth:`run`) is appended
-        #: here so a workload's reference stream can be saved and
-        #: replayed on another model.
-        self._trace_log: list[TraceOp] | None = None
-
-    def record_trace(self, sink: list[TraceOp] | None = None) -> list[TraceOp]:
-        """Start recording every reference; returns the sink list."""
-        self._trace_log = sink if sink is not None else []
-        return self._trace_log
-
-    def stop_recording(self) -> list[TraceOp] | None:
-        """Stop recording; returns the captured trace."""
-        log, self._trace_log = self._trace_log, None
-        return log
 
     # ------------------------------------------------------------------ #
     # Single references
@@ -102,8 +87,6 @@ class Machine:
         kernel = self.kernel
         if kernel.current_cpu != self._cpu_id:
             kernel.set_current_cpu(self._cpu_id)
-        if self._trace_log is not None:
-            self._trace_log.append(Ref(domain.pd_id, vaddr, access))
         system = kernel.system
         if system.current_domain != domain.pd_id:
             kernel.switch_to(domain)
@@ -139,8 +122,8 @@ class Machine:
     # Traces
 
     def run(self, trace: Iterable[TraceOp]) -> Stats:
-        """Replay a trace on this machine's CPU; returns the kernel's
-        counter delta."""
+        """Run a list of :class:`Ref`/:class:`Switch` records on this
+        machine's CPU; returns the kernel's counter delta."""
         kernel = self.kernel
         before = kernel.stats.snapshot()
         for op in trace:
@@ -149,11 +132,6 @@ class Machine:
             elif isinstance(op, Switch):
                 if kernel.current_cpu != self._cpu_id:
                     kernel.set_current_cpu(self._cpu_id)
-                if self._trace_log is not None:
-                    # An explicit switch is part of the reference stream:
-                    # dropping it would let a re-recorded trace diverge in
-                    # switch costs when replayed on another model.
-                    self._trace_log.append(op)
                 kernel.switch_to(kernel.domains[op.pd_id])
             else:
                 raise TypeError(f"not a trace op: {op!r}")

@@ -1,23 +1,19 @@
-"""Reference traces: the input format of the trace-driven simulator.
+"""Reference traces: the records :meth:`Machine.run <repro.sim.machine.Machine.run>` runs.
 
-A trace is a sequence of operations — memory references and domain
-switches — that the :class:`~repro.sim.machine.Machine` replays against a
-kernel.  Traces are plain dataclass records so workload generators can
-build them programmatically; a simple text serialization is provided for
-saving interesting traces and replaying them across models (the same
-trace drives all three systems, which is what makes the comparisons
-fair).
+A trace is a sequence of memory references and domain switches.
+Workload generators build them programmatically
+(:class:`~repro.workloads.tracegen.TraceGenerator` yields :class:`Ref`),
+and the same trace drives all three systems, which is what makes the
+comparisons fair.  The replayable stream format is the kernel oracle's
+op vocabulary (:mod:`repro.check.ops`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import Union
 
 from repro.core.rights import AccessType
-
-_ACCESS_CODE = {AccessType.READ: "r", AccessType.WRITE: "w", AccessType.EXECUTE: "x"}
-_CODE_ACCESS = {code: access for access, code in _ACCESS_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -37,40 +33,3 @@ class Switch:
 
 
 TraceOp = Union[Ref, Switch]
-
-
-def write_trace(ops: Iterable[TraceOp], fp: IO[str]) -> int:
-    """Serialize a trace as one op per line; returns ops written.
-
-    Format: ``R <pd> <vaddr-hex> <r|w|x>`` for references and
-    ``S <pd>`` for switches.
-    """
-    count = 0
-    for op in ops:
-        if isinstance(op, Ref):
-            fp.write(f"R {op.pd_id} {op.vaddr:#x} {_ACCESS_CODE[op.access]}\n")
-        elif isinstance(op, Switch):
-            fp.write(f"S {op.pd_id}\n")
-        else:
-            raise TypeError(f"not a trace op: {op!r}")
-        count += 1
-    return count
-
-
-def read_trace(fp: IO[str]) -> Iterator[TraceOp]:
-    """Parse a trace written by :func:`write_trace` (blank lines and
-    ``#`` comments are skipped)."""
-    for lineno, line in enumerate(fp, 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split()
-        try:
-            if fields[0] == "R":
-                yield Ref(int(fields[1]), int(fields[2], 16), _CODE_ACCESS[fields[3]])
-            elif fields[0] == "S":
-                yield Switch(int(fields[1]))
-            else:
-                raise ValueError(f"unknown op {fields[0]!r}")
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(f"bad trace line {lineno}: {text!r}") from exc

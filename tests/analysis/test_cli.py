@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, cmd_entry_sizes, cmd_replay, cmd_workload, main
+from repro.cli import build_parser, cmd_entry_sizes, cmd_workload, main
+
+from tests.check.test_mutants import mutant_named
 
 
 class TestParser:
@@ -113,19 +115,19 @@ class TestParallelismValidation:
     """One validation path for --cpus (simulated CPUs), and no worker
     processes: ``workload`` has no --jobs flag."""
 
-    def test_workload_jobs_below_one(self, capsys):
+    def test_workload_has_no_jobs_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["workload", "rpc", "--jobs", "0"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --jobs 0" in capsys.readouterr().err
 
-    def test_workload_jobs_with_single_model_is_explicit(self, capsys):
+    def test_workload_refuses_jobs_with_one_model(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["workload", "rpc", "--models", "plb", "--jobs", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
-    def test_bench_jobs_below_one(self, capsys):
+    def test_there_is_no_bench_command(self, capsys):
         """There is no ``bench`` command (the ledger under
         ``benchmarks/ledger`` is the host-time measure), so the parser
         refuses it: exit 2."""
@@ -286,37 +288,104 @@ class TestProfile:
         assert "top 2 of" in out
 
 
-class TestReplay:
-    def test_replay_roundtrip(self, tmp_path, capsys):
-        trace = tmp_path / "t.trace"
-        trace.write_text(
-            "R 1 0x100000 r\nR 1 0x100040 w\nS 1\nR 2 0x101000 r\n"
-        )
-        assert main(["replay", str(trace), "--model", "pagegroup"]) == 0
-        out = capsys.readouterr().out
-        assert "weighted cycles" in out
-        assert "refs" in out
+def _check_dump(tmp_path, capsys, *argv):
+    """Run a diverging ``repro check``; returns the divergence text its
+    status line ends in and the path its dump was saved to."""
+    assert main(["check", "fuzz", "--models", "plb", *argv]) == 1
+    line, dump = capsys.readouterr().out.split("\nreplayable repro dump:\n", 1)
+    path = tmp_path / "dump.json"
+    path.write_text(dump)
+    return line.split(") — ", 1)[1], path
 
-    def test_replay_empty_trace(self, tmp_path):
-        trace = tmp_path / "empty.trace"
-        trace.write_text("# nothing\n")
-        assert "no references" in cmd_replay(str(trace), "plb", 4)
+
+def _replay(path, capsys):
+    """Run ``repro replay``; returns its exit status and its one line."""
+    status = main(["replay", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    return status, lines[0]
+
+
+class TestReplay:
+    """``repro replay`` runs a ``check`` dump's minimized ops again."""
+
+    def test_replay_roundtrip(self, tmp_path, capsys, monkeypatch):
+        """Planned dumps, on one CPU and on two, and a no-plan dump made
+        under a PLB bug still diverge, with the check's own text."""
+        planned = ("--plan", "unrecoverable", "--seed", "1", "--ops", "40")
+        for argv in (planned, planned + ("--cpus", "2")):
+            text, path = _check_dump(tmp_path, capsys, *argv)
+            status, line = _replay(path, capsys)
+            assert status == 1
+            assert line.startswith("replay fuzz seed=1: DIVERGED (")
+            assert "plan=unrecoverable" in line
+            assert ("cpus=2" in line) == ("--cpus" in argv)
+            assert line.endswith(") — " + text)
+        with monkeypatch.context() as patch:
+            mutant_named("plb-detach-skips-purge").inject(patch)
+            text, path = _check_dump(tmp_path, capsys, "--seed", "0", "--cpus", "2")
+            status, line = _replay(path, capsys)
+        assert status == 1
+        assert "plan=" not in line
+        assert line.endswith(") — " + text)
+
+    def test_replay_empty_trace(self, tmp_path, capsys, monkeypatch):
+        """A stream that no longer diverges replays clean and exits 0: a
+        dump made under a bug, once the bug is gone (the regression-test
+        workflow), and a dump emptied of its ops."""
+        import json
+
+        with monkeypatch.context() as patch:
+            mutant_named("plb-invalidate-stops-at-first-hit").inject(patch)
+            _, path = _check_dump(tmp_path, capsys, "--seed", "0")
+        status, line = _replay(path, capsys)
+        assert status == 0
+        assert line.startswith("replay fuzz seed=0: OK (")
+
+        _, path = _check_dump(
+            tmp_path, capsys, "--plan", "unrecoverable", "--seed", "1", "--ops", "40"
+        )
+        dump = json.loads(path.read_text())
+        path.write_text(json.dumps({**dump, "ops": []}))
+        assert _replay(path, capsys) == (
+            0, "replay fuzz seed=1: OK (0 ops, 0 refs, models=plb, plan=unrecoverable)"
+        )
 
     @pytest.mark.parametrize(
         "content, message",
-        [(None, "No such file"), ("R 1 0x100000 q\n", "bad trace line 1")],
-        ids=["missing", "malformed"],
+        [
+            (None, "No such file"),
+            ("R 1 0x100000 q\n", "cannot replay"),
+            ('{"events": []}', "is not a repro check dump"),
+            ("cluster", "is not a repro check dump"),
+            (
+                '{"scenario": "fuzz", "seed": 0, "models": ["plb"], "n_cpus": 1,'
+                ' "plan": null,'
+                ' "ops": [{"op": "Touch", "pd": 1, "vaddr": "x", "access": "read"}]}',
+                "Touch.vaddr is not int",
+            ),
+        ],
+        ids=["missing", "malformed", "not-a-dump", "cluster-dump", "bad-op"],
     )
     def test_unreadable_trace_is_a_clean_error(
         self, tmp_path, capsys, content, message
     ):
-        trace = tmp_path / "t.trace"
+        import json
+
+        from repro.cluster.chaos import run_cluster_case
+        from repro.faults import FaultPlan
+
+        dump = tmp_path / "dump.json"
+        if content == "cluster":
+            plan = FaultPlan.generate("cluster-crash", 3)
+            content = json.dumps(run_cluster_case("plb", 3, plan=plan).dump())
         if content is not None:
-            trace.write_text(content)
-        assert main(["replay", str(trace)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error: ")
-        assert message in err
+            dump.write_text(content)
+        assert main(["replay", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
 
 
 class TestChaosCommand:

@@ -48,6 +48,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown op kind"):
             op_from_dict({"op": "Nope"})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"op": "Touch", "pd": 1, "vaddr": "0x100000", "access": "read"},
+            {"op": "CreateSegment", "name": "s", "n_pages": 4.0, "populate": True},
+            {"op": "CreateDomain", "name": 7},
+        ],
+        ids=["str-for-int", "float-for-int", "int-for-str"],
+    )
+    def test_field_of_the_wrong_type_rejected(self, payload):
+        """A dump's op must carry each field as the type it was written
+        with, so a replayed stream never fails inside the harness."""
+        with pytest.raises(ValueError, match="is not"):
+            op_from_dict(payload)
+
     def test_stream_round_trip(self):
         ops = generate_ops(SCENARIOS["fuzz"], seed=3, n_ops=80)
         rebuilt = ops_from_dicts(op.to_dict() for op in ops)

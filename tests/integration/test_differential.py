@@ -26,8 +26,9 @@ from repro.check.ops import (
     Touch,
 )
 from repro.core.params import DEFAULT_PARAMS
-from repro.core.plb import PLBKey, ProtectionLookasideBuffer
 from repro.core.rights import AccessType, Rights
+
+from tests.check.test_mutants import mutant_named
 
 SEEDS = (0, 1, 2)
 
@@ -63,16 +64,7 @@ def test_rights_set_while_paged_out_survive_page_in():
 
 # --------------------------------------------------------------------- #
 # Injected mutation: the stale-rights bug the oracle was built to catch
-
-
-def _first_hit_stop_invalidate(self, pd_id, vaddr):
-    """The pre-fix bug: stop at the first level that hits."""
-    for level in self.levels:
-        key = PLBKey(pd_id, self.unit_for(vaddr, level), level)
-        if self._store.invalidate(key):
-            self.stats.inc(f"{self.name}.invalidate")
-            return 1
-    return 0
+# (the first-hit-stop invalidate of tests/check/test_mutants.py)
 
 
 def _stale_rights_ops():
@@ -100,9 +92,7 @@ def _stale_rights_ops():
 
 @pytest.fixture
 def buggy_invalidate(monkeypatch):
-    monkeypatch.setattr(
-        ProtectionLookasideBuffer, "invalidate", _first_hit_stop_invalidate
-    )
+    mutant_named("plb-invalidate-stops-at-first-hit").inject(monkeypatch)
 
 
 def _harness():

@@ -1,135 +1,145 @@
 """Stateful model-based testing of the kernel (hypothesis rule machine).
 
-Hypothesis drives arbitrary interleavings of the kernel API — domain and
-segment creation, attach/detach, rights changes, touches, switches —
-checking after every step that the hardware never disagrees with a
-shadow model of the domain-page semantics, and that memory accounting
-stays exact.  Run on the PLB system (the conventional system shares the
-same OS-level semantics; the page-group model's divergent per-domain
-semantics are covered by the oracle test).
+Hypothesis drives arbitrary interleavings of the kernel's rights verbs,
+paging, domain switches and references.  Each rule appends ops of the
+kernel oracle's vocabulary (:mod:`repro.check.ops`) to one stream, which
+starts from the universe of :mod:`tests.integration.test_oracle` and a
+drawn set of attachments.  At teardown
+:class:`~repro.check.harness.LockstepHarness` replays the stream through
+every model beside the gold model (:mod:`repro.check.gold`): on one CPU
+and on two CPUs over two authority shards, with no fault plan (every
+reference compared) and under the ``mixed`` plan (recovery must
+converge to gold).
 """
 
 from __future__ import annotations
 
-from hypothesis import settings
-from hypothesis.stateful import (
-    Bundle,
-    RuleBasedStateMachine,
-    invariant,
-    rule,
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+
+from repro.check import SCENARIOS, LockstepHarness
+from repro.check.ops import (
+    Attach,
+    Detach,
+    PageIn,
+    PageOut,
+    SetPageRights,
+    SetRightsAll,
+    SetSegmentRights,
+    Switch,
+    Touch,
 )
-from hypothesis import strategies as st
-
-from repro.core.mmu import PLBSystem
+from repro.core.params import DEFAULT_PARAMS
 from repro.core.rights import AccessType, Rights
-from repro.os.kernel import Kernel, SegmentationViolation
-from repro.sim.machine import Machine
+from repro.faults.plan import FaultPlan
+from repro.os.kernel import MODELS
 
-N_FRAMES = 512
+from tests.integration.test_oracle import (
+    ACCESSES,
+    ATTACHMENTS,
+    FIRST_VPN,
+    GRANTS,
+    PAGES,
+    PDS,
+    PREFIX,
+    RIGHTS,
+    SEGS,
+    VADDRS,
+    VPNS,
+)
+
+#: (CPUs, authority shards) of each judging run.
+LAYOUTS = ((1, 1), (2, 2))
 
 
 class KernelMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.kernel = Kernel("plb", n_frames=N_FRAMES)
-        self.machine = Machine(self.kernel)
-        #: Shadow model: (pd_id, vpn) -> expected rights (None = no access).
-        self.shadow: dict[tuple[int, int], Rights] = {}
-
-    domains = Bundle("domains")
-    segments = Bundle("segments")
+        self.ops = list(PREFIX)
 
     # ------------------------------------------------------------------ #
-    # Rules
+    # Rules: each appends ops
 
-    @rule(target=domains)
-    def create_domain(self):
-        return self.kernel.create_domain(f"d{len(self.kernel.domains)}")
+    @initialize(attachments=ATTACHMENTS)
+    def attach_some(self, attachments):
+        """Start from a drawn set of attachments."""
+        self.ops.extend(attachments)
 
-    @rule(target=segments, pages=st.integers(1, 4))
-    def create_segment(self, pages):
-        if self.kernel.memory.free_frames < pages:
-            return None
-        return self.kernel.create_segment(
-            f"s{len(self.kernel.segments)}", pages
-        )
+    @rule(pd=PDS, seg=SEGS, rights=GRANTS)
+    def attach(self, pd, seg, rights):
+        self.ops.append(Attach(pd, seg, rights))
 
-    @rule(domain=domains, segment=segments,
-          rights=st.sampled_from([Rights.READ, Rights.RW]))
-    def attach(self, domain, segment, rights):
-        if segment is None or domain.is_attached(segment.seg_id):
-            return
-        if segment.seg_id not in self.kernel.segments:
-            return  # destroyed
-        self.kernel.attach(domain, segment, rights)
-        for vpn in segment.vpns():
-            self.shadow[(domain.pd_id, vpn)] = rights
+    @rule(pd=PDS, seg=SEGS)
+    def detach(self, pd, seg):
+        self.ops.append(Detach(pd, seg))
 
-    @rule(domain=domains, segment=segments)
-    def detach(self, domain, segment):
-        if segment is None or not domain.is_attached(segment.seg_id):
-            return
-        if segment.seg_id not in self.kernel.segments:
-            return
-        self.kernel.detach(domain, segment)
-        for vpn in segment.vpns():
-            self.shadow.pop((domain.pd_id, vpn), None)
+    @rule(pd=PDS, vpn=VPNS, rights=RIGHTS)
+    def set_page_rights(self, pd, vpn, rights):
+        self.ops.append(SetPageRights(pd, vpn, rights))
 
-    @rule(domain=domains, segment=segments, page=st.integers(0, 3),
-          rights=st.sampled_from([Rights.NONE, Rights.READ, Rights.RW]))
-    def set_page_rights(self, domain, segment, page, rights):
-        if segment is None or not domain.is_attached(segment.seg_id):
-            return
-        if segment.seg_id not in self.kernel.segments:
-            return
-        vpn = segment.vpn_at(page % segment.n_pages)
-        self.kernel.set_page_rights(domain, vpn, rights)
-        self.shadow[(domain.pd_id, vpn)] = rights
+    @rule(pd=PDS, seg=SEGS, rights=RIGHTS)
+    def set_segment_rights(self, pd, seg, rights):
+        self.ops.append(SetSegmentRights(pd, seg, rights))
 
-    @rule(domain=domains, segment=segments, page=st.integers(0, 3),
-          write=st.booleans())
-    def touch(self, domain, segment, page, write):
-        if segment is None or segment.seg_id not in self.kernel.segments:
-            return
-        vpn = segment.vpn_at(page % segment.n_pages)
-        access = AccessType.WRITE if write else AccessType.READ
-        expected = self.shadow.get((domain.pd_id, vpn), Rights.NONE)
-        try:
-            self.machine.touch(domain, self.kernel.params.vaddr(vpn), access)
-            allowed = True
-        except SegmentationViolation:
-            allowed = False
-        assert allowed == expected.allows(access), (
-            f"domain {domain.pd_id} {access.value} page {vpn:#x}: hardware "
-            f"{'allowed' if allowed else 'denied'}, shadow says "
-            f"{expected.describe()}"
-        )
+    @rule(vpn=VPNS, rights=RIGHTS)
+    def set_rights_all(self, vpn, rights):
+        self.ops.append(SetRightsAll(vpn, rights))
 
-    @rule(domain=domains)
-    def switch(self, domain):
-        self.kernel.switch_to(domain)
+    @rule(vpn=VPNS)
+    def page_out(self, vpn):
+        self.ops.append(PageOut(vpn))
+
+    @rule(vpn=VPNS)
+    def page_in(self, vpn):
+        self.ops.append(PageIn(vpn))
+
+    @rule(pd=PDS)
+    def switch(self, pd):
+        self.ops.append(Switch(pd))
+
+    @rule(pd=PDS, refs=st.lists(st.tuples(VADDRS, ACCESSES), min_size=1, max_size=4))
+    def touch(self, pd, refs):
+        """A burst of references by one domain: the observations."""
+        self.ops.extend(Touch(pd, vaddr, access) for vaddr, access in refs)
+
+    @rule(
+        pd=PDS, seg=SEGS, pages=st.permutations(range(PAGES)),
+        grant=GRANTS, revoke=st.sampled_from([Rights.NONE, Rights.READ]),
+    )
+    def revoke_cycle(self, pd, seg, pages, grant, revoke):
+        """Grant a page and fill its page-level entry, clear the override
+        and fill the superpage entry through a sibling, then revoke the
+        page and write it: the shortest path to one domain holding both
+        levels' PLB entries for a revoked page (each segment is one
+        level-2 unit of the ``fuzz`` scenario's PLB)."""
+        base = FIRST_VPN + (seg - 1) * PAGES
+        target, sibling = (base + page for page in pages[:2])
+        vaddr = DEFAULT_PARAMS.vaddr
+        self.ops.extend([
+            SetPageRights(pd, target, grant),
+            Touch(pd, vaddr(target), AccessType.READ),
+            SetSegmentRights(pd, seg, Rights.RW),
+            Touch(pd, vaddr(sibling), AccessType.READ),
+            SetPageRights(pd, target, revoke),
+            Touch(pd, vaddr(target), AccessType.WRITE),
+        ])
 
     # ------------------------------------------------------------------ #
-    # Invariants (checked after every rule)
+    # The judgement
 
-    @invariant()
-    def memory_conserved(self):
-        memory = self.kernel.memory
-        assert memory.free_frames + memory.used_frames == N_FRAMES
-
-    @invariant()
-    def plb_never_contradicts_tables(self):
-        system = self.kernel.system
-        assert isinstance(system, PLBSystem)
-        for key, entry in system.plb.items():
-            info = self.kernel.rights_for(key.pd_id, key.unit)
-            table_rights = info.rights if info is not None else None
-            # A resident entry may be stale only toward *less* access
-            # than the tables grant, never more — and in this machine
-            # (all changes go through kernel verbs) it must be exact or
-            # the domain was detached (entry swept, so unreachable).
-            if table_rights is not None:
-                assert entry.rights == table_rights
+    def teardown(self):
+        plans = (None, FaultPlan.generate("mixed", 0, len(self.ops)))
+        for n_cpus, n_shards in LAYOUTS:
+            for plan in plans:
+                harness = LockstepHarness(
+                    MODELS, scenario=SCENARIOS["fuzz"], plan=plan,
+                    n_cpus=n_cpus, n_shards=n_shards,
+                )
+                report = harness.run(self.ops)
+                assert report.ok, (
+                    f"cpus={n_cpus} plan={plan and plan.name}: "
+                    + report.divergence.describe()
+                )
 
 
 KernelMachine.TestCase.settings = settings(

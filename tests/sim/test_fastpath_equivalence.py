@@ -26,6 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check import ops as opmod
+from repro.check.harness import LockstepHarness
 from repro.check.ops import SCENARIOS, generate_ops
 from repro.core.mmu import PageFault, ProtectionFault
 from repro.core.rights import AccessType, Rights
@@ -34,6 +35,7 @@ from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.scrub import Scrubber
 from repro.obs.tracer import Tracer
 from repro.os.kernel import MODELS, Kernel, KernelError, SegmentationViolation
+from repro.os.pager import PagerError
 from repro.sim.machine import FaultLoop, Machine
 from repro.sim.trace import Ref
 
@@ -46,7 +48,7 @@ SCENARIO_SEEDS = [
 
 MODES = ("fast", "raising", "traced")
 
-_SKIPPED = (KernelError, SegmentationViolation, KeyError, HardwareFault)
+_SKIPPED = (KernelError, PagerError, SegmentationViolation, KeyError, HardwareFault)
 
 
 class RaisingMachine:
@@ -81,36 +83,6 @@ class RaisingMachine:
                 raise FaultLoop(f"access at {ref.vaddr:#x} still faulting")
 
 
-def _apply_verb(kernel, domains, segments, op) -> None:
-    """One non-touch scenario op against one kernel (the differ's vocabulary)."""
-    if isinstance(op, opmod.CreateDomain):
-        domain = kernel.create_domain(op.name)
-        domains[domain.pd_id] = domain
-    elif isinstance(op, opmod.CreateSegment):
-        segment = kernel.create_segment(op.name, op.n_pages, populate=op.populate)
-        segments[segment.seg_id] = segment
-    elif isinstance(op, opmod.Attach):
-        kernel.attach(domains[op.pd], segments[op.seg], op.rights)
-    elif isinstance(op, opmod.Detach):
-        kernel.detach(domains[op.pd], segments[op.seg])
-    elif isinstance(op, opmod.SetPageRights):
-        kernel.set_page_rights(domains[op.pd], op.vpn, op.rights)
-    elif isinstance(op, opmod.SetSegmentRights):
-        kernel.set_segment_rights(domains[op.pd], segments[op.seg], op.rights)
-    elif isinstance(op, opmod.SetRightsAll):
-        kernel.set_rights_all_domains(op.vpn, op.rights)
-    elif isinstance(op, opmod.PageOut):
-        kernel.free_page(op.vpn)
-    elif isinstance(op, opmod.PageIn):
-        kernel.populate_page(op.vpn)
-    elif isinstance(op, opmod.Switch):
-        kernel.switch_to(domains[op.pd])
-    elif isinstance(op, opmod.DestroySegment):
-        kernel.destroy_segment(segments.pop(op.seg))
-    else:  # pragma: no cover - generator never emits anything else
-        raise TypeError(f"unknown op {op!r}")
-
-
 def _forest(spans) -> list:
     """A span forest as nested ``(name, cycles, children)`` tuples."""
     return [(span.name, span.cycles, _forest(span.children)) for span in spans]
@@ -140,10 +112,10 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
     forest is left in ``replay.last_forest``.
     """
     spec = SCENARIOS[scenario]
-    kernel = Kernel(
-        model, n_frames=256, n_cpus=n_cpus,
-        system_options=spec.system_options(model),
-    )
+    # The oracle's dispatcher applies the verbs (PageOut and PageIn
+    # through the pager); this suite drives the references itself.
+    harness = LockstepHarness((model,), scenario=spec, n_cpus=n_cpus)
+    kernel = harness.kernels[model]
     tracer = None
     if verb_tracer:
         tracer = Tracer(kernel.stats, references=False)
@@ -160,8 +132,7 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
         injector = FaultInjector(FaultPlan.generate("mixed", seed, N_OPS))
         injector.arm(kernel)
         scrubber = Scrubber(kernel)
-    domains: dict = {}
-    segments: dict = {}
+    domains = harness.domains[model]
     batch: list[Ref] = []
     turn = 0
 
@@ -197,7 +168,7 @@ def replay(model: str, scenario: str, seed: int, *, mode: str,
         else:
             flush()
             try:
-                _apply_verb(kernel, domains, segments, op)
+                harness._verb(model, kernel, op)
             except _SKIPPED:
                 pass
         if scrubber is not None and (index + 1) % 16 == 0:

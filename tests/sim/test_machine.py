@@ -52,53 +52,6 @@ class TestTouch:
             machine.write(domain, kernel.params.vaddr(segment.base_vpn))
 
 
-class TestTraceRecording:
-    def test_record_and_replay_across_models(self):
-        """A trace captured from one model replays exactly on another."""
-        from repro.workloads.gc import ConcurrentGC, GCConfig
-
-        config = GCConfig(heap_pages=8, collections=1, mutator_refs_per_cycle=100)
-        gc = ConcurrentGC(Kernel("plb"), config)
-        log = gc.machine.record_trace()
-        gc.run()
-        trace = gc.machine.stop_recording()
-        assert trace is log and len(trace) > 100
-        assert gc.machine.stop_recording() is None
-
-    def test_recorded_refs_match_touches(self, plb_kernel):
-        from tests.conftest import make_attached_segment
-
-        kernel = plb_kernel
-        machine = Machine(kernel)
-        domain, segment = make_attached_segment(kernel)
-        log = machine.record_trace()
-        vaddr = kernel.params.vaddr(segment.base_vpn, 8)
-        machine.write(domain, vaddr)
-        machine.read(domain, vaddr)
-        machine.stop_recording()
-        machine.read(domain, vaddr)  # not recorded
-        assert [ref.vaddr for ref in log] == [vaddr, vaddr]
-        assert [ref.access for ref in log] == [AccessType.WRITE, AccessType.READ]
-
-    def test_recorded_trace_serializes(self, tmp_path, plb_kernel):
-        import io
-
-        from repro.sim.trace import read_trace, write_trace
-        from tests.conftest import make_attached_segment
-
-        kernel = plb_kernel
-        machine = Machine(kernel)
-        domain, segment = make_attached_segment(kernel)
-        log = machine.record_trace()
-        for offset in range(0, 256, 32):
-            machine.read(domain, kernel.params.vaddr(segment.base_vpn, offset))
-        machine.stop_recording()
-        buffer = io.StringIO()
-        write_trace(log, buffer)
-        buffer.seek(0)
-        assert list(read_trace(buffer)) == log
-
-
 class TestRun:
     def test_run_trace_returns_delta_stats(self, kernel):
         machine = Machine(kernel)
@@ -176,33 +129,16 @@ def _mixed_trace(kernel):
 
 
 class TestReplayRoundtrip:
-    def test_rerecording_a_replay_keeps_switch_ops(self, kernel):
-        """run() must log replayed Switch ops, not just Refs.
-
-        Dropping them would make a re-recorded trace diverge in switch
-        costs when replayed on another model.
-        """
-        machine = Machine(kernel)
-        trace = _mixed_trace(kernel)
-        log = machine.record_trace()
-        machine.run(trace)
-        machine.stop_recording()
-        assert log == trace
-
     def test_roundtrip_stats_identical_across_models(self):
-        """record -> replay -> re-record is a fixpoint on every model."""
-        for model in ("plb", "pagegroup", "conventional"):
+        """One trace run on two identically built kernels moves the same
+        counters, on every model: a run is a function of its trace."""
+        for model in MODELS:
             kernel = Kernel(model)
-            machine = Machine(kernel)
             trace = _mixed_trace(kernel)
-            first = machine.run(trace).as_dict()
+            first = Machine(kernel).run(trace).as_dict()
 
             replay_kernel = Kernel(model)
-            replay_machine = Machine(replay_kernel)
             _mixed_trace(replay_kernel)  # same domains and segment
-            log = replay_machine.record_trace()
-            second = replay_machine.run(trace).as_dict()
-            replay_machine.stop_recording()
-            assert log == trace, model
+            second = Machine(replay_kernel).run(trace).as_dict()
+            assert first["refs"] == 3, model
             assert second == first, model
-
